@@ -1,128 +1,66 @@
-"""Operation times in reference-speed seconds.
+"""Operation times in reference seconds.
 
-The cores this benchmark runs on are shared: measured with one fig1 solve
-after another, the machine switched between a fast and a slow state about
-1.5x apart, each lasting from seconds to tens of seconds, so the medians of
-two 20-second runs of identical work differed by up to a third. Every time
-the benchmark reports is therefore scaled to a reference speed. A fixed
-reference kernel that never calls vixpricer is timed between operations,
-at least every ``PROBE_INTERVAL_S``. It has three parts, each timed on its
-own: Bessel evaluations, an interpreter loop and Poisson-gamma draws, the
-kinds of work the package does; they slow down by different factors in the
-slow state. A numeric operation is scaled by the mean slowness of all three
-parts (each part's time over its reference time), a Monte Carlo operation
-by that of the sampling part alone: measured against fig1 solves, European
-and American quotes and Monte Carlo runs, these scalings left the least
-spread between 20-second windows. One probe is short and noisy, while the
-machine's state lasts seconds, so each operation takes the median
-slowness of the ``WINDOW`` probes nearest to it. A change to vixpricer
-changes the operations' wall times and not the probes, so it shows in
-full.
+The cores this benchmark runs on are shared, and other work on them slows
+the package down by up to 1.7x, for milliseconds or for minutes, so raw
+wall times of identical work spread by a third between runs. A fixed
+reference kernel that never calls vixpricer is therefore timed between
+operations, at least every ``PROBE_INTERVAL_S``: scaled Bessel evaluations
+over an array of the size of a kernel row's, as in the transition density,
+and an interpreter loop, as in the solver and quadrature loops. A call's
+wall time is scaled by the kernel's reference time over the mean of its
+two runs just before and just after the call. A change to vixpricer
+changes the calls' wall times and not the kernel's, so it shows in full.
 """
 
+import bisect
+import statistics
 import time
 
 import numpy as np
 from scipy import special
 
-# each part's duration at the reference speed, about its median on the
-# 2-core x86_64 machine the benchmark was built on
-REFERENCE_S = {"bessel": 0.0024, "interpreter": 0.0035, "sampling": 0.003}
-# the parts an operation of each kind is scaled by
-KINDS = {"numeric": ("bessel", "interpreter", "sampling"), "sampling": ("sampling",)}
-PROBE_INTERVAL_S = 0.15
-WINDOW = 9
+# about the kernel's time on the 2-core x86_64 machine the benchmark was
+# built on, when nothing else slowed it down
+REFERENCE_S = 0.06
+PROBE_INTERVAL_S = 1.0
 
-_ABSCISSAE = np.linspace(0.5, 60.0, 2048)
-_RATES = np.linspace(0.1, 30.0, 30000)
+_ABSCISSAE = np.linspace(0.5, 60.0, 50_000)
 
 
-def _bessel():
-    """Scaled Bessel evaluations over an array, as in the transition density."""
+def _kernel():
     total = 0.0
     for order in (0.5, 2.3, 7.1):
         total += float(np.log(special.ive(order, _ABSCISSAE)).sum())
-    return total
-
-
-def _interpreter():
-    """Plain interpreter work, as in the solver's and quadrature's loops."""
-    total = 0.0
-    for i in range(60000):
+    for i in range(50_000):
         total += i * 1e-9
     return total
 
 
-def _sampling():
-    """Poisson-gamma draws over an array, as in the Monte Carlo layer."""
-    rng = np.random.default_rng(0)
-    return float(rng.standard_gamma(2.0 + rng.poisson(_RATES)).sum())
+class Probes:
+    """Runs of the reference kernel: their start times and durations."""
 
+    def __init__(self):
+        _kernel()  # SciPy's first calls, untimed
+        self.starts, self.times = [], []
+        self.take()
 
-PARTS = {"bessel": _bessel, "interpreter": _interpreter, "sampling": _sampling}
-
-
-def probe():
-    """Wall seconds of one run of each part of the reference kernel."""
-    out = {}
-    for part, kernel in PARTS.items():
+    def take(self):
         start = time.perf_counter()
-        kernel()
-        out[part] = time.perf_counter() - start
-    return out
+        _kernel()
+        self.starts.append(start)
+        self.times.append(time.perf_counter() - start)
 
+    def maybe(self):
+        """Run the kernel if ``PROBE_INTERVAL_S`` have passed since the last run."""
+        if time.perf_counter() - self.starts[-1] - self.times[-1] >= PROBE_INTERVAL_S:
+            self.take()
 
-def _slowness(p, kind):
-    parts = KINDS[kind]
-    return sum(p[part] / REFERENCE_S[part] for part in parts) / len(parts)
+    def reference_s(self, start, end):
+        """Reference seconds of a call that ran from ``start`` to ``end``.
 
-
-def scales(probes, kind):
-    """Per gap between consecutive probes, wall seconds to reference seconds."""
-    series = [_slowness(p, kind) for p in probes]
-    out = []
-    for gap in range(len(series) - 1):
-        lo = min(max(0, gap + 1 - WINDOW // 2), max(0, len(series) - WINDOW))
-        out.append(1.0 / float(np.median(series[lo:lo + WINDOW])))
-    return out
-
-
-def speed(probes, kind):
-    """Reference seconds per wall second over a whole series of probes."""
-    return 1.0 / float(np.median([_slowness(p, kind) for p in probes]))
-
-
-class Stopwatch:
-    """Times calls in reference seconds, probing the machine between them.
-
-    ``pad`` extra probes before the first call and after the last one give
-    the windows at the ends of a short series their full width.
-    """
-
-    def __init__(self, pad=0):
-        self._pad = pad
-        self._probes = [probe() for _ in range(pad + 1)]
-        self._segments = [[]]
-        self._last = time.perf_counter()
-
-    def call(self, key, kind, fn, *args):
-        """Run ``fn(*args)`` and time it under ``key``; exceptions propagate untimed."""
-        start = time.perf_counter()
-        out = fn(*args)
-        now = time.perf_counter()
-        self._segments[-1].append((key, kind, now - start))
-        if now - self._last >= PROBE_INTERVAL_S:
-            self._probes.append(probe())
-            self._segments.append([])
-            self._last = time.perf_counter()
-        return out
-
-    def finish(self):
-        """Reference seconds per key, and the speed of each kind over the series."""
-        self._probes += [probe() for _ in range(self._pad + 1)]
-        factors = {kind: scales(self._probes, kind) for kind in KINDS}
-        times = {}
-        for gap, segment in enumerate(self._segments, start=self._pad):
-            for key, kind, seconds in segment:
-                times[key] = times.get(key, 0.0) + seconds * factors[kind][gap]
-        return times, {kind: speed(self._probes, kind) for kind in KINDS}
+        Needs a kernel run after the call; ``take`` one after the last call.
+        """
+        before = bisect.bisect_right(self.starts, start) - 1
+        after = bisect.bisect_left(self.starts, end)
+        around = [self.times[k] for k in (before, after) if 0 <= k < len(self.times)]
+        return (end - start) * REFERENCE_S / statistics.fmean(around)

@@ -73,8 +73,8 @@ class Tracer:
             if self._open["american.solve_boundary"]:
                 self.extra["kernel_row.in_solve"] += 1
         elif name == "american.solve_boundary":
-            cfg = args[3] if len(args) > 3 else kwargs.get("cfg")
-            self.extra["solve.steps"] += cfg.n_steps if cfg is not None else 200
+            cfg = args[3] if len(args) > 3 else kwargs["cfg"]
+            self.extra["solve.steps"] += cfg.n_steps
         elif name == "numerics.adaptive_gauss_kronrod":
             fn = args[0]
 

@@ -7,19 +7,19 @@ the previous one returns. The run sets up (import, config loading, warm-up,
 the boundaries the workload quotes against), then repeats whole rounds of
 the workload's operations until ``--seconds`` have passed, then checks the
 first round's outputs against independent computations and requires every
-later round to reproduce them bit for bit.
+later call of an operation to reproduce its first output bit for bit.
 
 The last line of standard output is the result::
 
     {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 
-Times are in reference seconds, scaled against a reference kernel timed
-between operations (see ``clock.py``). With ``--trace 0`` the metrics are
-the end-to-end ones, timed untraced.
-With ``--trace 1`` the first half of the time runs untraced and the second
-half traced (see ``layertrace.py``); the metrics are the per-layer ones, per
-traced round, plus the tracing overhead. The line before the result is a
-record of the run: machine, library versions and the values it produced.
+End-to-end times are reference seconds: wall seconds scaled against a
+reference kernel timed between operations (see ``clock.py``). With
+``--trace 0`` the metrics are the end-to-end ones, timed untraced. With ``--trace 1`` the first half of the time runs
+untraced and the second half traced (see ``layertrace.py``); the metrics
+are the per-layer ones, per traced round, plus the tracing overhead. The
+line before the result is a record of the run: machine, library versions
+and the values it produced.
 """
 
 import os
@@ -39,11 +39,10 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-# The benchmark's own modules (clock, layertrace, workloads) import NumPy and
-# SciPy; they are imported inside functions, after the timed package import.
+# The benchmark's own modules (clock, layertrace, workloads) import NumPy and SciPy;
+# they are imported inside functions, after the timed package import.
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-SETUP_PASSES = 3
 
 END_TO_END = {
     "setup_s": "s",
@@ -66,14 +65,6 @@ RATES = {
     "mc_policy_paths_per_s": "mc_policy",
     "mc_terminal_paths_per_s": "mc_terminal",
 }
-
-# operation groups timed against the sampling kernel; the rest are numeric
-KIND = {"mc_policy": "sampling", "mc_terminal": "sampling"}
-
-
-def layer_kind(name):
-    return "sampling" if name.startswith("mc.") or name.endswith(".sample.self_s") else "numeric"
-
 
 def layer_unit(name):
     if name == "trace.overhead":
@@ -109,74 +100,69 @@ def import_package():
 
 
 def set_up(workloads, name, seed, small):
-    """Config loading, warm-up and set-up solves.
-
-    Returns the workload, the solved boundaries and the reference seconds.
-    """
-    import clock
-    watch = clock.Stopwatch(pad=clock.WINDOW // 2)
-    workload = watch.call("build", "numeric", workloads.build, name, seed, small)
-    watch.call("warm-up", "numeric", workloads.warm_up)
+    """Config loading, warm-up and set-up solves; the workload and its boundaries."""
+    workload = workloads.build(name, seed, small)
+    workloads.warm_up()
     ctx = {}
-    for key, solve, _ in workload.setup_solves:
-        watch.call(key, "numeric", solve, ctx)
-    times, _ = watch.finish()
-    return workload, ctx, sum(times.values())
+    for _, solve, _ in workload.setup_solves:
+        solve(ctx)
+    return workload, ctx
 
 
 class Rounds:
     """Runs whole rounds and keeps what the metrics and checks need."""
 
-    def __init__(self, workload, ctx, same_output):
+    def __init__(self, workload, ctx, same_output, probes):
         self.ops = workload.ops
         self.ctx = ctx
         self.same_output = same_output
+        self.probes = probes
         self.first = None          # label -> output of the first round
-        self.records = []          # per round: reference seconds per operation
-        self.raised = defaultdict(int)
-        self.diverged = defaultdict(int)
+        self.records = []          # per round: (start, end) of each call per operation
+        self.raised = defaultdict(int)    # calls per label
+        self.diverged = defaultdict(int)  # calls per label
 
     def run(self, seconds, tracer=None, layer_metrics=None):
         deadline = time.perf_counter() + seconds
         while True:
             self.records.append(self._round(tracer, layer_metrics))
             if time.perf_counter() >= deadline:
+                self.probes.take()  # closes the last calls' brackets
                 return
 
     def _round(self, tracer, layer_metrics):
-        import clock
         if tracer is not None:
             tracer.reset()
-        outputs = {}
+        outputs, times = {}, defaultdict(list)
         # as timeit does, collect between rounds and keep the cyclic garbage
         # collector out of the timed calls, where its pauses land at random
         gc.collect()
         gc.disable()
         try:
-            watch = clock.Stopwatch()
             for op in self.ops:
-                try:
-                    outputs[op.label] = watch.call(op.label, KIND.get(op.group, "numeric"),
-                                                   op.run, self.ctx)
-                except Exception as exc:  # an operation that raises counts as failed
-                    self.raised[op.label] += 1
-                    print(f"{op.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            times, speed = watch.finish()
+                for _ in range(op.repeat):
+                    start = time.perf_counter()
+                    try:
+                        out = op.run(self.ctx)
+                    except Exception as exc:  # an operation that raises counts as failed
+                        self.raised[op.label] += 1
+                        print(f"{op.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                        continue
+                    times[op.label].append((start, time.perf_counter()))
+                    self.probes.maybe()
+                    first = outputs.setdefault(op.label, out) if self.first is None \
+                        else self.first.get(op.label, out)
+                    if not self.same_output(out, first):
+                        self.diverged[op.label] += 1
         finally:
             gc.enable()
-        record = {"wall": sum(times.values()), "times": times, "speed": speed}
+        record = {"wall": sum(end - start for calls in times.values() for start, end in calls),
+                  "times": dict(times)}
         if tracer is not None:
-            # tracer times are wall seconds; scale them by the round's speed
-            record["layers"] = {
-                name: value * record["speed"][layer_kind(name)] if layer_unit(name) == "s"
-                else value for name, value in layer_metrics(tracer).items()}
+            record["layers"] = layer_metrics(tracer)
             record["calls"] = dict(tracer.calls)
         if self.first is None:
             self.first = outputs
-        else:
-            for label, out in outputs.items():
-                if label in self.first and not self.same_output(out, self.first[label]):
-                    self.diverged[label] += 1
         return record
 
     def check(self):
@@ -198,21 +184,23 @@ class Rounds:
         for op in self.ops:
             failed += op.ops * (self.raised[op.label] + self.diverged[op.label])
             if op.label in problems:
-                clean = len(self.records) - self.raised[op.label] - self.diverged[op.label]
+                clean = (op.repeat * len(self.records)
+                         - self.raised[op.label] - self.diverged[op.label])
                 failed += min(op.ops, len(problems[op.label])) * clean
         return failed
 
 
-def end_to_end_metrics(ops, records, setup_s):
-    """Times from the per-operation medians over rounds, summed per group.
+def end_to_end_metrics(ops, records, setup_s, probes):
+    """Times from the per-operation medians over all calls, summed per group.
 
-    Every round repeats the same operations, so the median of each one's
-    reference seconds discards the rounds that a passing disturbance hit,
+    Every call of an operation does the same work, so the median of its
+    reference seconds discards the calls that a passing disturbance hit,
     while the sum over a group still covers all of its work.
     """
     group_time, group_work = defaultdict(float), defaultdict(int)
     for op in ops:
-        samples = [r["times"][op.label] for r in records if op.label in r["times"]]
+        samples = [probes.reference_s(start, end)
+                   for r in records for start, end in r["times"].get(op.label, ())]
         if samples:
             group_time[op.group] += statistics.median(samples)
             group_work[op.group] += op.work
@@ -270,21 +258,21 @@ def machine():
 
 def main(argv=None, small=False):
     args = parse_args(argv)
-    import_wall_s = import_package()
+    import_s = import_package()
     import clock
     import layertrace
     import workloads
 
-    import_s = import_wall_s * clock.speed(
-        [clock.probe() for _ in range(clock.WINDOW)], "numeric")
+    probes = clock.Probes()
+    # one cold pass: the first calls and caches that warm-up fills count here
+    start = time.perf_counter()
+    workload, ctx = set_up(workloads, args.workload, args.seed, small)
+    end = time.perf_counter()
+    probes.take()
+    setup_pass_s = end - start
+    setup_s = (import_s + setup_pass_s) * probes.reference_s(start, end) / setup_pass_s
 
-    passes = []
-    for _ in range(SETUP_PASSES):
-        workload, ctx, seconds = set_up(workloads, args.workload, args.seed, small)
-        passes.append(seconds)
-    setup_s = import_s + statistics.median(passes)
-
-    rounds = Rounds(workload, ctx, workloads.same_output)
+    rounds = Rounds(workload, ctx, workloads.same_output, probes)
     run_level = []
     if args.trace:
         rounds.run(0.5 * args.seconds)
@@ -299,7 +287,7 @@ def main(argv=None, small=False):
                 run_level.append(f"traced round made no call to {name}")
     else:
         rounds.run(args.seconds)
-        metrics = end_to_end_metrics(rounds.ops, rounds.records, setup_s)
+        metrics = end_to_end_metrics(rounds.ops, rounds.records, setup_s, probes)
         units = END_TO_END
 
     problems = rounds.check()
@@ -315,12 +303,12 @@ def main(argv=None, small=False):
     for message in run_level:
         print(message, file=sys.stderr)
 
-    attempted = sum(op.ops for op in rounds.ops) * len(rounds.records)
+    attempted = sum(op.ops * op.repeat for op in rounds.ops) * len(rounds.records)
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "rounds": len(rounds.records),
-              "setup_passes_s": passes, "import_s": import_s, "machine": machine(),
-              "round_speeds": [r["speed"] for r in rounds.records],
+              "setup_pass_s": setup_pass_s, "import_s": import_s, "machine": machine(),
               "round_wall_s": [r["wall"] for r in rounds.records],
+              "reference_kernel_s": probes.times,
               "values": produced_values(rounds.ops, rounds.first)}
     print(json.dumps({"record": record}))
     print(json.dumps({

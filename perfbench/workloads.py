@@ -13,8 +13,8 @@ into one layer:
   draws) against set-up boundaries and the analytic values it verifies.
 
 The seed only draws the inputs (states, strikes, Monte Carlo seeds); every
-round repeats the same operations on them, so the outputs of later rounds
-must reproduce the first round's bit for bit.
+round repeats the same operations on them, so every later call of an
+operation must reproduce its first output bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +31,21 @@ from vixpricer.cli import load_config
 
 import checks
 
-SOLVE_STEPS = 40      # boundaries the workloads quote against
-COARSE_STEPS = 12     # the per-round re-solves of quotes and mc_oracle
+# Boundaries are solved at 100 steps, a count the ROADMAP's benchmark item
+# names; at the bundled configs' 200 one boundary round would take about
+# 47 s (fig7 alone 24 s). At 100 steps a solve keeps close to the balance of
+# layers it has at 200 (fig1: kernel_row 89 % of the self time against 91 %,
+# euro_fast 7 % against 5 %), which 50 steps does not (81 % and 13 %); see
+# README.md and scaling.py.
+SOLVE_STEPS = 100
+# the per-round re-solves of quotes and mc_oracle, there only so that the
+# solve metrics are measured on every workload
+COARSE_STEPS = 12
+# One boundary round takes longer than a run's 15 s, so a run makes exactly
+# one; within it each solve is called twice and every other operation three
+# times, and the median of each operation's calls is reported.
+BOUNDARY_SOLVE_REPEAT = 2
+BOUNDARY_QUOTE_REPEAT = 3
 SMALL_STEPS = 20      # cap on every solve in the reduced-size smoke run
 # fig5 is non-Feller and truncated at tail mass 1e-5; its futures raise
 # DivergentIntegralError by design past a few months (0.23 y passes,
@@ -47,8 +60,9 @@ class Op:
     ``run(ctx)`` performs the call; ``ctx`` maps keys to solved boundaries.
     ``check(out, ctx, outputs)`` returns a list of problems with the output,
     where ``outputs`` maps every label of the round to its output. ``ops``
-    is how many operations the call counts for (one per skew point) and
-    ``work`` the units of its rate metric (quotes, points or paths).
+    is how many operations the call counts for (one per skew point),
+    ``work`` the units of its rate metric (quotes, points or paths) and
+    ``repeat`` how many times a round calls it.
     """
 
     group: str
@@ -57,6 +71,7 @@ class Op:
     check: Callable
     ops: int = 1
     work: int = 1
+    repeat: int = 1
 
 
 @dataclass
@@ -76,6 +91,7 @@ class _Builder:
         self.cfgs = {}
         self.setup = []
         self.ops = []
+        self.repeat = 1
 
     def cfg(self, name):
         if name not in self.cfgs:
@@ -92,7 +108,8 @@ class _Builder:
         return max(1000, n // 50) if self.small else n
 
     def add(self, group, label, run, check, ops=1, work=1):
-        self.ops.append(Op(group, f"{label} #{len(self.ops)}", run, check, ops, work))
+        self.ops.append(Op(group, f"{label} #{len(self.ops)}", run, check, ops, work,
+                           self.repeat))
 
     # -- operations -----------------------------------------------------------
 
@@ -314,8 +331,10 @@ def _state(bld, name):
 def _boundary_workload(bld):
     cases = [(f"{name}_{kind}", name, _contract(bld, name, kind))
              for name, kind in (("fig1", "call"), ("fig2", "call"), ("fig1", "put"), ("fig7", "call"))]
+    bld.repeat = BOUNDARY_SOLVE_REPEAT
     for key, name, option in cases:
         bld.solve(key, name, option, SOLVE_STEPS)
+    bld.repeat = BOUNDARY_QUOTE_REPEAT
     for key, name, option in cases:
         fracs = _boundary_quotes(bld, key, name, option, (0.0, 0.5), 3)
         for t in (0.0, 0.5):
