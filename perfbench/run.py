@@ -1,6 +1,6 @@
 """Run one benchmark workload against the vixpricer sources of this checkout.
 
-    python3 perfbench/run.py --workload boundary --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload boundary --seed 1 --seconds 12 --trace 0
 
 One caller drives the package in a closed loop: each operation starts when
 the previous one returns. The run sets up (import, config loading, warm-up,
@@ -14,8 +14,9 @@ The last line of standard output is the result::
     {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 
 End-to-end times are reference seconds: wall seconds scaled against a
-reference kernel timed between operations (see ``clock.py``). With
-``--trace 0`` the metrics are the end-to-end ones, timed untraced. With ``--trace 1`` the first half of the time runs
+reference kernel run on a timer, between operations and inside them (see
+``clock.py``). With ``--trace 0`` the metrics are the end-to-end ones,
+timed untraced. With ``--trace 1`` the first half of the time runs
 untraced and the second half traced (see ``layertrace.py``); the metrics
 are the per-layer ones, per traced round, plus the tracing overhead. The
 line before the result is a record of the run: machine, library versions
@@ -29,6 +30,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import gc
 import json
 import platform
@@ -112,11 +114,11 @@ def set_up(workloads, name, seed, small):
 class Rounds:
     """Runs whole rounds and keeps what the metrics and checks need."""
 
-    def __init__(self, workload, ctx, same_output, probes):
+    def __init__(self, workload, ctx, same_output):
         self.ops = workload.ops
+        self.calls = workload.calls
         self.ctx = ctx
         self.same_output = same_output
-        self.probes = probes
         self.first = None          # label -> output of the first round
         self.records = []          # per round: (start, end) of each call per operation
         self.raised = defaultdict(int)    # calls per label
@@ -127,7 +129,6 @@ class Rounds:
         while True:
             self.records.append(self._round(tracer, layer_metrics))
             if time.perf_counter() >= deadline:
-                self.probes.take()  # closes the last calls' brackets
                 return
 
     def _round(self, tracer, layer_metrics):
@@ -139,21 +140,19 @@ class Rounds:
         gc.collect()
         gc.disable()
         try:
-            for op in self.ops:
-                for _ in range(op.repeat):
-                    start = time.perf_counter()
-                    try:
-                        out = op.run(self.ctx)
-                    except Exception as exc:  # an operation that raises counts as failed
-                        self.raised[op.label] += 1
-                        print(f"{op.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                        continue
-                    times[op.label].append((start, time.perf_counter()))
-                    self.probes.maybe()
-                    first = outputs.setdefault(op.label, out) if self.first is None \
-                        else self.first.get(op.label, out)
-                    if not self.same_output(out, first):
-                        self.diverged[op.label] += 1
+            for op in self.calls:
+                start = time.perf_counter()
+                try:
+                    out = op.run(self.ctx)
+                except Exception as exc:  # an operation that raises counts as failed
+                    self.raised[op.label] += 1
+                    print(f"{op.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                    continue
+                times[op.label].append((start, time.perf_counter()))
+                first = outputs.setdefault(op.label, out) if self.first is None \
+                    else self.first.get(op.label, out)
+                if not self.same_output(out, first):
+                    self.diverged[op.label] += 1
         finally:
             gc.enable()
         record = {"wall": sum(end - start for calls in times.values() for start, end in calls),
@@ -191,18 +190,18 @@ class Rounds:
 
 
 def end_to_end_metrics(ops, records, setup_s, probes):
-    """Times from the per-operation medians over all calls, summed per group.
+    """Times from the per-operation means over all calls, summed per group.
 
-    Every call of an operation does the same work, so the median of its
-    reference seconds discards the calls that a passing disturbance hit,
-    while the sum over a group still covers all of its work.
+    Every call of an operation does the same work; the mean of its
+    reference seconds averages over the machine's changes of speed that
+    the calls, spread over the run, meet.
     """
     group_time, group_work = defaultdict(float), defaultdict(int)
     for op in ops:
         samples = [probes.reference_s(start, end)
                    for r in records for start, end in r["times"].get(op.label, ())]
         if samples:
-            group_time[op.group] += statistics.median(samples)
+            group_time[op.group] += statistics.fmean(samples)
             group_work[op.group] += op.work
     values = {
         "setup_s": setup_s,
@@ -263,16 +262,19 @@ def main(argv=None, small=False):
     import layertrace
     import workloads
 
-    probes = clock.Probes()
-    # one cold pass: the first calls and caches that warm-up fills count here
-    start = time.perf_counter()
-    workload, ctx = set_up(workloads, args.workload, args.seed, small)
-    end = time.perf_counter()
-    probes.take()
+    # the reference kernel runs only in untraced runs, where its time is
+    # taken out of every call's; in a traced run it would add to the spans
+    probes = None if args.trace else clock.Probes()
+    with probes or contextlib.nullcontext():
+        # one cold pass: the first calls and caches that warm-up fills count here
+        start = time.perf_counter()
+        workload, ctx = set_up(workloads, args.workload, args.seed, small)
+        end = time.perf_counter()
+        rounds = Rounds(workload, ctx, workloads.same_output)
+        if not args.trace:
+            rounds.run(args.seconds)
     setup_pass_s = end - start
-    setup_s = (import_s + setup_pass_s) * probes.reference_s(start, end) / setup_pass_s
 
-    rounds = Rounds(workload, ctx, workloads.same_output, probes)
     run_level = []
     if args.trace:
         rounds.run(0.5 * args.seconds)
@@ -286,7 +288,7 @@ def main(argv=None, small=False):
             if any(r["calls"].get(name, 0) == 0 for r in traced):
                 run_level.append(f"traced round made no call to {name}")
     else:
-        rounds.run(args.seconds)
+        setup_s = import_s + probes.reference_s(start, end)
         metrics = end_to_end_metrics(rounds.ops, rounds.records, setup_s, probes)
         units = END_TO_END
 
@@ -303,12 +305,12 @@ def main(argv=None, small=False):
     for message in run_level:
         print(message, file=sys.stderr)
 
-    attempted = sum(op.ops * op.repeat for op in rounds.ops) * len(rounds.records)
+    attempted = sum(op.ops for op in rounds.calls) * len(rounds.records)
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "rounds": len(rounds.records),
               "setup_pass_s": setup_pass_s, "import_s": import_s, "machine": machine(),
               "round_wall_s": [r["wall"] for r in rounds.records],
-              "reference_kernel_s": probes.times,
+              "reference_kernel_s": probes.times if probes else [],
               "values": produced_values(rounds.ops, rounds.first)}
     print(json.dumps({"record": record}))
     print(json.dumps({

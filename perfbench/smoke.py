@@ -6,7 +6,7 @@ Runs one untraced and one traced round of each workload with solves capped
 at 20 steps and Monte Carlo path counts cut fiftyfold, and requires a
 correct result with no failed operation, every metric of BENCHMARK.json
 printed with its unit, and no metric that the benchmark does not declare.
-Takes about half a minute.
+Takes about a minute.
 """
 
 import contextlib

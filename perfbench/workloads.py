@@ -8,12 +8,13 @@ into one layer:
   fig2 call, a put on the fig1 parameters, the fig7 mixture pair) and
   quotes a few prices and Monte Carlo spot checks against them;
 * ``quotes`` quotes American, European, futures and skew grids against
-  boundaries solved during set-up, plus coarse 12-step re-solves;
+  boundaries solved during set-up, plus coarse 8-step re-solves;
 * ``mc_oracle`` runs the exact-simulation oracle (policy and terminal
   draws) against set-up boundaries and the analytic values it verifies.
 
-The seed only draws the inputs (states, strikes, Monte Carlo seeds); every
-round repeats the same operations on them, so every later call of an
+The seed only draws the inputs (states, strikes, Monte Carlo seeds of the
+terminal draws; the policy estimates have fixed inputs, see ``mc_policy``);
+every round repeats the same operations on them, so every later call of an
 operation must reproduce its first output bit for bit.
 """
 
@@ -39,14 +40,19 @@ import checks
 # README.md and scaling.py.
 SOLVE_STEPS = 100
 # the per-round re-solves of quotes and mc_oracle, there only so that the
-# solve metrics are measured on every workload
-COARSE_STEPS = 12
-# One boundary round takes longer than a run's 15 s, so a run makes exactly
-# one; within it each solve is called twice and every other operation three
-# times, and the median of each operation's calls is reported.
+# solve metrics are measured on every workload; short and called three times
+# a round, so that each metric rests on many calls
+COARSE_STEPS = 8
+COARSE_REPEAT = 3
+# One boundary round takes longer than a run's 12 s, so a run makes exactly
+# one; within it each solve is called twice and every other operation eight
+# times, spread over the gaps between solves (see ``schedule``), and the
+# mean of each operation's calls is reported.
 BOUNDARY_SOLVE_REPEAT = 2
-BOUNDARY_QUOTE_REPEAT = 3
+BOUNDARY_QUOTE_REPEAT = 8
 SMALL_STEPS = 20      # cap on every solve in the reduced-size smoke run
+# base of the fixed Monte Carlo seeds of the policy estimates
+POLICY_SEED = 1_000_003
 # fig5 is non-Feller and truncated at tail mass 1e-5; its futures raise
 # DivergentIntegralError by design past a few months (0.23 y passes,
 # 0.45 y raises), so its horizons stay at or below 0.2 y
@@ -61,8 +67,9 @@ class Op:
     ``check(out, ctx, outputs)`` returns a list of problems with the output,
     where ``outputs`` maps every label of the round to its output. ``ops``
     is how many operations the call counts for (one per skew point),
-    ``work`` the units of its rate metric (quotes, points or paths) and
-    ``repeat`` how many times a round calls it.
+    ``work`` the units of its rate metric (quotes, points or paths),
+    ``repeat`` how many times a round calls it and ``needs`` the key of the
+    boundary it solves or quotes against, if any.
     """
 
     group: str
@@ -72,12 +79,14 @@ class Op:
     ops: int = 1
     work: int = 1
     repeat: int = 1
+    needs: str | None = None
 
 
 @dataclass
 class Workload:
     setup_solves: list   # (key, solve(ctx), check) run during set-up
     ops: list
+    calls: list          # the ops in the order a round calls them
 
 
 def payoff(option, x):
@@ -107,9 +116,9 @@ class _Builder:
     def paths(self, n):
         return max(1000, n // 50) if self.small else n
 
-    def add(self, group, label, run, check, ops=1, work=1):
+    def add(self, group, label, run, check, ops=1, work=1, needs=None):
         self.ops.append(Op(group, f"{label} #{len(self.ops)}", run, check, ops, work,
-                           self.repeat))
+                           self.repeat, needs))
 
     # -- operations -----------------------------------------------------------
 
@@ -129,7 +138,7 @@ class _Builder:
             self.setup.append((key, run, check))
         else:
             group = "solve_mixture" if m.is_mixture else "solve_single"
-            self.add(group, f"solve {key} n={solver.n_steps}", run, check)
+            self.add(group, f"solve {key} n={solver.n_steps}", run, check, needs=key)
 
     def american(self, key, name, option, t, where, on_boundary=False):
         """Quote at the state ``where(boundary, t)`` on boundary ``ctx[key]``."""
@@ -154,9 +163,9 @@ class _Builder:
             return problems
 
         self.add("american", f"american {key} t={t} {'boundary' if on_boundary else 'inside'}",
-                 run, check)
+                 run, check, needs=key)
 
-    def european(self, name, option, t, state_of, reprice, call_label=None):
+    def european(self, name, option, t, state_of, reprice, call_label=None, needs=None):
         """European quote; a put given its call's label is checked for parity."""
         cfg = self.cfg(name)
         m, p, quad = cfg.model, cfg.cir, cfg.quadrature
@@ -181,7 +190,7 @@ class _Builder:
             return problems
 
         self.add("european", f"european {name} {option.kind} K={option.strike:.6g} "
-                 f"T={option.maturity:.6g} t={t}", run, check)
+                 f"T={option.maturity:.6g} t={t}", run, check, needs=needs)
         return self.ops[-1].label
 
     def european_pair(self, name, strike, maturity, t, state_of, reprice):
@@ -237,11 +246,20 @@ class _Builder:
         self.add("skew", f"skew {name} T={maturity:.6g}", run, check,
                  ops=len(grid), work=len(grid))
 
-    def mc_policy(self, key, name, option, state, n, dates):
+    def mc_policy(self, key, name, option, level, n, dates):
+        """Policy Monte Carlo from ``level`` times the config's state.
+
+        Its state and Monte Carlo seed do not depend on the workload seed:
+        the check's grid-bias allowance, ``policy_bias_indicator``, is too
+        noisy to bound the bias on every seed, and an operation whose check
+        passes on some seeds and not on others cannot be counted fairly.
+        With fixed inputs the check gives the same verdict on every run.
+        """
         cfg = self.cfg(name)
         m, p, quad = cfg.model, cfg.cir, cfg.quadrature
         n = self.paths(n)
-        seed = self.mc_seed()
+        state = level * cfg.initial_state()
+        seed = POLICY_SEED + len(self.ops)
 
         def run(ctx):
             return vp.mc_american_policy(m, p, option, ctx[key], 0.0, state, n, dates, seed)
@@ -255,7 +273,7 @@ class _Builder:
                         f"vs premium formula {price}"]
             return []
 
-        self.add("mc_policy", f"mc_policy {key}", run, check, work=n)
+        self.add("mc_policy", f"mc_policy {key}", run, check, work=n, needs=key)
 
     def mc_terminal(self, name, option=None, horizon=None, state=None, n=1_000_000):
         """``mc_european`` when an option is given, else ``mc_futures``."""
@@ -324,6 +342,14 @@ def _state(bld, name):
     return bld.jitter(bld.cfg(name).initial_state(), 0.03)
 
 
+_STRIKES = {"fig1": 0.2, "fig2": 0.2, "fig4": 5.0, "fig7": 0.19}
+# log-moneyness grids of the skews
+_WIDE = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
+_SKEW_GRIDS = {"fig5": (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4),
+               "fig7": (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)}
+_STATES = {"fig4": 5.0}
+
+
 # ---------------------------------------------------------------------------
 # the workloads
 # ---------------------------------------------------------------------------
@@ -341,31 +367,32 @@ def _boundary_workload(bld):
             for frac in fracs:
                 where = _inside(frac)
                 bld.european(name, option, t, lambda ctx, k=key, w=where, tt=t: w(ctx[k], tt),
-                             reprice=True)
+                             reprice=True, needs=key)
     for name in ("fig1", "fig2", "fig7"):
         state = _state(bld, name)
         for horizon in (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
             bld.futures(name, horizon, state, taylor=name != "fig7")
-        grid = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3) if name == "fig7" else \
-            (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
-        bld.skew(name, 0.5, state, grid)
+        for maturity in (0.5, 1.0):
+            bld.skew(name, maturity, state, _SKEW_GRIDS.get(name, _WIDE))
     for key, name, option in cases[::3]:
-        bld.mc_policy(key, name, option, _state(bld, name), 20_000, 50)
+        bld.mc_policy(key, name, option, 1.0, 20_000, 50)
     for name in ("fig1", "fig2"):
         bld.mc_terminal(name, option=_contract(bld, name), state=_state(bld, name), n=400_000)
     for name in ("fig1", "fig7"):
         bld.mc_terminal(name, horizon=1.0, state=_state(bld, name), n=400_000)
 
 
-_STRIKES = {"fig1": 0.2, "fig2": 0.2, "fig4": 5.0, "fig7": 0.19}
-_STATES = {"fig4": 5.0}
+def _coarse_solves(bld, names):
+    bld.repeat = COARSE_REPEAT
+    for name in names:
+        bld.solve(f"{name}_coarse", name, _contract(bld, name), COARSE_STEPS)
+    bld.repeat = 1
 
 
 def _quotes_workload(bld):
     for name in ("fig3", "fig4", "fig7"):
         bld.solve(f"{name}_call", name, _contract(bld, name), SOLVE_STEPS, in_setup=True)
-    for name in ("fig3", "fig2", "fig7"):
-        bld.solve(f"{name}_coarse", name, _contract(bld, name), COARSE_STEPS)
+    _coarse_solves(bld, ("fig3", "fig2", "fig7"))
     for name in ("fig3", "fig4", "fig7"):
         _boundary_quotes(bld, f"{name}_call", name, _contract(bld, name),
                          (0.0, 0.25, 0.5, 0.75), 4)
@@ -385,40 +412,42 @@ def _quotes_workload(bld):
     state5 = _state(bld, "fig5")
     for horizon in FIG5_HORIZONS:
         bld.futures("fig5", horizon, state5, taylor=True)
-    wide = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
-    bld.skew("fig1", 0.5, _state(bld, "fig1"), wide)
-    bld.skew("fig2", 0.5, _state(bld, "fig2"), wide)
-    bld.skew("fig5", 1.0 / 6.0, state5, (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4))
-    bld.skew("fig7", 0.5, _state(bld, "fig7"), (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
-    bld.mc_policy("fig3_call", "fig3", _contract(bld, "fig3"), _state(bld, "fig3"), 10_000, 50)
-    bld.mc_terminal("fig1", option=_contract(bld, "fig1"), state=_state(bld, "fig1"), n=400_000)
-    bld.mc_terminal("fig2", horizon=1.0, state=_state(bld, "fig2"), n=400_000)
+    for name in ("fig1", "fig2", "fig7"):
+        bld.skew(name, 0.5, _state(bld, name), _SKEW_GRIDS.get(name, _WIDE))
+    bld.skew("fig5", 1.0 / 6.0, state5, _SKEW_GRIDS["fig5"])
+    for name in ("fig3", "fig4", "fig7"):
+        bld.mc_policy(f"{name}_call", name, _contract(bld, name), 1.0, 20_000, 50)
+    for name in ("fig1", "fig2"):
+        bld.mc_terminal(name, option=_contract(bld, name), state=_state(bld, name))
+        bld.mc_terminal(name, horizon=1.0, state=_state(bld, name))
 
 
 def _mc_oracle_workload(bld):
     for name in ("fig1", "fig7"):
         bld.solve(f"{name}_call", name, _contract(bld, name), SOLVE_STEPS, in_setup=True)
-    for name in ("fig1", "fig2", "fig7"):
-        bld.solve(f"{name}_coarse", name, _contract(bld, name), COARSE_STEPS)
+    _coarse_solves(bld, ("fig1", "fig2", "fig7"))
     for name in ("fig1", "fig7"):
         key, option = f"{name}_call", _contract(bld, name)
-        states = sorted(bld.jitter(bld.cfg(name).initial_state(), 0.25) for _ in range(6))
+        states = sorted(bld.jitter(bld.cfg(name).initial_state(), 0.25) for _ in range(10))
         for state in states:
             bld.american(key, name, option, 0.0, lambda b, t, s=state: s)
-        for state in states[1:5:3]:
-            bld.mc_policy(key, name, option, state, 50_000, 100)
+        for level in (0.9, 1.1):
+            bld.mc_policy(key, name, option, level, 50_000, 100)
     for name in ("fig1", "fig2", "fig7"):
         state = _state(bld, name)
         option = _contract(bld, name)
         bld.mc_terminal(name, option=option, state=state)
-        for mult in (0.9, 1.0, 1.15):
+        for mult in (0.85, 0.9, 1.0, 1.1, 1.15, 1.25):
             bld.european_pair(name, option.strike * mult, option.maturity, 0.0,
                               lambda ctx, s=state: s, reprice=mult == 1.0)
-        for horizon in (0.25, 0.5, 1.0):
+        for horizon in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5):
             bld.futures(name, horizon, state, taylor=name != "fig7")
         if name != "fig2":
             bld.mc_terminal(name, horizon=1.0, state=state)
-    bld.skew("fig1", 1.0, _state(bld, "fig1"), (-0.2, -0.1, 0.0, 0.1, 0.2))
+    for name in ("fig1", "fig2", "fig7"):
+        state = _state(bld, name)
+        for maturity in (0.5, 1.0):
+            bld.skew(name, maturity, state, _SKEW_GRIDS.get(name, _WIDE))
 
 
 _BUILDERS = {"boundary": _boundary_workload, "quotes": _quotes_workload,
@@ -429,7 +458,47 @@ def build(name, seed, small=False):
     """Load the configs and lay out the workload's operations for ``seed``."""
     bld = _Builder(seed, small)
     _BUILDERS[name](bld)
-    return Workload(setup_solves=bld.setup, ops=bld.ops)
+    return Workload(setup_solves=bld.setup, ops=bld.ops, calls=schedule(bld.ops))
+
+
+def schedule(ops):
+    """The order of a round's calls: solves in passes, the rest between them.
+
+    The machine's speed changes from one part of a second to the next, so
+    the calls of every group are spread over as much of the round as they
+    can be, and its metric averages over many of these changes instead of
+    landing in one. Each pass calls every solve once. The other calls go
+    into the gaps after solves: a group's calls, pass by pass, are spread
+    evenly over the gaps, each call within the gaps after the first solve of
+    the boundary it needs; within a gap the groups take turns.
+    """
+    solves = [op for op in ops if op.group.startswith("solve")]
+    passes = max(op.repeat for op in solves)
+    slots = [op for k in range(passes) for op in solves if k < op.repeat]
+    gaps = [[] for _ in slots]
+    groups = {}
+    for op in ops:
+        if op not in solves:
+            groups.setdefault(op.group, []).append(op)
+    for group in groups.values():
+        calls = [op for k in range(max(op.repeat for op in group))
+                 for op in group if k < op.repeat]
+        for c, op in enumerate(calls):
+            # set-up boundaries and unkeyed operations may go into any gap
+            first = next((j for j, slot in enumerate(slots)
+                          if op.needs is not None and slot.needs == op.needs), 0)
+            eligible = range(first, len(slots))
+            gaps[eligible[int((c + 0.5) * len(eligible) / len(calls))]].append(op)
+    return [call for slot, gap in zip(slots, gaps) for call in (slot, *_interleave(gap))]
+
+
+def _interleave(calls):
+    by_group = {}
+    for op in calls:
+        by_group.setdefault(op.group, []).append(op)
+    placed = [((j + 0.5) / len(group), op)
+              for group in by_group.values() for j, op in enumerate(group)]
+    return [op for _, op in sorted(placed, key=lambda item: item[0])]
 
 
 def same_output(a, b):
