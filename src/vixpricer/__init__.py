@@ -19,9 +19,9 @@ from .european import (DivergentIntegralError, OptionSpec, QuadratureConfig,
 from .mc import (McEstimate, mc_american_policy, mc_european, mc_futures,
                  policy_bias_indicator)
 from .models import (AssumptionError, CriticalLevels, ModelSpec,
-                     big_h_kernel, critical_levels, f_deriv, f_eval, g_eval,
-                     h_kernel, mixture_inverse, model_from_dict,
-                     model_to_dict, payoff_levels, waiting_benefit, x_star)
+                     critical_levels, f_deriv, f_eval, g_eval,
+                     mixture_inverse, model_from_dict, model_to_dict,
+                     payoff_levels, waiting_benefit, x_star)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,8 @@ __all__ = [
     "eep_kernel", "european_price", "futures_price", "futures_taylor",
     "McEstimate", "mc_american_policy", "mc_european", "mc_futures",
     "policy_bias_indicator",
-    "AssumptionError", "CriticalLevels", "ModelSpec", "big_h_kernel",
-    "critical_levels", "f_deriv", "f_eval", "g_eval", "h_kernel",
+    "AssumptionError", "CriticalLevels", "ModelSpec",
+    "critical_levels", "f_deriv", "f_eval", "g_eval",
     "mixture_inverse", "model_from_dict", "model_to_dict", "payoff_levels",
     "waiting_benefit", "x_star",
 ]

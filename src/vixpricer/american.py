@@ -25,8 +25,7 @@ from scipy import special
 
 from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
-                       euro_fast, factor_state, kernel_row, _kernel_cut,
-                       _strike_cuts)
+                       euro_fast, factor_state, kernel_row, stop_cuts)
 from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
                      mixture_inverse, waiting_benefit)
 
@@ -96,6 +95,12 @@ class Boundary:
         if self.upper is None:
             raise ValueError("this boundary has a single curve")
         return np.interp(t, self.times, self.upper)
+
+    def levels_at(self, t):
+        """``(value,)`` or ``(lower, upper)`` at time(s) ``t``."""
+        if self.upper is None:
+            return (self.value_at(t),)
+        return self.value_at(t), self.upper_at(t)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -195,12 +200,41 @@ _BRIDGE_STEPS = 1
 def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
                    cfg: SolverConfig = SolverConfig(),
                    quad: QuadratureConfig = DEFAULT_CONFIG) -> Boundary:
-    """Backward induction on the boundary integral equation(s)."""
-    if m.is_mixture:
-        if option.kind != "call":
-            raise SolverError("mixture contracts support calls only")
-        return _solve_mixture(m, p, option, cfg, quad)
-    return _solve_single(m, p, option, cfg, quad)
+    """Backward induction on the boundary integral equation(s).
+
+    Monotone families solve one curve in the VIX coordinate; the mixture
+    solves its lower/upper pair in the factor coordinate, where a side
+    whose map part is absent stays pinned at 0 / inf.
+    """
+    if m.is_mixture and option.kind != "call":
+        raise SolverError("mixture contracts support calls only")
+    n = cfg.n_steps
+    times = np.linspace(0.0, option.maturity, n + 1)
+    terminal = np.atleast_1d(terminal_levels(m, p, option))
+    curves = np.repeat(terminal[:, None], n + 1, axis=1)
+    active = [_is_active(level) for level in terminal]
+    pinned, discard = _startup_steps(n)
+    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad)
+
+    # a call's VIX boundary and a pair's upper curve fall towards expiry
+    falling = (option.kind == "call",) if len(curves) == 1 else (False, True)
+    out, clips = [], []
+    for curve, solved, decreasing_in_t in zip(curves, active, falling):
+        if solved:
+            _apply_bridge(times, curve, pinned + discard)
+        curve, found = _isotonic_backward(curve, decreasing_in_t,
+                                          tol=cfg.inner_tol * 1e3)
+        out.append(curve)
+        clips += found
+    diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips]}
+    return Boundary(times=times, values=out[0],
+                    upper=out[1] if len(out) == 2 else None, kind=option.kind,
+                    family=m.family, diagnostics=diag)
+
+
+def _is_active(level):
+    """Whether a curve level is a real boundary (absent sides sit at 0 / inf)."""
+    return 0.0 < level < math.inf
 
 
 def _trapezoid_weights(n_nodes, dt):
@@ -209,43 +243,65 @@ def _trapezoid_weights(n_nodes, dt):
     return w
 
 
-def _sweep_single(m, p, option, times, b, start, cfg, quad):
-    """Solve b[i] for i = start-1 .. 0 on a uniform grid, in place.
+def _sweep(m, p, option, times, curves, active, start, cfg, quad):
+    """Solve the active curves at steps start-1 .. 0 of a uniform grid, in place.
 
-    The premium integral uses the trapezoid rule; the zero-time node is the
-    analytic kernel limit, which carries weight 1/2 on top of the trapezoid
-    half-panel because exactly half of the local mass sits in the stopping
-    region when evaluating on the boundary itself.
+    ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
+    pair (mixture, factor coordinate); each row is iterated in its own
+    coordinate and mapped back by value matching. The premium integral uses
+    the trapezoid rule over the paying stop pair of the later steps. The
+    zero-time node is the analytic kernel limit, which carries weight 1/2 on
+    top of the trapezoid half-panel because exactly half of the local mass
+    sits in the stopping region when evaluating on the boundary itself; an
+    active far curve of a pair adds its own local mass.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
     n_last = len(times) - 1
     dt = times[1] - times[0]
-    cuts = np.empty_like(b)
+    pair = len(curves) == 2
+    names = ("lower", "upper") if pair else ("",)
+    cuts = np.empty((2, n_last + 1))
     for j in range(start, n_last + 1):
-        cuts[j] = _kernel_cut(m, option, b[j])
+        cuts[:, j] = stop_cuts(m, option, *curves[:, j], in_the_money=True)
     for i in range(start - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
-        cut_slice = cuts[i + 1:]
+        row_cuts = cuts[:, i + 1:]
         weights = _trapezoid_weights(n_last - i, dt)
+        for k, name in enumerate(names):
+            if not active[k]:
+                continue
+            far = curves[1 - k, i + 1] if pair and active[1 - k] else None
 
-        def update(bb):
-            y0 = g_eval(m, bb)
-            euro = euro_fast(m, p, option, tau, y0, quad)
-            row = kernel_row(m, p, option, y0, u, (cut_slice,), quad)
-            benefit = -sign * float(waiting_benefit(m, p, option.rate,
-                                                    strike, y0))
-            prem = 0.25 * dt * benefit + float(row @ weights)
-            return strike + sign * (euro + prem)
+            def update(v):
+                y0 = v if m.is_mixture else g_eval(m, v)
+                euro = euro_fast(m, p, option, tau, y0, quad)
+                row = kernel_row(m, p, option, y0, u, row_cuts, quad)
+                frac = 0.5
+                if far is not None:
+                    vol = p.kappa * math.sqrt(y0 * dt)
+                    frac += _zero_node_mass(-abs(far - y0) / vol)
+                benefit = -sign * float(waiting_benefit(m, p, option.rate,
+                                                        strike, y0))
+                prem = 0.5 * dt * frac * benefit + float(row @ weights)
+                if m.is_mixture:
+                    return mixture_inverse(m, strike + euro + prem, name)
+                return strike + sign * (euro + prem)
 
-        try:
-            b[i] = _solve_step(update, b[i + 1], cfg.inner_tol,
-                               cfg.max_inner_iters, cfg.damping)
-        except SolverError as exc:
+            try:
+                curves[k, i] = _solve_step(update, curves[k, i + 1],
+                                           cfg.inner_tol, cfg.max_inner_iters,
+                                           cfg.damping)
+            except SolverError as exc:
+                raise SolverError(
+                    f"{name} boundary step at t={times[i]:.6g} failed: "
+                    f"{exc}".lstrip()) from exc
+        if pair and curves[0, i] >= curves[1, i]:
             raise SolverError(
-                f"boundary step at t={times[i]:.6g} failed: {exc}") from exc
-        cuts[i] = _kernel_cut(m, option, b[i])
+                f"boundaries crossed at t={times[i]:.6g}: "
+                f"{curves[0, i]:.6g} >= {curves[1, i]:.6g}")
+        cuts[:, i] = stop_cuts(m, option, *curves[:, i], in_the_money=True)
 
 
 def _startup_steps(n_steps):
@@ -282,107 +338,6 @@ def _isotonic_backward(values, decreasing_in_t, tol):
     return out, clips
 
 
-def _solve_single(m, p, option, cfg, quad):
-    expiry = option.maturity
-    is_call = option.kind == "call"
-    b_term = terminal_levels(m, p, option)
-    n = cfg.n_steps
-    times = np.linspace(0.0, expiry, n + 1)
-    b = np.empty(n + 1)
-    b[n] = b_term
-
-    pinned, discard = _startup_steps(n)
-    b[n - pinned:n] = b_term
-    _sweep_single(m, p, option, times, b, n - pinned, cfg, quad)
-    _apply_bridge(times, b, pinned + discard)
-
-    b, clips = _isotonic_backward(b, decreasing_in_t=is_call,
-                                  tol=cfg.inner_tol * 1e3)
-    diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips]}
-    return Boundary(times=times, values=b, kind=option.kind,
-                    family=m.family, diagnostics=diag)
-
-
-def _sweep_mixture(m, p, option, times, lower, upper, start, cfg, quad,
-                   solve_lower, solve_upper, k_lo, k_hi):
-    strike = option.strike
-    n_last = len(times) - 1
-    dt = times[1] - times[0]
-    for i in range(start - 1, -1, -1):
-        tau = times[n_last] - times[i]
-        u = dt * np.arange(1, n_last - i + 1)
-        cut_lo = np.minimum(lower[i + 1:], k_lo)
-        cut_hi = np.maximum(upper[i + 1:], k_hi)
-        weights = _trapezoid_weights(n_last - i, dt)
-
-        def make_update(branch):
-            other = upper[i + 1] if branch == "lower" else lower[i + 1]
-
-            def update(yy):
-                euro = euro_fast(m, p, option, tau, yy, quad)
-                row = kernel_row(m, p, option, yy, u, (cut_lo, cut_hi), quad)
-                # half mass on the boundary being solved, plus whatever the
-                # far boundary contributes (usually negligible)
-                vol = p.kappa * math.sqrt(yy * dt)
-                d_other = (other - yy) / vol if branch == "lower" else (yy - other) / vol
-                frac = 0.5 + _zero_node_mass(-abs(d_other))
-                benefit = -float(waiting_benefit(m, p, option.rate, strike, yy))
-                prem = 0.5 * dt * frac * benefit + float(row @ weights)
-                return mixture_inverse(m, strike + euro + prem, branch)
-            return update
-
-        for active, curve, branch in ((solve_lower, lower, "lower"),
-                                      (solve_upper, upper, "upper")):
-            if not active:
-                curve[i] = curve[i + 1]
-                continue
-            try:
-                curve[i] = _solve_step(make_update(branch), curve[i + 1],
-                                       cfg.inner_tol, cfg.max_inner_iters,
-                                       cfg.damping)
-            except SolverError as exc:
-                raise SolverError(
-                    f"{branch} boundary step at t={times[i]:.6g} failed: "
-                    f"{exc}") from exc
-        if lower[i] >= upper[i]:
-            raise SolverError(
-                f"boundaries crossed at t={times[i]:.6g}: "
-                f"{lower[i]:.6g} >= {upper[i]:.6g}")
-
-
-def _solve_mixture(m, p, option, cfg, quad):
-    expiry = option.maturity
-    lo_term, hi_term = terminal_levels(m, p, option)
-    k_lo, k_hi = _strike_cuts(m, option.strike)
-    n = cfg.n_steps
-    times = np.linspace(0.0, expiry, n + 1)
-    lower = np.empty(n + 1)
-    upper = np.empty(n + 1)
-    lower[n] = lo_term
-    upper[n] = hi_term
-    solve_lower = lo_term > 0.0
-    solve_upper = np.isfinite(hi_term)
-
-    pinned, discard = _startup_steps(n)
-    lower[n - pinned:n] = lo_term
-    upper[n - pinned:n] = hi_term
-    _sweep_mixture(m, p, option, times, lower, upper, n - pinned, cfg, quad,
-                   solve_lower, solve_upper, k_lo, k_hi)
-    if solve_lower:
-        _apply_bridge(times, lower, pinned + discard)
-    if solve_upper:
-        _apply_bridge(times, upper, pinned + discard)
-
-    lower, clips_lo = _isotonic_backward(lower, decreasing_in_t=False,
-                                         tol=cfg.inner_tol * 1e3)
-    upper, clips_hi = _isotonic_backward(upper, decreasing_in_t=True,
-                                         tol=cfg.inner_tol * 1e3)
-    diag = {"monotonicity_clips":
-            [(float(times[i]), gap) for i, gap in clips_lo + clips_hi]}
-    return Boundary(times=times, values=lower, upper=upper, kind="call",
-                    family="mixture", diagnostics=diag)
-
-
 # ---------------------------------------------------------------------------
 # pricing against a solved boundary
 # ---------------------------------------------------------------------------
@@ -416,9 +371,13 @@ def _zero_node_value(m, p, option, boundary, t, state, y0, du):
     sqrt_du = math.sqrt(du)
     if boundary.is_pair:
         vol = p.kappa * math.sqrt(y0) * sqrt_du
-        d_lo = (boundary.value_at(t) - y0) / vol
-        d_hi = (y0 - boundary.upper_at(t)) / vol
-        return benefit * (_zero_node_mass(d_lo) + _zero_node_mass(d_hi))
+        lower, upper = boundary.levels_at(t)
+        mass = 0.0
+        if _is_active(lower):
+            mass += _zero_node_mass((lower - y0) / vol)
+        if _is_active(upper):
+            mass += _zero_node_mass((y0 - upper) / vol)
+        return benefit * mass
     vol = p.kappa * abs(float(f_deriv(m, y0, 1))) * math.sqrt(y0) * sqrt_du
     b = boundary.value_at(t)
     d = (state - b) / vol if option.kind == "call" else (b - state) / vol
@@ -446,13 +405,7 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     du = tau / n_sub
     u = du * np.arange(1, n_sub + 1)
     y0 = factor_state(m, state)
-    if boundary.is_pair:
-        k_lo, k_hi = _strike_cuts(m, option.strike)
-        cuts = (np.minimum(boundary.value_at(t + u), k_lo),
-                np.maximum(boundary.upper_at(t + u), k_hi))
-    else:
-        z = boundary.value_at(t + u)
-        cuts = (np.array([_kernel_cut(m, option, zz) for zz in z]),)
+    cuts = stop_cuts(m, option, *boundary.levels_at(t + u), in_the_money=True)
     row = kernel_row(m, p, option, y0, u, cuts, quad)
     weights = np.full(n_sub, du)
     weights[-1] = 0.5 * du

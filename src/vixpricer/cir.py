@@ -183,26 +183,12 @@ class ChiSquareLaw:
     def log_pdf(self, y):
         """Log-density via the scaled Bessel function, vectorized.
 
-        Fast path used by the quadrature engines; agrees with :meth:`pdf`
-        to near machine precision (asserted in the test suite). Returns
-        ``-inf`` where the density underflows.
+        Fast path used by the quadrature engines (see :func:`log_density`);
+        agrees with :meth:`pdf` to near machine precision (asserted in the
+        test suite). Returns ``-inf`` where the density underflows.
         """
         y_arr, scalar = _as_positive_array(y)
-        x = y_arr / self.scale
-        lam = self.noncentrality
-        nu = 0.5 * self.df - 1.0
-        if lam < 1e-12:
-            # the non-centrality correction is below double precision here
-            half_df = 0.5 * self.df
-            logp = ((half_df - 1.0) * np.log(x) - 0.5 * x
-                    - half_df * _LN2 - special.gammaln(half_df))
-        else:
-            z = np.sqrt(lam * x)
-            with np.errstate(divide="ignore"):
-                log_ive = np.log(special.ive(nu, z))
-            logp = (-0.5 * (x + lam) + 0.5 * nu * (np.log(x) - math.log(lam))
-                    + z + log_ive - _LN2)
-        logp = logp - math.log(self.scale)
+        logp = log_density(self.df, [self.noncentrality], [self.scale], y_arr)[0]
         return float(logp[0]) if scalar else logp
 
     # -- distribution function ----------------------------------------------
@@ -313,6 +299,44 @@ def _as_positive_array(y):
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise ValueError("levels must be finite and strictly positive")
     return arr, np.isscalar(y) or np.ndim(y) == 0
+
+
+def log_density(df, lam, scale, y):
+    """Log-density of ``scale * ncx2(df, lam)``, laws (rows) against levels.
+
+    ``lam`` and ``scale`` hold one law per row and ``y`` broadcasts against
+    them to ``(rows, levels)``. Rows with ``lam < 1e-12`` take the central
+    density, as the non-centrality correction is below double precision
+    there; the other rows go through the exponentially scaled Bessel
+    function. Returns ``-inf`` where the density underflows.
+    """
+    lam = np.asarray(lam, dtype=float)[:, None]
+    scale = np.asarray(scale, dtype=float)[:, None]
+    x = y / scale
+    half_df = 0.5 * df
+    nu = half_df - 1.0
+
+    def central(x, log_x):
+        return (half_df - 1.0) * log_x - 0.5 * x - half_df * _LN2 \
+            - special.gammaln(half_df)
+
+    def bessel(x, log_x, lam):
+        z = np.sqrt(lam * x)
+        return -0.5 * (x + lam) + 0.5 * nu * (log_x - np.log(lam)) \
+            + z + np.log(special.ive(nu, z)) - _LN2
+
+    flat = lam[:, 0] < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.log(x)
+        if not flat.any():  # the usual case, kept free of row copies
+            logp = bessel(x, log_x, lam)
+        elif flat.all():
+            logp = central(x, log_x)
+        else:
+            logp = np.empty(x.shape)
+            logp[flat] = central(x[flat], log_x[flat])
+            logp[~flat] = bessel(x[~flat], log_x[~flat], lam[~flat])
+        return logp - np.log(scale)
 
 
 def transition_law(params: CirParams, t: float, y0: float) -> ChiSquareLaw:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams, transition_law
-from .european import OptionSpec, factor_state
-from .models import ModelSpec, f_eval, g_eval
+from .european import OptionSpec, factor_state, stop_cuts
+from .models import ModelSpec, f_eval
 
 __all__ = ["McEstimate", "mc_european", "mc_futures", "mc_american_policy",
            "policy_bias_indicator"]
@@ -78,28 +78,6 @@ def mc_futures(m: ModelSpec, p: CirParams, horizon: float, state: float,
     return _summarize(np.asarray(f_eval(m, y)), seed)
 
 
-def _exercise_cuts(m: ModelSpec, kind: str, boundary, times):
-    """Per-grid-time stopping test in factor coordinates.
-
-    Returns ``(lo, hi)`` arrays: stop when ``Y <= lo`` or ``Y >= hi``.
-    """
-    n = len(times)
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    if boundary.is_pair:
-        for i, t in enumerate(times):
-            lo[i] = boundary.value_at(t)
-            hi[i] = boundary.upper_at(t)
-        return lo, hi
-    for i, t in enumerate(times):
-        cut = g_eval(m, boundary.value_at(t))
-        if (m.family == "a1") == (kind == "call"):
-            lo[i] = cut
-        else:
-            hi[i] = cut
-    return lo, hi
-
-
 def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
                        boundary, t: float, state: float, n: int,
                        n_time_steps: int, seed: int) -> McEstimate:
@@ -118,7 +96,7 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     rng = np.random.default_rng(seed)
     y0 = factor_state(m, state)
     times = t + np.linspace(0.0, tau, n_time_steps + 1)
-    lo_cut, hi_cut = _exercise_cuts(m, option.kind, boundary, times)
+    lo_cut, hi_cut = stop_cuts(m, option, *boundary.levels_at(times))
 
     payoff = np.zeros(n)
     y = np.full(n, y0)

@@ -38,8 +38,6 @@ __all__ = [
     "g_eval",
     "mixture_inverse",
     "waiting_benefit",
-    "h_kernel",
-    "big_h_kernel",
     "x_star",
     "payoff_levels",
     "critical_levels",
@@ -313,40 +311,6 @@ def _waiting_benefit_dy(m, p, r, y):
             out = out + (w * pw * (p.beta + half_k2 * (pw - 1.0))) * (pw - 1.0) * y_arr ** (pw - 2.0)
         out = out - (w * (pw * p.alpha + r)) * pw * y_arr ** (pw - 1.0)
     return out if isinstance(y, np.ndarray) else float(out)
-
-
-def h_kernel(m: ModelSpec, p: CirParams, r: float, strike: float, level):
-    """Waiting benefit at a market level.
-
-    For monotone families the level is a VIX value and the factor is
-    recovered through the inverse map; for the mixture family the level is
-    the factor itself.
-    """
-    if m.is_mixture:
-        return waiting_benefit(m, p, r, strike, level)
-    return waiting_benefit(m, p, r, strike, g_eval(m, float(level)))
-
-
-def big_h_kernel(m: ModelSpec, p: CirParams, r: float, strike: float, level,
-                 kind: str = "call"):
-    """Waiting benefit restricted to the contract's payoff region.
-
-    Calls: ``h * 1{level in payoff region}``. Puts (monotone families):
-    the put payoff flips the sign of the benefit, ``-h * 1{x <= K}``.
-    """
-    if m.is_mixture:
-        if kind != "call":
-            raise ValueError("mixture contracts support calls only")
-        k_lo, k_hi, _ = payoff_levels(m, strike)
-        y = float(level)
-        inside = y <= k_lo or y >= k_hi
-        return waiting_benefit(m, p, r, strike, y) if inside else 0.0
-    x = float(level)
-    if kind == "call":
-        return h_kernel(m, p, r, strike, x) if x >= strike else 0.0
-    if kind == "put":
-        return -h_kernel(m, p, r, strike, x) if x <= strike else 0.0
-    raise ValueError(f"unknown contract kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

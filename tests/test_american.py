@@ -83,6 +83,38 @@ class TestBoundaryShape:
         with pytest.raises(SolverError):
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
+    @pytest.mark.parametrize("m,p,option,want", [
+        (M32, P1, CALL, (0.3687186774570612, 0.3321820574301475)),
+        (M32, P1, PUT, (0.10874940145164869, 0.11326419431328594)),
+        (M12, P2, CALL, (0.5670467235604406, 0.4950302603566137)),
+        (MIX7, P7, CALL, (0.277263965716632, 0.31747637096335435,
+                          3.2167686541458305, 2.9618982565157825)),
+    ])
+    def test_pinned_values(self, m, p, option, want):
+        # b(0) and b(T/2) at 30 steps, as first recorded; guards refactors
+        # of the sweep against drift far below the discretization error
+        b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
+        got = [b.values[0], b.values[15]]
+        if b.is_pair:
+            got += [b.upper[0], b.upper[15]]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_increasing_only_mixture_is_the_a2_boundary(self):
+        # with f(y) = y the one-sided mixture restates fig2's a2 call; its
+        # lower curve is pinned at 0 and must add no zero-node mass
+        mix = ModelSpec("mixture", terms_a2=((1.0, 1.0),))
+        cfg = SolverConfig(n_steps=30)
+        single = solve_boundary(M12, P2, CALL, cfg)
+        pair = solve_boundary(mix, P2, CALL, cfg)
+        assert np.all(pair.values == 0.0)
+        np.testing.assert_allclose(pair.upper, single.values, rtol=0.0,
+                                   atol=1e-12)
+        for x in np.linspace(0.08, 0.35, 10):
+            for t in (0.0, 0.4):
+                assert american_price(mix, P2, CALL, pair, t, x) == \
+                    pytest.approx(american_price(M12, P2, CALL, single, t, x),
+                                  rel=0.0, abs=1e-12)
+
 
 class TestAmericanPrice:
     def test_expiry_is_payoff(self, fig1_boundary_coarse):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from vixpricer.cir import ChiSquareLaw, CirParams, transition_law
+from vixpricer.cir import (ChiSquareLaw, CirParams, log_density,
+                           transition_law)
 from vixpricer.numerics import adaptive_gauss_kronrod
 
 
@@ -109,6 +110,17 @@ class TestDensity:
             dens = law.pdf(ys)
             fast = np.exp(law.log_pdf(ys))
             np.testing.assert_allclose(fast, dens, rtol=1e-11, atol=1e-300)
+
+    def test_law_rows_match_single_laws(self):
+        # one call over mixed rows (central and Bessel branches) reproduces
+        # each law's own evaluation bit for bit
+        lam = np.array([0.0, 3.0, 1e-13, 250.0])
+        scale = np.array([0.2, 0.05, 1.3, 0.01])
+        ys = np.geomspace(1e-4, 40.0, 25)[None, :] * scale[:, None] * 6.0
+        rows = log_density(6.1, lam, scale, ys)
+        for r in range(len(lam)):
+            law = ChiSquareLaw(df=6.1, noncentrality=lam[r], scale=scale[r])
+            assert np.array_equal(rows[r], law.log_pdf(ys[r]))
 
     def test_deep_tail_is_zero_not_nan(self):
         law = ChiSquareLaw(df=8.0, noncentrality=2.0, scale=0.1)

@@ -6,9 +6,10 @@ import pytest
 from vixpricer.cir import CirParams, transition_law
 from vixpricer.european import (DivergentIntegralError,
                                 OptionSpec, QuadratureConfig,
-                                _approx_mass_box, _kernel_cut, eep_kernel,
+                                _approx_mass_box, eep_kernel,
                                 euro_fast, european_price, factor_state,
-                                futures_price, futures_taylor, kernel_row)
+                                futures_price, futures_taylor, kernel_row,
+                                stop_cuts)
 from vixpricer.models import (ModelSpec, f_eval, g_eval, waiting_benefit)
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
@@ -181,8 +182,8 @@ class TestEepKernel:
             z = np.array([0.40, 0.35, 0.30, 0.25])
         else:
             z = np.array([0.05, 0.07, 0.09, 0.11])
-        cuts = np.array([_kernel_cut(m, option, zz) for zz in z])
-        row = kernel_row(m, p, option, y0, u, (cuts,))
+        cuts = stop_cuts(m, option, z, in_the_money=True)
+        row = kernel_row(m, p, option, y0, u, cuts)
         slow = [eep_kernel(m, p, option, uu, state, zz) for uu, zz in zip(u, z)]
         np.testing.assert_allclose(row, slow, rtol=2e-7, atol=1e-12)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vixpricer.cir import CirParams
-from vixpricer.models import (AssumptionError, ModelSpec, big_h_kernel,
+from vixpricer.european import OptionSpec, eep_kernel
+from vixpricer.models import (AssumptionError, ModelSpec,
                               critical_levels, f_deriv, f_eval, g_eval,
-                              h_kernel, minimum_location, mixture_inverse,
+                              minimum_location, mixture_inverse,
                               model_from_dict, model_to_dict, payoff_levels,
                               validate_model_params, waiting_benefit, x_star)
 
@@ -152,27 +153,31 @@ class TestInverse:
 class TestWaitingBenefit:
     def test_reciprocal_closed_form_value(self):
         # x (alpha - r) - (beta - kappa^2) x^2 + r K at x = 0.1
-        assert h_kernel(M32, P1, 0.05, 0.15, 0.1) == pytest.approx(0.167525)
+        assert waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, 0.1)) == \
+            pytest.approx(0.167525)
 
     def test_identity_model_closed_form(self):
         xs = np.linspace(0.05, 1.5, 7)
         want = P2.beta - P2.alpha * xs - 0.05 * (xs - 0.15)
-        got = np.array([h_kernel(M12, P2, 0.05, 0.15, x) for x in xs])
+        got = np.array([waiting_benefit(M12, P2, 0.05, 0.15, g_eval(M12, x))
+                        for x in xs])
         np.testing.assert_allclose(got, want, rtol=1e-12)
         root = (P2.beta + 0.05 * 0.15) / (P2.alpha + 0.05)
-        assert h_kernel(M12, P2, 0.05, 0.15, root) == pytest.approx(0.0, abs=1e-15)
+        assert waiting_benefit(M12, P2, 0.05, 0.15, g_eval(M12, root)) == \
+            pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("m,p", CATALOG)
     def test_zero_at_critical_level(self, m, p):
         xs = x_star(m, p, 0.05, 0.15)
-        assert abs(h_kernel(m, p, 0.05, 0.15, xs)) < 1e-10
+        assert abs(waiting_benefit(m, p, 0.05, 0.15, g_eval(m, xs))) < 1e-10
 
     def test_mixture_coordinate_is_the_factor(self):
         y = 0.9
         want = ((P7.beta - P7.alpha * y) * f_deriv(MIX7, y, 1)
                 + 0.5 * P7.kappa**2 * y * f_deriv(MIX7, y, 2)
                 - 0.05 * f_eval(MIX7, y) + 0.05 * 0.15)
-        assert h_kernel(MIX7, P7, 0.05, 0.15, y) == pytest.approx(want, rel=1e-12)
+        assert waiting_benefit(MIX7, P7, 0.05, 0.15, y) == \
+            pytest.approx(want, rel=1e-12)
 
     def test_grouped_evaluation_finite_near_origin(self):
         vals = waiting_benefit(M32, P1, 0.05, 0.15, np.geomspace(1e-12, 1.0, 50))
@@ -180,22 +185,31 @@ class TestWaitingBenefit:
 
 
 class TestBigH:
+    """Payoff-restricted benefit, the zero-time limit of the premium kernel."""
+
+    CALL = OptionSpec(0.15, 1.0, 0.05, "call")
+    PUT = OptionSpec(0.15, 1.0, 0.05, "put")
+
     def test_call_indicator(self):
-        assert big_h_kernel(M32, P1, 0.05, 0.15, 0.10, "call") == 0.0
+        assert -eep_kernel(M32, P1, self.CALL, 0.0, 0.10, 0.15) == 0.0
         x = 0.2
-        assert big_h_kernel(M32, P1, 0.05, 0.15, x, "call") == \
-            h_kernel(M32, P1, 0.05, 0.15, x)
+        assert -eep_kernel(M32, P1, self.CALL, 0.0, x, 0.15) == \
+            waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, x))
 
     def test_put_indicator_and_sign(self):
         x = 0.10
-        assert big_h_kernel(M32, P1, 0.05, 0.15, x, "put") == \
-            -h_kernel(M32, P1, 0.05, 0.15, x)
-        assert big_h_kernel(M32, P1, 0.05, 0.15, 0.2, "put") == 0.0
+        assert -eep_kernel(M32, P1, self.PUT, 0.0, x, 0.15) == \
+            -waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, x))
+        assert -eep_kernel(M32, P1, self.PUT, 0.0, 0.2, 0.15) == 0.0
 
     def test_mixture_dead_zone(self):
-        assert big_h_kernel(MIX7, P7, 0.05, 0.15, 1.0, "call") == 0.0
-        assert big_h_kernel(MIX7, P7, 0.05, 0.15, 0.5, "call") != 0.0
-        assert big_h_kernel(MIX7, P7, 0.05, 0.15, 2.5, "call") != 0.0
+        k_lo, k_hi, _ = payoff_levels(MIX7, 0.15)
+
+        def big_h(y):
+            return -eep_kernel(MIX7, P7, self.CALL, 0.0, y, k_lo, k_hi)
+        assert big_h(1.0) == 0.0
+        assert big_h(0.5) != 0.0
+        assert big_h(2.5) != 0.0
 
 
 class TestCriticalLevels:
