@@ -1,14 +1,16 @@
 """Exercise boundaries by backward induction and premium-formula pricing.
 
 The American price decomposes into the European price plus a time integral
-of the premium kernel along the exercise boundary. Evaluating that
-decomposition on the boundary itself yields an integral equation whose
-value at any date only involves later boundary values, so a backward sweep
-over a uniform time grid determines the whole curve: the terminal value is
-known analytically, and each earlier value solves a scalar equation. The
-premium integral is discretized by the trapezoid rule whose zero-time node
-is the analytic kernel limit weighted by the local boundary-crossing mass;
-all other nodes depend on already-solved values only.
+of the premium kernel along the exercise boundary (Carr, Jarrow & Myneni
+1992). That premium formula is written once, in :func:`_premium_formula`:
+:func:`american_price` evaluates it at any state, and the backward sweep
+evaluates it on the boundary itself, which yields an integral equation whose
+value at any date only involves later boundary values. Over a uniform time
+grid this determines the whole curve: the terminal value is known
+analytically, and each earlier value solves a scalar equation. The premium
+integral is discretized by the trapezoid rule whose zero-time node is the
+analytic kernel limit weighted by the local boundary-crossing mass; all
+other nodes depend on already-solved values only.
 
 Monotone families carry one boundary in the VIX coordinate; the mixture
 family carries a lower/upper pair in the factor coordinate (one of the two
@@ -25,9 +27,10 @@ from scipy import special
 
 from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
-                       euro_fast, factor_state, kernel_row, stop_cuts)
+                       _benefit_integrand, euro_fast, factor_state, kernel_row,
+                       stop_cuts)
 from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
-                     mixture_inverse, waiting_benefit)
+                     mixture_inverse)
 
 __all__ = [
     "Boundary",
@@ -51,7 +54,6 @@ class SolverConfig:
     n_steps: int = 200
     inner_tol: float = 1e-9
     max_inner_iters: int = 100
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.n_steps < 2:
@@ -60,8 +62,6 @@ class SolverConfig:
             raise ValueError("inner_tol must be positive")
         if self.max_inner_iters < 1:
             raise ValueError("max_inner_iters must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -102,17 +102,6 @@ class Boundary:
             return (self.value_at(t),)
         return self.value_at(t), self.upper_at(t)
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            if self.is_pair:
-                fh.write("t,b_lower,b_upper\n")
-                for t, lo, hi in zip(self.times, self.values, self.upper):
-                    fh.write(f"{t:.12g},{lo:.12g},{hi:.12g}\n")
-            else:
-                fh.write("t,b\n")
-                for t, v in zip(self.times, self.values):
-                    fh.write(f"{t:.12g},{v:.12g}\n")
-
 
 def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
     """Boundary value(s) at expiry, from the critical thresholds."""
@@ -131,13 +120,13 @@ def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
 
 
 # ---------------------------------------------------------------------------
-# scalar equation solver (damped fixed point, secant-accelerated, bracketed)
+# scalar equation solver (fixed point, secant-accelerated, bracketed)
 # ---------------------------------------------------------------------------
 
-def _solve_step(update, x0, tol, max_iters, damping):
+def _solve_step(update, x0, tol, max_iters):
     """Solve x = update(x) near x0.
 
-    Damped fixed-point steps with secant acceleration on the residual; a
+    Fixed-point steps with secant acceleration on the residual; a
     residual bracket is tracked along the way and bisection takes over when
     an accelerated step leaves it or the iteration stalls.
     """
@@ -153,7 +142,7 @@ def _solve_step(update, x0, tol, max_iters, damping):
             lo = x if lo is None else max(lo, x)
         else:
             hi = x if hi is None else min(hi, x)
-        cand = x + damping * resid
+        cand = x + resid
         if prev is not None:
             x1, r1 = prev
             if r1 != resid:
@@ -237,67 +226,47 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-def _trapezoid_weights(n_nodes, dt):
-    w = np.full(n_nodes, dt)
-    w[-1] = 0.5 * dt
-    return w
-
-
 def _sweep(m, p, option, times, curves, active, start, cfg, quad):
     """Solve the active curves at steps start-1 .. 0 of a uniform grid, in place.
 
     ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
     pair (mixture, factor coordinate); each row is iterated in its own
-    coordinate and mapped back by value matching. The premium integral uses
-    the trapezoid rule over the paying stop pair of the later steps. The
-    zero-time node is the analytic kernel limit, which carries weight 1/2 on
-    top of the trapezoid half-panel because exactly half of the local mass
-    sits in the stopping region when evaluating on the boundary itself; an
-    active far curve of a pair adds its own local mass.
+    coordinate and mapped back by value matching on the premium formula,
+    evaluated on the curve itself against the paying stop pairs of the
+    later steps. The other curve of a pair enters at its later-step level.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
     n_last = len(times) - 1
     dt = times[1] - times[0]
-    pair = len(curves) == 2
-    names = ("lower", "upper") if pair else ("",)
+    names = ("lower", "upper") if len(curves) == 2 else ("",)
     cuts = np.empty((2, n_last + 1))
     for j in range(start, n_last + 1):
         cuts[:, j] = stop_cuts(m, option, *curves[:, j], in_the_money=True)
     for i in range(start - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
-        row_cuts = cuts[:, i + 1:]
-        weights = _trapezoid_weights(n_last - i, dt)
         for k, name in enumerate(names):
             if not active[k]:
                 continue
-            far = curves[1 - k, i + 1] if pair and active[1 - k] else None
 
             def update(v):
                 y0 = v if m.is_mixture else g_eval(m, v)
-                euro = euro_fast(m, p, option, tau, y0, quad)
-                row = kernel_row(m, p, option, y0, u, row_cuts, quad)
-                frac = 0.5
-                if far is not None:
-                    vol = p.kappa * math.sqrt(y0 * dt)
-                    frac += _zero_node_mass(-abs(far - y0) / vol)
-                benefit = -sign * float(waiting_benefit(m, p, option.rate,
-                                                        strike, y0))
-                prem = 0.5 * dt * frac * benefit + float(row @ weights)
+                levels = (*curves[:k, i + 1], v, *curves[k + 1:, i + 1])
+                euro, prem = _premium_formula(m, p, option, tau, v, y0, levels,
+                                              u, cuts[:, i + 1:], quad)
                 if m.is_mixture:
                     return mixture_inverse(m, strike + euro + prem, name)
                 return strike + sign * (euro + prem)
 
             try:
                 curves[k, i] = _solve_step(update, curves[k, i + 1],
-                                           cfg.inner_tol, cfg.max_inner_iters,
-                                           cfg.damping)
+                                           cfg.inner_tol, cfg.max_inner_iters)
             except SolverError as exc:
                 raise SolverError(
                     f"{name} boundary step at t={times[i]:.6g} failed: "
                     f"{exc}".lstrip()) from exc
-        if pair and curves[0, i] >= curves[1, i]:
+        if len(curves) == 2 and curves[0, i] >= curves[1, i]:
             raise SolverError(
                 f"boundaries crossed at t={times[i]:.6g}: "
                 f"{curves[0, i]:.6g} >= {curves[1, i]:.6g}")
@@ -363,25 +332,51 @@ def _zero_node_mass(d):
     return 2.0 * v - cdf_d
 
 
-def _zero_node_value(m, p, option, boundary, t, state, y0, du):
-    """Smoothly indicated waiting-benefit term anchoring the premium at u=0."""
-    sign = 1.0 if option.kind == "call" else -1.0
-    benefit = -sign * float(waiting_benefit(m, p, option.rate,
-                                            option.strike, y0))
-    sqrt_du = math.sqrt(du)
-    if boundary.is_pair:
-        vol = p.kappa * math.sqrt(y0) * sqrt_du
-        lower, upper = boundary.levels_at(t)
+def _crossing_mass(m, p, option, state, y0, levels, du):
+    """Local Gaussian mass past the boundary ``levels`` within time ``du``.
+
+    A pair's levels are factor levels, reached at the factor's local
+    volatility ``kappa sqrt(y0 du)``; a monotone boundary is a VIX level,
+    whose local volatility carries the map's slope too (each coordinate keeps
+    its own rounding of the square roots). Absent sides (at 0 / inf) add
+    nothing; on the boundary itself a side adds exactly 1/2.
+    """
+    if len(levels) == 2:
+        vol = p.kappa * math.sqrt(y0 * du)
+        lower, upper = levels
         mass = 0.0
         if _is_active(lower):
             mass += _zero_node_mass((lower - y0) / vol)
         if _is_active(upper):
             mass += _zero_node_mass((y0 - upper) / vol)
-        return benefit * mass
-    vol = p.kappa * abs(float(f_deriv(m, y0, 1))) * math.sqrt(y0) * sqrt_du
-    b = boundary.value_at(t)
-    d = (state - b) / vol if option.kind == "call" else (b - state) / vol
-    return benefit * _zero_node_mass(d)
+        return mass
+    (b,) = levels
+    d = state - b if option.kind == "call" else b - state
+    if d == 0.0:  # on the boundary, as in every sweep update: skip the slope
+        return _zero_node_mass(0.0)
+    vol = p.kappa * abs(float(f_deriv(m, y0, 1))) * math.sqrt(y0) * math.sqrt(du)
+    return _zero_node_mass(d / vol)
+
+
+def _premium_formula(m, p, option, tau, state, y0, levels, u, cuts, quad):
+    """European price and early-exercise premium at one state: ``(euro, prem)``.
+
+    The American price is their sum (Carr, Jarrow & Myneni 1992). The
+    premium is the kernel's time integral by the trapezoid rule over the
+    uniform elapsed times ``u`` (step ``u[0]``), against the paying stop
+    pairs ``cuts`` at those times. The zero-time node is the analytic kernel
+    limit, the signed waiting benefit at ``y0``, on the trapezoid's half
+    panel and weighted by the local mass past the current boundary
+    ``levels`` (exactly 1/2 on the boundary itself).
+    """
+    du = u[0]
+    euro = euro_fast(m, p, option, tau, y0, quad)
+    row = kernel_row(m, p, option, y0, u, cuts, quad)
+    weights = np.full(len(u), du)
+    weights[-1] = 0.5 * du
+    mass = _crossing_mass(m, p, option, state, y0, levels, du)
+    benefit = float(_benefit_integrand(m, p, option)(y0))
+    return euro, 0.5 * du * mass * benefit + float(row @ weights)
 
 
 def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
@@ -402,16 +397,12 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
         return float(option.payoff_vix(x))
     grid_step = boundary.times[1] - boundary.times[0]
     n_sub = max(1, int(math.ceil(tau / grid_step - 1e-12)))
-    du = tau / n_sub
-    u = du * np.arange(1, n_sub + 1)
-    y0 = factor_state(m, state)
+    u = tau / n_sub * np.arange(1, n_sub + 1)
     cuts = stop_cuts(m, option, *boundary.levels_at(t + u), in_the_money=True)
-    row = kernel_row(m, p, option, y0, u, cuts, quad)
-    weights = np.full(n_sub, du)
-    weights[-1] = 0.5 * du
-    zero_node = _zero_node_value(m, p, option, boundary, t, state, y0, du)
-    prem = 0.5 * du * zero_node + float(row @ weights)
-    return euro_fast(m, p, option, tau, y0, quad) + max(prem, 0.0)
+    euro, prem = _premium_formula(m, p, option, tau, state,
+                                  factor_state(m, state), boundary.levels_at(t),
+                                  u, cuts, quad)
+    return euro + max(prem, 0.0)
 
 
 def exercise_region_query(boundary: Boundary, t: float, state: float) -> str:
@@ -444,6 +435,8 @@ def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
         if which not in ("lower", "upper"):
             raise ValueError("pick 'lower' or 'upper' for a mixture boundary")
         b = boundary.value_at(t) if which == "lower" else boundary.upper_at(t)
+        if not _is_active(b):
+            raise ValueError(f"this mixture has no {which} boundary")
         eps = step_frac * b
         if which == "lower":  # continuation lies above the lower boundary
             d = (american_price(m, p, option, boundary, t, b + eps, quad)

@@ -265,24 +265,25 @@ def _build_parser():
         description="VIX option and futures pricing under square-root factor models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, table=True, branch=True):
         sp.add_argument("--config", required=True,
                         help="config path or bundled name (e.g. fig1)")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", default="csv", choices=("csv", "json"))
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--branch", default=None, choices=("lower", "upper"),
-                        help="factor branch when the state is a VIX level (mixture)")
+        if table:
+            sp.add_argument("--format", default="csv", choices=("csv", "json"))
+        if branch:
+            sp.add_argument("--branch", default=None, choices=("lower", "upper"),
+                            help="factor branch when the state is a VIX level (mixture)")
 
     sp = sub.add_parser("futures", help="futures term structure table")
     common(sp)
     sp.add_argument("--t-grid", type=_float_list, required=True)
 
     sp = sub.add_parser("boundary", help="solve and export the exercise boundary")
-    common(sp)
+    common(sp, branch=False)
 
     sp = sub.add_parser("price", help="european/american price table")
-    common(sp)
+    common(sp, branch=False)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--state-grid", type=_float_list, required=True)
 
@@ -292,8 +293,9 @@ def _build_parser():
     sp.add_argument("--moneyness-grid", type=_float_list,
                     default=[round(-0.3 + 0.05 * i, 10) for i in range(13)])
 
-    sp = sub.add_parser("mc-check", help="Monte Carlo verification report")
-    common(sp)
+    sp = sub.add_parser("mc-check", help="Monte Carlo verification report (JSON)")
+    common(sp, table=False)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target", required=True,
                     choices=("european", "futures", "american"))
     sp.add_argument("--n", type=int, default=100_000)
@@ -321,17 +323,13 @@ def main(argv=None) -> int:
             _write_table(header, rows, meta, args.out, args.format)
         elif args.command == "boundary":
             boundary = cmd_boundary(cfg)
-            if args.out:
-                boundary.to_csv(args.out)
+            if boundary.is_pair:
+                header = ["t", "b_lower", "b_upper"]
+                curves = (boundary.values, boundary.upper)
             else:
-                cols = (["t", "b_lower", "b_upper"] if boundary.is_pair
-                        else ["t", "b"])
-                rows = ([[t, lo, hi] for t, lo, hi in
-                         zip(boundary.times, boundary.values, boundary.upper)]
-                        if boundary.is_pair else
-                        [[t, v] for t, v in zip(boundary.times, boundary.values)])
-                _write_table(cols, [[float(v) for v in r] for r in rows],
-                             {}, None, args.format)
+                header, curves = ["t", "b"], (boundary.values,)
+            rows = [[float(v) for v in r] for r in zip(boundary.times, *curves)]
+            _write_table(header, rows, {}, args.out, args.format)
         elif args.command == "price":
             header, rows, meta = cmd_price(cfg, args.t, args.state_grid)
             _write_table(header, rows, meta, args.out, args.format)

@@ -1,19 +1,21 @@
 """Quadrature pricing of European VIX options, futures, and premium kernels.
 
-Every expectation is an integral of a payoff-like function against the
-factor's transition density. Integration domains are truncated at the
-quantiles holding all but ``tail_mass_cut`` of the probability mass, and
-are split exactly at payoff kinks so the adaptive rule never straddles a
-discontinuity.
+Every expectation is an integral of a signed integrand against the factor's
+transition density over a list of ``(lo, hi)`` factor regions. Each contract
+has two integrands: the signed payoff, integrated over the payoff regions of
+:func:`_euro_regions`, and the signed waiting benefit, integrated over the
+stopping regions of :func:`_stop_regions`. Regions are split exactly at
+payoff kinks, so no rule straddles a discontinuity, and are truncated at a
+support box holding all but ``tail_mass_cut`` of the probability mass.
 
-Two evaluation routes exist:
+Two integrators take the same regions and integrands:
 
 * the public functions use adaptive Gauss-Kronrod subdivision to the
-  configured tolerance;
-* :func:`kernel_row` and :func:`euro_fast` use a fixed composite
-  Gauss-Legendre rule over the truncated support, vectorized across many
-  horizons at once. The boundary solver runs on this route; agreement with
-  the adaptive route is asserted in the test suite.
+  configured tolerance, on the exact quantile box;
+* :func:`kernel_row` and :func:`euro_fast` use one fixed composite
+  Gauss-Legendre rule (:func:`_row_values`) on a cheap support box,
+  vectorized across many horizons at once. The boundary solver runs on this
+  route; agreement with the adaptive route is asserted in the test suite.
 
 State conventions: monotone families quote the state as a VIX level,
 mixture models quote the factor level directly.
@@ -136,11 +138,29 @@ def _strike_cuts(m: ModelSpec, strike: float):
     return 0.0, cut
 
 
+def _stop_regions(cuts):
+    """Factor regions ``[(0, lower), (upper, inf)]`` of a ``(lower, upper)`` pair."""
+    lower, upper = cuts
+    return [(0.0, lower), (upper, math.inf)]
+
+
 def _euro_regions(m: ModelSpec, option: OptionSpec):
-    lo, hi = _strike_cuts(m, option.strike)
-    if option.kind == "call":
-        return [(0.0, lo), (hi, math.inf)]
-    return [(lo, hi)]
+    """Factor regions where the contract's payoff is positive."""
+    cuts = _strike_cuts(m, option.strike)
+    return _stop_regions(cuts) if option.kind == "call" else [cuts]
+
+
+def _payoff_integrand(m: ModelSpec, option: OptionSpec):
+    """Signed payoff ``+-(f(y) - K)``, positive on the payoff regions."""
+    sign = 1.0 if option.kind == "call" else -1.0
+    strike = option.strike
+    return lambda y: sign * (f_eval(m, y) - strike)
+
+
+def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
+    """Signed waiting benefit: the premium kernel's integrand when stopped."""
+    sign = 1.0 if option.kind == "call" else -1.0
+    return lambda y: -sign * waiting_benefit(m, p, option.rate, option.strike, y)
 
 
 def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None,
@@ -179,15 +199,19 @@ def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None,
 # adaptive integration against a transition law
 # ---------------------------------------------------------------------------
 
-def _integrate(law: ChiSquareLaw, fn, regions, config: QuadratureConfig,
+def _integrate(law: ChiSquareLaw, integrand, regions, config: QuadratureConfig,
                check_origin: bool = False, scale_floor: float = 0.0):
-    """Sum of integrals of ``fn`` over the truncated regions.
+    """Sum of integrals of ``integrand`` times the density over the regions.
 
-    ``fn`` must already include the density factor. When ``check_origin``
-    is set, regions starting at 0 get a truncation-sensitivity probe: the
-    result must not move materially (relative to the larger of the result
-    and ``scale_floor``) when the lower cutoff is halved.
+    When ``check_origin`` is set, regions starting at 0 get a
+    truncation-sensitivity probe: the result must not move materially
+    (relative to the larger of the result and ``scale_floor``) when the
+    lower cutoff is halved.
     """
+
+    def fn(y):
+        return integrand(y) * np.exp(law.log_pdf(y))
+
     box_lo, box_hi = law.mass_bounds(config.tail_mass_cut)
     total = 0.0
     probes = []
@@ -227,18 +251,10 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     if tau == 0.0:
         x = f_eval(m, state) if m.is_mixture else state
         return float(option.payoff_vix(x))
-    y0 = factor_state(m, state)
-    law = transition_law(p, tau, y0)
-    strike = option.strike
-    sign = 1.0 if option.kind == "call" else -1.0
-
-    def fn(y):
-        return sign * (f_eval(m, y) - strike) * np.exp(law.log_pdf(y))
-
-    regions = _euro_regions(m, option)
+    law = transition_law(p, tau, factor_state(m, state))
     needs_probe = bool(m.decreasing_terms) and option.kind == "call"
-    val = _integrate(law, fn, regions, config, check_origin=needs_probe,
-                     scale_floor=option.strike)
+    val = _integrate(law, _payoff_integrand(m, option), _euro_regions(m, option),
+                     config, check_origin=needs_probe, scale_floor=option.strike)
     return math.exp(-option.rate * tau) * max(val, 0.0)
 
 
@@ -249,13 +265,8 @@ def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
         raise ValueError("horizon must be non-negative")
     if horizon == 0.0:
         return float(f_eval(m, state)) if m.is_mixture else float(state)
-    y0 = factor_state(m, state)
-    law = transition_law(p, horizon, y0)
-
-    def fn(y):
-        return f_eval(m, y) * np.exp(law.log_pdf(y))
-
-    return _integrate(law, fn, [(0.0, math.inf)], config,
+    law = transition_law(p, horizon, factor_state(m, state))
+    return _integrate(law, lambda y: f_eval(m, y), [(0.0, math.inf)], config,
                       check_origin=bool(m.decreasing_terms))
 
 
@@ -295,23 +306,14 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, u: float,
     """
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
-    benefit_sign = 1.0 if option.kind == "call" else -1.0
-    strike = option.strike
+    benefit = _benefit_integrand(m, p, option)
     lower, upper = (float(c) for c in
                     stop_cuts(m, option, z, z_upper, in_the_money=True))
     y0 = factor_state(m, state)
     if u == 0.0:
-        if not (y0 <= lower or y0 >= upper):
-            return 0.0
-        return -benefit_sign * float(waiting_benefit(m, p, option.rate, strike, y0))
-
-    law = transition_law(p, u, y0)
-
-    def fn(y):
-        return -benefit_sign * waiting_benefit(m, p, option.rate, strike, y) \
-            * np.exp(law.log_pdf(y))
-
-    val = _integrate(law, fn, [(0.0, lower), (upper, math.inf)], config,
+        return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
+    val = _integrate(transition_law(p, u, y0), benefit,
+                     _stop_regions((lower, upper)), config,
                      check_origin=bool(m.decreasing_terms))
     return math.exp(-option.rate * u) * val
 
@@ -319,6 +321,10 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, u: float,
 # ---------------------------------------------------------------------------
 # fast fixed-rule path (vectorized across horizons)
 # ---------------------------------------------------------------------------
+
+# composite Gauss-Legendre rules, (panels, nodes per panel)
+_KERNEL_RULE = (10, 16)
+_EURO_RULE = (12, 16)
 
 def _law_grid(p: CirParams, u, y0: float):
     """Transition-law parameters for a vector of horizons, shared start."""
@@ -359,76 +365,48 @@ def _approx_mass_box(df, lam, scale, tail_mass):
     return np.maximum(lo, 1e-18 * hi), hi
 
 
-def _row_values(p, y0, u, cuts, config, integrand, n_panels, n_nodes):
-    """Integrate ``integrand(y)`` over the stop pair's two sides, per horizon."""
-    u = np.asarray(u, dtype=float)
+def _row_values(p, y0, u, regions, config, integrand, rule):
+    """Integrate ``integrand(y)`` times the density over ``regions``, per horizon.
+
+    ``u`` is an array of horizons; ``regions`` lists ``(lo, hi)`` factor
+    bounds, scalars or arrays matching ``u``; ``rule`` is the
+    ``(n_panels, n_nodes)`` composite Gauss-Legendre rule laid over each
+    live region's part of the cheap support box.
+    """
     lam, scale = _law_grid(p, u, y0)
     box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
-    lower, upper = (np.broadcast_to(np.asarray(c, dtype=float), u.shape)
-                    for c in cuts)
-    regions = ((np.maximum(box_lo, 0.0), np.minimum(lower, box_hi)),
-               (np.maximum(upper, box_lo), box_hi))
     total = np.zeros_like(u)
     for lo, hi in regions:
-        if not np.any(hi > lo):  # absent side, or beyond every support box
+        lo, hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
+        live = hi > lo
+        if not live.any():  # absent side, or beyond every support box
             continue
-        nodes, weights = panel_nodes(lo, hi, n_panels, n_nodes)
-        live = weights.sum(axis=1) > 0.0
-        if not live.any():
-            continue
-        vals = np.zeros_like(nodes)
-        logp = log_density(p.df, lam[live], scale[live], nodes[live])
+        nodes, weights = panel_nodes(lo[live], hi[live], *rule)
+        logp = log_density(p.df, lam[live], scale[live], nodes)
         dens = np.where(np.isfinite(logp), np.exp(logp), 0.0)
-        vals[live] = integrand(nodes[live]) * dens
-        total += (vals * weights).sum(axis=1)
+        total[live] += (integrand(nodes) * dens * weights).sum(axis=1)
     return total
 
 
 def kernel_row(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
-               u, cuts, config: QuadratureConfig = DEFAULT_CONFIG,
-               n_panels: int = 10, n_nodes: int = 16) -> np.ndarray:
+               u, cuts, config: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Premium kernel for a whole vector of elapsed times at once.
 
     ``cuts`` is the ``(lower, upper)`` factor-space pair per elapsed time
     (scalars or arrays) bounding the paying stopping region, as returned by
     :func:`stop_cuts` with ``in_the_money=True``.
     """
-    benefit_sign = 1.0 if option.kind == "call" else -1.0
-
-    def integrand(y):
-        return -benefit_sign * waiting_benefit(m, p, option.rate,
-                                               option.strike, y)
-
-    vals = _row_values(p, y0, u, cuts, config, integrand, n_panels, n_nodes)
-    return np.exp(-option.rate * np.asarray(u, dtype=float)) * vals
+    u = np.asarray(u, dtype=float)
+    vals = _row_values(p, y0, u, _stop_regions(cuts), config,
+                       _benefit_integrand(m, p, option), _KERNEL_RULE)
+    return np.exp(-option.rate * u) * vals
 
 
 def euro_fast(m: ModelSpec, p: CirParams, option: OptionSpec, tau: float,
-              y0: float, config: QuadratureConfig = DEFAULT_CONFIG,
-              n_panels: int = 12, n_nodes: int = 16) -> float:
+              y0: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """European price on the fixed rule, state already in factor coordinates."""
     if tau <= 0.0:
-        x = float(f_eval(m, y0))
-        return float(option.payoff_vix(x))
-    sign = 1.0 if option.kind == "call" else -1.0
-    strike = option.strike
-
-    lam, scale = _law_grid(p, np.array([tau]), y0)
-    box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
-    k_lo, k_hi = _strike_cuts(m, strike)
-    if option.kind == "call":
-        segs = [(max(0.0, box_lo[0]), min(k_lo, box_hi[0])),
-                (max(k_hi, box_lo[0]), box_hi[0])]
-    else:
-        segs = [(max(k_lo, box_lo[0]), min(k_hi, box_hi[0]))]
-    total = 0.0
-    for lo, hi in segs:
-        if not hi > lo:
-            continue
-        nodes, weights = panel_nodes(np.array([lo]), np.array([hi]),
-                                     n_panels, n_nodes)
-        logp = log_density(p.df, lam, scale, nodes)
-        dens = np.where(np.isfinite(logp), np.exp(logp), 0.0)
-        pay = sign * (f_eval(m, nodes[0]) - strike)
-        total += float((pay * dens[0] * weights[0]).sum())
-    return math.exp(-option.rate * tau) * max(total, 0.0)
+        return float(option.payoff_vix(float(f_eval(m, y0))))
+    val = _row_values(p, y0, np.array([tau]), _euro_regions(m, option), config,
+                      _payoff_integrand(m, option), _EURO_RULE)
+    return math.exp(-option.rate * tau) * max(float(val[0]), 0.0)

@@ -17,7 +17,6 @@ __all__ = [
     "newton_bisect",
     "adaptive_gauss_kronrod",
     "panel_nodes",
-    "panel_integrate",
 ]
 
 
@@ -237,11 +236,3 @@ def panel_nodes(lo, hi, n_panels=10, n_nodes=16):
         weights[wide] = ratio * wts[None, :] * log_nodes
     return nodes, weights
 
-
-def panel_integrate(fn, lo, hi, n_panels=10, n_nodes=16):
-    """Integral of ``fn`` over a single interval by the composite rule."""
-    nodes, weights = panel_nodes(np.array([lo]), np.array([hi]),
-                                 n_panels, n_nodes)
-    if not weights.any():
-        return 0.0
-    return float(np.dot(fn(nodes[0]), weights[0]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,6 @@ class TestSolverConfig:
             SolverConfig(n_steps=1)
         with pytest.raises(ValueError):
             SolverConfig(inner_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
 
 
 class TestBoundaryShape:
@@ -179,6 +179,18 @@ class TestSmoothFit:
         with pytest.raises(ValueError):
             smooth_fit_check(M32, P1, CALL, fig1_boundary_coarse, 1.0)
 
+    @pytest.mark.parametrize("mix, p, absent", [
+        (ModelSpec("mixture", terms=M32.terms), P1, "upper"),
+        (ModelSpec("mixture", terms_a2=M12.terms), P2, "lower")])
+    def test_one_sided_mixture_names_the_absent_side(self, mix, p, absent):
+        b = solve_boundary(mix, p, CALL, SolverConfig(n_steps=12))
+        present = "lower" if absent == "upper" else "upper"
+        assert np.isfinite(smooth_fit_check(mix, p, CALL, b, 0.5, present))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"no {absent} boundary"):
+                smooth_fit_check(mix, p, CALL, b, 0.5, absent)
+
 
 class TestExerciseQuery:
     def test_closed_region_at_boundary(self, fig1_boundary_coarse):
@@ -208,22 +220,6 @@ class TestExerciseQuery:
 
 
 class TestBoundaryContainer:
-    def test_csv_round_shape(self, tmp_path, fig1_boundary_coarse):
-        path = tmp_path / "b.csv"
-        fig1_boundary_coarse.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,b"
-        assert len(lines) == len(fig1_boundary_coarse.times) + 1
-        t0, b0 = lines[1].split(",")
-        assert float(t0) == 0.0
-        assert float(b0) == pytest.approx(fig1_boundary_coarse.values[0],
-                                          rel=1e-11)
-
-    def test_pair_csv_header(self, tmp_path, fig7_boundary_coarse):
-        path = tmp_path / "pair.csv"
-        fig7_boundary_coarse.to_csv(path)
-        assert path.read_text().splitlines()[0] == "t,b_lower,b_upper"
-
     def test_interpolation(self, fig1_boundary_coarse):
         b = fig1_boundary_coarse
         mid = 0.5 * (b.times[3] + b.times[4])

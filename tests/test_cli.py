@@ -197,6 +197,53 @@ class TestMainEntry:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_boundary_csv_round_shape(self, tmp_path, monkeypatch,
+                                      fig1_boundary_coarse):
+        import vixpricer.cli as cli
+        monkeypatch.setattr(cli, "cmd_boundary", lambda cfg: fig1_boundary_coarse)
+        path = tmp_path / "b.csv"
+        assert main(["boundary", "--config", "fig1", "--out", str(path)]) == EXIT_OK
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "t,b"
+        assert len(lines) == len(fig1_boundary_coarse.times) + 1
+        t0, b0 = lines[1].split(",")
+        assert float(t0) == 0.0
+        assert float(b0) == pytest.approx(fig1_boundary_coarse.values[0],
+                                          rel=1e-11)
+
+    def test_boundary_pair_csv_header(self, tmp_path, monkeypatch,
+                                      fig7_boundary_coarse):
+        import vixpricer.cli as cli
+        monkeypatch.setattr(cli, "cmd_boundary", lambda cfg: fig7_boundary_coarse)
+        path = tmp_path / "pair.csv"
+        assert main(["boundary", "--config", "fig7", "--out", str(path)]) == EXIT_OK
+        assert path.read_text().splitlines()[0] == "t,b_lower,b_upper"
+
+    def test_boundary_json_out(self, tmp_path, monkeypatch, fig7_boundary_coarse):
+        import vixpricer.cli as cli
+        monkeypatch.setattr(cli, "cmd_boundary", lambda cfg: fig7_boundary_coarse)
+        path = tmp_path / "pair.json"
+        assert main(["boundary", "--config", "fig7", "--format", "json",
+                     "--out", str(path)]) == EXIT_OK
+        payload = json.loads(path.read_text())
+        assert payload["columns"] == ["t", "b_lower", "b_upper"]
+        assert len(payload["rows"]) == len(fig7_boundary_coarse.times)
+        assert payload["rows"][0] == [0.0, fig7_boundary_coarse.values[0],
+                                      fig7_boundary_coarse.upper[0]]
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--config", "fig1", "--seed", "3"],
+        ["boundary", "--config", "fig7", "--branch", "lower"],
+        ["price", "--config", "fig7", "--state-grid", "1.0", "--branch", "upper"],
+        ["futures", "--config", "fig1", "--t-grid", "0.5", "--seed", "3"],
+        ["mc-check", "--config", "fig1", "--target", "european", "--format", "csv"],
+    ])
+    def test_unread_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, capsys):
         assert main(["boundary", "--config", "/no/such/file.json"]) == EXIT_CONFIG
 
