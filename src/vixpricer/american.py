@@ -311,6 +311,10 @@ def _isotonic_backward(values, decreasing_in_t, tol):
 # pricing against a solved boundary
 # ---------------------------------------------------------------------------
 
+# finite-difference step of smooth_fit_check, relative to the boundary level
+_SMOOTH_FIT_STEP = 1e-3
+
+
 def _zero_node_mass(d):
     """Effective weight of the premium integrand's zero-time node.
 
@@ -421,13 +425,13 @@ def exercise_region_query(boundary: Boundary, t: float, state: float) -> str:
 
 def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
                      boundary: Boundary, t: float, which: str = "single",
-                     step_frac: float = 1e-3,
                      quad: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Gap between the continuation-side delta and the payoff slope.
 
     The derivative is a one-sided finite difference of the premium-formula
-    price taken from inside the continuation region; at a true smooth-fit
-    point the gap vanishes up to discretization error.
+    price, stepping ``_SMOOTH_FIT_STEP`` times the boundary level into the
+    continuation region; at a true smooth-fit point the gap vanishes up to
+    discretization error.
     """
     if t >= option.maturity:
         raise ValueError("smooth fit is checked strictly before expiry")
@@ -437,23 +441,16 @@ def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
         b = boundary.value_at(t) if which == "lower" else boundary.upper_at(t)
         if not _is_active(b):
             raise ValueError(f"this mixture has no {which} boundary")
-        eps = step_frac * b
-        if which == "lower":  # continuation lies above the lower boundary
-            d = (american_price(m, p, option, boundary, t, b + eps, quad)
-                 - american_price(m, p, option, boundary, t, b, quad)) / eps
-        else:
-            d = (american_price(m, p, option, boundary, t, b, quad)
-                 - american_price(m, p, option, boundary, t, b - eps, quad)) / eps
-        return d - float(f_deriv(m, b, 1))
-    b = boundary.value_at(t)
-    eps = step_frac * b
-    if boundary.kind == "call":  # continuation below the boundary
-        d = (american_price(m, p, option, boundary, t, b, quad)
-             - american_price(m, p, option, boundary, t, b - eps, quad)) / eps
-        return d - 1.0
-    d = (american_price(m, p, option, boundary, t, b + eps, quad)
-         - american_price(m, p, option, boundary, t, b, quad)) / eps
-    return d + 1.0
+        inward = 1.0 if which == "lower" else -1.0  # continuation between the pair
+        slope = float(f_deriv(m, b, 1))
+    else:
+        b = boundary.value_at(t)
+        slope = 1.0 if boundary.kind == "call" else -1.0
+        inward = -slope  # a call continues below its boundary, a put above
+    step = inward * _SMOOTH_FIT_STEP * b
+    d = (american_price(m, p, option, boundary, t, b + step, quad)
+         - american_price(m, p, option, boundary, t, b, quad)) / step
+    return d - slope
 
 
 def convexity_witness(states, prices, tol: float = 1e-7):

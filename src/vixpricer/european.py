@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .cir import CirParams, ChiSquareLaw, log_density, transition_law
 from .models import (ModelSpec, f_eval, f_deriv, g_eval, minimum_location,
@@ -118,24 +118,19 @@ def _strike_cuts(m: ModelSpec, strike: float):
     """Factor levels where the map crosses the strike.
 
     Returns ``(lo, hi)``: the in-the-money set of a call is
-    ``[0, lo] U [hi, inf)`` in factor coordinates. Monotone families have a
-    single crossing, reported on the side matching their orientation. A
+    ``[0, lo] U [hi, inf)`` in factor coordinates, with ``lo = 0`` or
+    ``hi = inf`` on the side a monotone map lacks (:func:`payoff_levels`). A
     strike at or below a mixture map's minimum leaves the call in the money
     everywhere; both cuts then collapse onto the minimizer.
     """
-    if m.is_mixture:
-        try:
-            k_lo, k_hi, _ = payoff_levels(m, strike)
-        except ValueError:
-            y_min = minimum_location(m)
-            if 0.0 < y_min < math.inf and float(f_eval(m, y_min)) >= strike > 0.0:
-                return y_min, y_min
-            raise
-        return k_lo, k_hi
-    cut = g_eval(m, strike)
-    if m.family == "a1":
-        return cut, math.inf
-    return 0.0, cut
+    try:
+        k_lo, k_hi, _ = payoff_levels(m, strike)
+    except ValueError:
+        y_min = minimum_location(m)
+        if 0.0 < y_min < math.inf and float(f_eval(m, y_min)) >= strike > 0.0:
+            return y_min, y_min
+        raise
+    return k_lo, k_hi
 
 
 def _stop_regions(cuts):
@@ -169,30 +164,32 @@ def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None,
 
     Returns ``(lower, upper)``: a path stops when ``y <= lower`` or
     ``y >= upper``, with ``-inf`` / ``inf`` for an absent side. Monotone
-    families pass the VIX boundary level ``z``; the mixture passes its
-    factor-coordinate pair ``z``, ``z_upper``. With ``in_the_money`` the
-    region is intersected with the contract's payoff region, where the
-    premium kernel lives. Levels may be scalars or arrays.
+    families pass the VIX boundary level ``z``, which maps through the
+    inverse map to one side; the mixture passes its factor-coordinate pair
+    ``z``, ``z_upper``. With ``in_the_money`` the region is intersected with
+    the contract's payoff region, where the premium kernel lives. Levels may
+    be scalars or arrays.
     """
+    is_call = option.kind == "call"
     if m.is_mixture:
-        if option.kind != "call":
+        if not is_call:
             raise ValueError("mixture contracts support calls only")
         if z_upper is None:
             raise ValueError("a mixture boundary needs lower and upper levels")
         lower = np.asarray(z, dtype=float)
         upper = np.asarray(z_upper, dtype=float)
-        if in_the_money:
-            k_lo, k_hi = _strike_cuts(m, option.strike)
-            lower, upper = np.minimum(lower, k_lo), np.maximum(upper, k_hi)
-        return lower, upper
-    is_call = option.kind == "call"
-    z = np.asarray(z, dtype=float)
+    else:
+        z = np.asarray(z, dtype=float)
+        cut = np.array([g_eval(m, float(v)) for v in z.ravel()]).reshape(z.shape)
+        far = np.full(z.shape, np.inf)
+        # an a1 call or a2 put stops below its cut, the others above it
+        lower, upper = (cut, far) if (m.family == "a1") == is_call else (-far, cut)
     if in_the_money:
-        z = np.maximum(z, option.strike) if is_call else np.minimum(z, option.strike)
-    cut = np.array([g_eval(m, float(v)) for v in z.ravel()]).reshape(z.shape)
-    if (m.family == "a1") == is_call:  # the factor stops below the cut
-        return cut, np.full(z.shape, np.inf)
-    return np.full(z.shape, -np.inf), cut
+        k_lo, k_hi = _strike_cuts(m, option.strike)
+        if not is_call:  # a put pays between the strike cuts
+            k_lo, k_hi = k_hi, k_lo
+        lower, upper = np.minimum(lower, k_lo), np.maximum(upper, k_hi)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +357,7 @@ def _approx_mass_box(df, lam, scale, tail_mass):
     mean = scale * (df + lam)
     std = scale * np.sqrt(2.0 * (df + 2.0 * lam))
     lo = np.maximum(lo, mean - 9.0 * std)
-    hi = 1.3 * rho * scale * stats.chi2.isf(tail_mass * 1e-3, m_eff)
+    hi = 1.3 * rho * scale * special.chdtri(m_eff, tail_mass * 1e-3)
     # a zero lower quantile would defeat the log-graded panel layout
     return np.maximum(lo, 1e-18 * hi), hi
 

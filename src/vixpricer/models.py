@@ -15,6 +15,15 @@ The module also evaluates the waiting-benefit function ``h`` (the drift of
 the discounted payoff along the factor), locates the level thresholds that
 determine terminal exercise boundaries, and verifies the sign-structure
 assumptions the boundary theory relies on.
+
+Every threshold comes from two facts about one side of the map, worked out
+by one function each. :func:`_side_inverse` inverts the map on its lower
+(falling) or upper (rising) side, in closed form for a lone term on a
+monotone map; :func:`g_eval`, :func:`mixture_inverse` and
+:func:`payoff_levels` all go through it. :func:`_sign_change` scans ``h`` on
+a factor grid and solves for its single sign change: across the whole map
+for ``x_star`` of the monotone families, and on each payoff lobe for the
+mixture's ``y_lower`` / ``y_upper``.
 """
 
 from __future__ import annotations
@@ -91,20 +100,12 @@ class ModelSpec:
     @property
     def decreasing_terms(self):
         """(weight, power) pairs entering as w * y**(-p)."""
-        if self.family == "a1":
-            return self.terms
-        if self.family == "a2":
-            return ()
-        return self.terms
+        return () if self.family == "a2" else self.terms
 
     @property
     def increasing_terms(self):
         """(weight, power) pairs entering as w * y**p."""
-        if self.family == "a2":
-            return self.terms
-        if self.family == "a1":
-            return ()
-        return self.terms_a2
+        return self.terms if self.family == "a2" else self.terms_a2
 
     @property
     def is_mixture(self) -> bool:
@@ -201,23 +202,14 @@ def g_eval(m: ModelSpec, x: float) -> float:
     """Inverse of the map: f(g(x)) = x. Monotone families only."""
     if m.is_mixture:
         raise ValueError("the mixture map has no global inverse; use mixture_inverse")
-    if not x > 0.0:
-        raise ValueError("VIX level must be strictly positive")
-    if len(m.terms) == 1:
-        w, p = m.terms[0]
-        if m.family == "a1":
-            return (w / x) ** (1.0 / p)
-        return (x / w) ** (1.0 / p)
-    return _solve_monotone(m, x, decreasing=(m.family == "a1"))
+    return _side_inverse(m, x, "lower" if m.family == "a1" else "upper")
 
 
 def minimum_location(m: ModelSpec) -> float:
-    """Factor level minimizing a mixture map (inf / 0 for one-sided cases)."""
-    if not m.is_mixture:
-        raise ValueError("minimum_location applies to mixture maps")
-    if not m.terms_a2:
+    """Factor level minimizing the map (inf / 0 when it only falls / rises)."""
+    if not m.increasing_terms:
         return math.inf
-    if not m.terms:
+    if not m.decreasing_terms:
         return 0.0
     obj = lambda yy: -f_deriv(m, yy, 1)  # + below the minimum, - above
     lo, hi = bracket_downcrossing(obj, 1.0)
@@ -236,23 +228,42 @@ def mixture_inverse(m: ModelSpec, x: float, branch: str) -> float:
         raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
     if not m.is_mixture:
         raise ValueError("mixture_inverse applies to mixture maps")
+    return _side_inverse(m, x, branch)
+
+
+def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
+    """Factor level solving f(y) = x on one side of the map's minimum.
+
+    ``side`` is ``"lower"`` (the falling terms' side) or ``"upper"`` (the
+    rising terms'). When the other side has no terms the map is monotone: a
+    single term inverts in closed form, several by one bracketed solve.
+    Otherwise the root is bracketed outward from the minimizer; ``x`` must
+    reach the map minimum, where the minimizer itself is returned.
+    """
+    if not x > 0.0:
+        raise ValueError("VIX level must be strictly positive")
+    lower = side == "lower"
+    own, other = ((m.decreasing_terms, m.increasing_terms) if lower
+                  else (m.increasing_terms, m.decreasing_terms))
+    if not own:
+        raise ValueError(f"the {side} branch of this map is empty")
+    if not other:
+        if len(own) == 1:
+            w, p = own[0]
+            return (w / x) ** (1.0 / p) if lower else (x / w) ** (1.0 / p)
+        sign = 1.0 if lower else -1.0  # the objective falls through the root
+        obj = lambda yy: sign * (f_eval(m, yy) - x)
+        lo, hi = bracket_downcrossing(obj, 1.0)
+        return newton_bisect(obj, lo, hi, dfn=lambda yy: sign * f_deriv(m, yy, 1),
+                             rel_tol=_ROOT_TOL)
     y_min = minimum_location(m)
-    if not np.isfinite(y_min):
-        # purely decreasing: only the lower branch exists
-        if branch == "upper":
-            raise ValueError("upper branch is empty for a decreasing-only mixture")
-        return _solve_monotone(m, x, decreasing=True)
-    if y_min == 0.0:
-        if branch == "lower":
-            raise ValueError("lower branch is empty for an increasing-only mixture")
-        return _solve_monotone(m, x, decreasing=False)
     f_min = float(f_eval(m, y_min))
     if x < f_min * (1.0 - 1e-14):
         raise ValueError(f"no factor level reaches VIX level {x} (minimum {f_min})")
     if x <= f_min * (1.0 + 1e-14):
         return y_min
     obj = lambda yy: f_eval(m, yy) - x
-    if branch == "lower":
+    if lower:
         lo = y_min
         while obj(lo) <= 0.0:
             lo *= 0.5
@@ -267,13 +278,6 @@ def mixture_inverse(m: ModelSpec, x: float, branch: str) -> float:
             raise ValueError("upper branch bracketing failed")
     return newton_bisect(obj, y_min, hi, dfn=lambda yy: f_deriv(m, yy, 1),
                          rel_tol=_ROOT_TOL)
-
-
-def _solve_monotone(m: ModelSpec, x: float, decreasing: bool) -> float:
-    obj = (lambda yy: f_eval(m, yy) - x) if decreasing else (lambda yy: x - f_eval(m, yy))
-    lo, hi = bracket_downcrossing(obj, 1.0)
-    d = (lambda yy: f_deriv(m, yy, 1)) if decreasing else (lambda yy: -f_deriv(m, yy, 1))
-    return newton_bisect(obj, lo, hi, dfn=d, rel_tol=_ROOT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -356,56 +360,46 @@ class CriticalLevels:
 
 
 def x_star(m: ModelSpec, p: CirParams, r: float, strike: float) -> float:
-    """Sign-change level of the waiting benefit for a monotone family."""
+    """Sign-change level of the waiting benefit for a monotone family.
+
+    The benefit is scanned on a factor grid covering VIX levels 1e-4 to 1e3;
+    it must change sign exactly once there, rising with the factor for
+    ``a1`` (from -inf at the origin) and falling for ``a2``.
+    """
     if m.is_mixture:
         raise ValueError("x_star is defined for monotone families only")
     validate_model_params(m, p)
-    h = lambda yy: waiting_benefit(m, p, r, strike, yy)
-    dh = lambda yy: _waiting_benefit_dy(m, p, r, yy)
-    if m.family == "a1":
-        # h rises from -inf (large VIX = small factor) to r K
-        lo, hi = bracket_downcrossing(lambda yy: -h(yy), 1.0)
-        y_root = newton_bisect(lambda yy: -h(yy), lo, hi,
-                               dfn=lambda yy: -dh(yy), rel_tol=_ROOT_TOL)
-    else:
-        lo, hi = bracket_downcrossing(h, 1.0)
-        y_root = newton_bisect(h, lo, hi, dfn=dh, rel_tol=_ROOT_TOL)
+    ends = sorted((g_eval(m, 1e-4), g_eval(m, 1e3)))
+    grid = np.geomspace(max(ends[0], 1e-300), ends[1], 1000)
+    y_root = _sign_change(m, p, r, strike, grid, rising=(m.family == "a1"))
+    if y_root is None:
+        raise AssumptionError(
+            "waiting benefit never changes sign on the scan grid; a single "
+            "crossing is required")
     return float(f_eval(m, y_root))
 
 
 def payoff_levels(m: ModelSpec, strike: float):
-    """Factor levels bounding the in-the-money set of a mixture call.
+    """Factor levels bounding the in-the-money set of a call.
 
-    Returns ``(k_lower, k_upper, y_min)``; one-sided mixtures report 0 or
-    inf for the missing side. Contracts with ``f(y_min) >= K`` have no
+    Returns ``(k_lower, k_upper, y_min)``: the call pays for ``y <= k_lower``
+    or ``y >= k_upper``. A map without rising terms (``a1``) reports
+    ``k_upper = y_min = inf``, one without falling terms (``a2``)
+    ``k_lower = y_min = 0``. Contracts with ``f(y_min) >= K`` have no
     out-of-the-money band and are rejected.
     """
     if strike <= 0.0:
         raise ValueError("strike must be strictly positive")
-    if not m.is_mixture:
-        raise ValueError("payoff_levels applies to mixture maps")
     y_min = minimum_location(m)
-    if not np.isfinite(y_min):
-        return _solve_monotone(m, strike, decreasing=True), math.inf, y_min
-    if y_min == 0.0:
-        return 0.0, _solve_monotone(m, strike, decreasing=False), y_min
-    f_min = float(f_eval(m, y_min))
-    if f_min >= strike:
-        raise ValueError(
-            f"strike {strike} does not exceed the map minimum {f_min}; the "
-            "mixture payoff region would cover every factor level")
-    return (mixture_inverse(m, strike, "lower"),
-            mixture_inverse(m, strike, "upper"), y_min)
-
-
-def _scan_sign_change(h_vals, grid):
-    """Indices of sign changes on a grid (zeros attach to the left sign)."""
-    sign = np.sign(h_vals)
-    # carry previous sign through exact zeros
-    for i in range(1, len(sign)):
-        if sign[i] == 0.0:
-            sign[i] = sign[i - 1]
-    return np.nonzero(np.diff(sign))[0]
+    if 0.0 < y_min < math.inf:
+        f_min = float(f_eval(m, y_min))
+        if f_min >= strike:
+            raise ValueError(
+                f"strike {strike} does not exceed the map minimum {f_min}; the "
+                "mixture payoff region would cover every factor level")
+    k_lo = _side_inverse(m, strike, "lower") if m.decreasing_terms else 0.0
+    k_hi = _side_inverse(m, strike, "upper") if m.increasing_terms else math.inf
+    return k_lo, k_hi, y_min
 
 
 def critical_levels(m: ModelSpec, p: CirParams, r: float, strike: float) -> CriticalLevels:
@@ -419,49 +413,44 @@ def critical_levels(m: ModelSpec, p: CirParams, r: float, strike: float) -> Crit
         raise ValueError("strike must be strictly positive")
     validate_model_params(m, p)
     if not m.is_mixture:
-        xs = x_star(m, p, r, strike)
-        _verify_single_change(m, p, r, strike)
-        return CriticalLevels(x_star=xs)
+        return CriticalLevels(x_star=x_star(m, p, r, strike))
 
     k_lo, k_hi, y_min = payoff_levels(m, strike)
     y_lower = y_upper = None
     if k_lo > 0.0:
-        y_lower = _lobe_sign_change(m, p, r, strike,
-                                    np.geomspace(1e-4 * k_lo, k_lo, 1000),
-                                    rising=True)
+        y_lower = _sign_change(m, p, r, strike,
+                               np.geomspace(1e-4 * k_lo, k_lo, 1000), rising=True)
     if np.isfinite(k_hi):
-        y_upper = _lobe_sign_change(m, p, r, strike,
-                                    np.geomspace(k_hi, 1e3 * k_hi, 1000),
-                                    rising=False)
+        y_upper = _sign_change(m, p, r, strike,
+                               np.geomspace(k_hi, 1e3 * k_hi, 1000), rising=False)
     return CriticalLevels(k_lower=k_lo, k_upper=k_hi,
                           y_lower=y_lower, y_upper=y_upper, y_min=y_min)
 
 
-def _verify_single_change(m, p, r, strike):
-    # factor grid covering VIX levels [1e-4, 1e3]
-    ends = sorted((g_eval(m, 1e-4), g_eval(m, 1e3)))
-    grid = np.geomspace(max(ends[0], 1e-300), ends[1], 1000)
-    h_vals = waiting_benefit(m, p, r, strike, grid)
-    changes = _scan_sign_change(h_vals, grid)
-    if len(changes) != 1:
-        raise AssumptionError(
-            f"waiting benefit changes sign {len(changes)} times on the scan "
-            "grid; a single crossing is required")
+def _sign_change(m, p, r, strike, grid, rising):
+    """Unique benefit sign change on a factor grid, or None if never positive.
 
-
-def _lobe_sign_change(m, p, r, strike, grid, rising):
-    """Unique benefit sign change on one payoff lobe, or None if one-signed."""
+    The benefit must cross zero at most once on the grid, upwards in the
+    factor when ``rising`` and downwards otherwise; the crossing is then
+    refined between its two grid neighbours. Exact zeros on the grid take
+    the sign to their left.
+    """
     h_vals = waiting_benefit(m, p, r, strike, grid)
-    changes = _scan_sign_change(h_vals, grid)
+    sign = np.sign(h_vals)
+    for i in range(1, len(sign)):
+        if sign[i] == 0.0:
+            sign[i] = sign[i - 1]
+    changes = np.nonzero(np.diff(sign))[0]
     if len(changes) == 0:
         if np.all(h_vals <= 0.0):
             return None
         raise AssumptionError(
-            "waiting benefit is positive across an entire payoff lobe; the "
-            "two-boundary structure does not apply")
+            "waiting benefit is positive across the whole scan grid; the "
+            "boundary structure does not apply")
     if len(changes) > 1:
         raise AssumptionError(
-            f"waiting benefit changes sign {len(changes)} times on a payoff lobe")
+            f"waiting benefit changes sign {len(changes)} times on the scan "
+            "grid; a single crossing is required")
     i = changes[0]
     direction_ok = (h_vals[i] < 0.0 < h_vals[i + 1]) if rising else (h_vals[i] > 0.0 > h_vals[i + 1])
     if not direction_ok:

@@ -144,27 +144,21 @@ def _gk_batch(fn, a, b):
 
 
 def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
-                           max_subdivisions=200, breakpoints=()):
+                           max_subdivisions=200):
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
 
     The interval is bisected where the local Kronrod error estimate is
     largest until the summed error meets ``max(abs_tol, rel_tol * |I|)``.
-    ``breakpoints`` are interior abscissae (e.g. payoff kinks) used to seed
-    the initial subdivision.
+    Callers split the domain at kinks (e.g. payoff kinks) beforehand.
 
     Returns ``(value, error_estimate)``.
     """
     if not b > a:
         return 0.0, 0.0
-    cuts = sorted({a, b, *(float(p) for p in breakpoints if a < p < b)})
-    # seed each span with several segments so narrow features register in
+    # seed the interval with several segments so narrow features register in
     # the error estimate before any refinement decision is taken
-    seeded = []
-    for s0, s1 in zip(cuts[:-1], cuts[1:]):
-        seeded.extend(np.linspace(s0, s1, 9)[:-1])
-    seeded.append(b)
-    lo = np.array(seeded[:-1])
-    hi = np.array(seeded[1:])
+    edges = np.linspace(a, b, 9)
+    lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_batch(fn, lo, hi)
     for _ in range(max_subdivisions):
         total = vals.sum()

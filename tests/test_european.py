@@ -187,6 +187,21 @@ class TestEepKernel:
         slow = [eep_kernel(m, p, option, uu, state, zz) for uu, zz in zip(u, z)]
         np.testing.assert_allclose(row, slow, rtol=2e-7, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [M32, M12, ModelSpec("a1", terms=((0.5, 1.0), (0.5, 1.2)))])
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_in_the_money_cuts_stop_past_the_strike(self, m, kind):
+        option = OptionSpec(0.15, 1.0, 0.05, kind)
+        z = np.array([0.05, 0.1, 0.15, 0.2, 0.4])
+        clamp = np.maximum(z, 0.15) if kind == "call" else np.minimum(z, 0.15)
+        want = np.array([g_eval(m, float(v)) for v in clamp])
+        lower, upper = stop_cuts(m, option, z, in_the_money=True)
+        if (m.family == "a1") == (kind == "call"):
+            np.testing.assert_array_equal(lower, want)
+            assert np.all(upper == np.inf)
+        else:
+            np.testing.assert_array_equal(upper, want)
+            assert np.all(lower == -np.inf)
+
     def test_mixture_row_agrees_with_adaptive(self):
         u = np.array([0.05, 0.3, 0.8])
         z1 = np.array([0.5, 0.55, 0.6])

@@ -149,6 +149,24 @@ class TestInverse:
         with pytest.raises(ValueError):
             mixture_inverse(MIX7, 0.1, "lower")
 
+    @pytest.mark.parametrize("family,side,terms", [
+        ("a1", "lower", ((1.0, 1.2),)), ("a2", "upper", ((1.0, 0.8),)),
+    ])
+    def test_one_sided_mixture_is_the_monotone_inverse(self, family, side, terms):
+        mono = ModelSpec(family, terms=terms)
+        mix = ModelSpec("mixture", **{"terms" if side == "lower" else "terms_a2": terms})
+        for x in np.geomspace(1e-3, 1e2, 40):
+            assert mixture_inverse(mix, float(x), side) == g_eval(mono, float(x))
+        for x in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                mixture_inverse(mix, x, side)
+
+    def test_monotone_maps_have_one_side(self):
+        assert minimum_location(M32) == math.inf
+        assert minimum_location(M12) == 0.0
+        assert payoff_levels(M32, 0.15) == (g_eval(M32, 0.15), math.inf, math.inf)
+        assert payoff_levels(M12, 0.15) == (0.0, g_eval(M12, 0.15), 0.0)
+
 
 class TestWaitingBenefit:
     def test_reciprocal_closed_form_value(self):
