@@ -31,6 +31,7 @@ from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        stop_cuts)
 from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
                      mixture_inverse)
+from .numerics import ConvergenceError, newton_bisect
 
 __all__ = [
     "Boundary",
@@ -77,7 +78,6 @@ class Boundary:
     values: np.ndarray
     upper: np.ndarray | None = None
     kind: str = "call"
-    family: str = "a1"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -128,7 +128,8 @@ def _solve_step(update, x0, tol, max_iters):
 
     Fixed-point steps with secant acceleration on the residual; a
     residual bracket is tracked along the way and bisection takes over when
-    an accelerated step leaves it or the iteration stalls.
+    an accelerated step leaves it. If the iteration stalls, the bracket is
+    handed to :func:`~vixpricer.numerics.newton_bisect`.
     """
     lo = hi = None  # bracket: resid > 0 at lo, < 0 at hi
     x = x0
@@ -156,16 +157,11 @@ def _solve_step(update, x0, tol, max_iters):
             cand = 0.5 * x
         x = cand
     if lo is not None and hi is not None:
-        # final bisection sweep on the residual
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            r = update(mid) - mid
-            if abs(r) <= tol or abs(hi - lo) <= tol:
-                return mid
-            if r > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        try:
+            return newton_bisect(lambda v: update(v) - v, min(lo, hi),
+                                 max(lo, hi), rel_tol=0.0, abs_tol=tol)
+        except ConvergenceError:
+            pass
     raise SolverError(f"inner iteration did not converge (last residual {resid:.3e})")
 
 
@@ -218,7 +214,7 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
     diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips]}
     return Boundary(times=times, values=out[0],
                     upper=out[1] if len(out) == 2 else None, kind=option.kind,
-                    family=m.family, diagnostics=diag)
+                    diagnostics=diag)
 
 
 def _is_active(level):

@@ -12,6 +12,7 @@ from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        european_price, futures_price)
 from .models import ModelSpec
+from .numerics import newton_bisect
 
 __all__ = ["SkewPoint", "black_call", "implied_vol", "skew_curve"]
 
@@ -57,9 +58,10 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     """Volatility solving ``black_call(F, K, T, r, sigma) = price``.
 
     The price must lie strictly inside the static no-arbitrage band
-    ``(e^{-rT} (F - K)^+, e^{-rT} F)``. Newton steps on the vega are
-    safeguarded by the bracket [1e-6, 10]; bisection takes over whenever a
-    step leaves the bracket.
+    ``(e^{-rT} (F - K)^+, e^{-rT} F)``. The vol is found by
+    :func:`~vixpricer.numerics.newton_bisect` on the bracket [1e-6, 10],
+    with Newton steps on the vega; prices beyond the bracket's ends return
+    the floor or the cap.
     """
     disc = math.exp(-r * T)
     lo_band = disc * max(F - K, 0.0)
@@ -67,37 +69,14 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     if not lo_band < price < hi_band:
         raise ValueError(
             f"price {price} outside the invertible band ({lo_band}, {hi_band})")
-    lo, hi = _VOL_LO, _VOL_HI
-    f_lo = black_call(F, K, T, r, lo) - price
-    f_hi = black_call(F, K, T, r, hi) - price
-    if f_lo > 0.0:  # price below the sigma floor; report the floor
-        return lo
-    if f_hi < 0.0:
-        return hi
-    sigma = 0.2
-    if not lo < sigma < hi:
-        sigma = 0.5 * (lo + hi)
-    for _ in range(100):
-        diff = black_call(F, K, T, r, sigma) - price
-        if diff == 0.0:
-            return sigma
-        if diff > 0.0:
-            hi = sigma
-        else:
-            lo = sigma
-        v = _vega(F, K, T, r, sigma)
-        step_ok = False
-        if v > 1e-300:
-            cand = sigma - diff / v
-            if lo < cand < hi:
-                sigma, step_ok = cand, True
-        if not step_ok:
-            sigma = 0.5 * (lo + hi)
-        if abs(diff) < 1e-14 * max(price, 1.0) and hi - lo < 1e-10:
-            return sigma
-        if hi - lo < 1e-14 * sigma:
-            return sigma
-    return sigma
+    # Python floats: numpy scalars would warn on an overflowing Newton step
+    gap = lambda sigma: float(black_call(F, K, T, r, sigma) - price)
+    vega = lambda sigma: float(_vega(F, K, T, r, sigma))
+    if gap(_VOL_LO) > 0.0:  # price below the sigma floor; report the floor
+        return _VOL_LO
+    if gap(_VOL_HI) < 0.0:
+        return _VOL_HI
+    return newton_bisect(gap, _VOL_LO, _VOL_HI, dfn=vega, rel_tol=1e-14)
 
 
 def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,6 +206,7 @@ def g_eval(m: ModelSpec, x: float) -> float:
     return _side_inverse(m, x, "lower" if m.family == "a1" else "upper")
 
 
+@lru_cache(maxsize=64)
 def minimum_location(m: ModelSpec) -> float:
     """Factor level minimizing the map (inf / 0 when it only falls / rises)."""
     if not m.increasing_terms:
@@ -235,10 +237,10 @@ def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
     """Factor level solving f(y) = x on one side of the map's minimum.
 
     ``side`` is ``"lower"`` (the falling terms' side) or ``"upper"`` (the
-    rising terms'). When the other side has no terms the map is monotone: a
-    single term inverts in closed form, several by one bracketed solve.
-    Otherwise the root is bracketed outward from the minimizer; ``x`` must
-    reach the map minimum, where the minimizer itself is returned.
+    rising terms'). A lone term on a monotone map inverts in closed form.
+    Every other case is one bracketed solve, started at 1 on a monotone map
+    and at the minimizer otherwise; there ``x`` must reach the map minimum,
+    where the minimizer itself is returned.
     """
     if not x > 0.0:
         raise ValueError("VIX level must be strictly positive")
@@ -247,36 +249,21 @@ def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
                   else (m.increasing_terms, m.decreasing_terms))
     if not own:
         raise ValueError(f"the {side} branch of this map is empty")
-    if not other:
-        if len(own) == 1:
-            w, p = own[0]
-            return (w / x) ** (1.0 / p) if lower else (x / w) ** (1.0 / p)
-        sign = 1.0 if lower else -1.0  # the objective falls through the root
-        obj = lambda yy: sign * (f_eval(m, yy) - x)
-        lo, hi = bracket_downcrossing(obj, 1.0)
-        return newton_bisect(obj, lo, hi, dfn=lambda yy: sign * f_deriv(m, yy, 1),
-                             rel_tol=_ROOT_TOL)
-    y_min = minimum_location(m)
-    f_min = float(f_eval(m, y_min))
-    if x < f_min * (1.0 - 1e-14):
-        raise ValueError(f"no factor level reaches VIX level {x} (minimum {f_min})")
-    if x <= f_min * (1.0 + 1e-14):
-        return y_min
-    obj = lambda yy: f_eval(m, yy) - x
-    if lower:
-        lo = y_min
-        while obj(lo) <= 0.0:
-            lo *= 0.5
-            if lo < 1e-300:
-                raise ValueError("lower branch bracketing failed")
-        return newton_bisect(obj, lo, y_min, dfn=lambda yy: f_deriv(m, yy, 1),
-                             rel_tol=_ROOT_TOL)
-    hi = y_min
-    while obj(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("upper branch bracketing failed")
-    return newton_bisect(obj, y_min, hi, dfn=lambda yy: f_deriv(m, yy, 1),
+    if not other and len(own) == 1:
+        w, p = own[0]
+        return (w / x) ** (1.0 / p) if lower else (x / w) ** (1.0 / p)
+    start = 1.0
+    if other:
+        start = minimum_location(m)
+        f_min = float(f_eval(m, start))
+        if x < f_min * (1.0 - 1e-14):
+            raise ValueError(f"no factor level reaches VIX level {x} (minimum {f_min})")
+        if x <= f_min * (1.0 + 1e-14):
+            return start
+    sign = 1.0 if lower else -1.0  # the objective falls through the root
+    obj = lambda yy: sign * (f_eval(m, yy) - x)
+    lo, hi = bracket_downcrossing(obj, start, lo_limit=1e-300, hi_limit=1e300)
+    return newton_bisect(obj, lo, hi, dfn=lambda yy: sign * f_deriv(m, yy, 1),
                          rel_tol=_ROOT_TOL)
 
 

@@ -1,5 +1,10 @@
 """Shared numerical routines: bracketed root finding and vectorized quadrature.
 
+Every bracketed scalar root of the package is found here: an outward search
+(:func:`bracket_downcrossing`) when no bracket is known, then one safeguarded
+Newton-bisection (:func:`newton_bisect`). Implied vols, the map inverses and
+the boundary solver's stalled fixed-point steps all go through them.
+
 All quadrature helpers expect integrands that map a numpy array of abscissae
 to an array of the same shape, so a single call evaluates a whole batch of
 nodes at once.
@@ -60,9 +65,11 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
     """Root of ``fn`` on a bracket, Newton steps safeguarded by bisection.
 
     ``fn(lo)`` and ``fn(hi)`` must have opposite signs (one may be zero).
-    Newton is used whenever a derivative is supplied and the step stays
-    inside the current bracket; otherwise the step falls back to bisection,
-    so the bracket always shrinks.
+    Newton is used whenever a derivative is supplied, the step stays inside
+    the current bracket and it is at most half the step before the last one;
+    otherwise the step falls back to bisection, so the bracket always shrinks
+    and a Newton run that creeps towards the root from one side (a steep,
+    convex objective) cannot stall.
     """
     f_lo = fn(lo)
     f_hi = fn(hi)
@@ -73,6 +80,7 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
     if np.sign(f_lo) == np.sign(f_hi):
         raise ValueError("root is not bracketed")
     x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
     for _ in range(max_iter):
         f_x = fn(x)
         if f_x == 0.0:
@@ -86,9 +94,11 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
             d = dfn(x)
             if np.isfinite(d) and d != 0.0:
                 x_new = x - f_x / d
-                if lo < x_new < hi:
+                if lo < x_new < hi and abs(x_new - x) <= 0.5 * step_old:
+                    step_old, step = step, abs(x_new - x)
                     x, step_ok = x_new, True
         if not step_ok:
+            step_old, step = step, 0.5 * (hi - lo)
             x = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * abs(x) + abs_tol:
             return x

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from vixpricer.american import (SolverConfig, SolverError,
+from vixpricer import american
+from vixpricer.american import (SolverConfig, SolverError, _solve_step,
                                 american_price, convexity_witness,
                                 exercise_region_query, smooth_fit_check,
                                 solve_boundary, terminal_levels)
@@ -114,6 +116,40 @@ class TestBoundaryShape:
                 assert american_price(mix, P2, CALL, pair, t, x) == \
                     pytest.approx(american_price(M12, P2, CALL, single, t, x),
                                   rel=0.0, abs=1e-12)
+
+
+class TestSolveStep:
+    # a steep falling update whose secant steps form a bracket around the
+    # fixed point 2 without reaching it in two iterations
+    UPDATE = staticmethod(lambda x: 2.0 - 3.0 * math.atan(5.0 * (x - 2.0)))
+
+    def test_bracketed_fallback_reaches_the_fixed_point(self):
+        got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2)
+        assert abs(got - 2.0) <= 1e-9
+
+    def test_no_bracket_is_a_solver_error(self):
+        with pytest.raises(SolverError):
+            _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
+
+
+class TestDiagnostics:
+    def test_monotonicity_clips_report_planted_violations(self, monkeypatch):
+        sweep = american._sweep
+
+        def planted(m, p, option, times, curves, *rest):
+            sweep(m, p, option, times, curves, *rest)
+            curves[0, 3] = curves[0, 4] - 1e-3  # a call boundary falls in t
+            curves[0, 5] = curves[0, 6] - 1e-8  # below the clip tolerance
+
+        monkeypatch.setattr(american, "_sweep", planted)
+        cfg = SolverConfig(n_steps=12)
+        b = solve_boundary(M32, P1, CALL, cfg)
+        tol = cfg.inner_tol * 1e3
+        assert 1e-8 < tol < 1e-3
+        (clip,) = b.diagnostics["monotonicity_clips"]
+        assert clip[0] == b.times[3]
+        assert clip[1] == pytest.approx(-1e-3, rel=1e-9)
+        assert b.values[3] == b.values[4] and b.values[5] == b.values[6]
 
 
 class TestAmericanPrice:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from vixpricer.black import SkewPoint, black_call, implied_vol, skew_curve
+from vixpricer.black import (_VOL_HI, _VOL_LO, SkewPoint, black_call,
+                             implied_vol, skew_curve)
 from vixpricer.cir import CirParams
 from vixpricer.models import ModelSpec
 
@@ -60,6 +62,34 @@ class TestImpliedVol:
             back = implied_vol(price, F, K, T, r)
             redone = black_call(F, K, T, r, back)
             assert abs(redone - price) <= 1e-10
+
+    def test_prices_beyond_the_vol_bracket_return_its_ends(self):
+        disc = math.exp(-0.05)
+        assert black_call(0.2, 0.2, 1.0, 0.05, _VOL_LO) > 1e-9
+        assert implied_vol(1e-9, 0.2, 0.2, 1.0, 0.05) == _VOL_LO
+        price = disc * 0.2 * (1.0 - 1e-8)
+        assert black_call(0.2, 0.2, 1.0, 0.05, _VOL_HI) < price
+        assert implied_vol(price, 0.2, 0.2, 1.0, 0.05) == _VOL_HI
+
+    def test_numpy_scalar_inputs_raise_no_warning(self):
+        F, K, T, r, sigma = map(np.float64, (
+            0.46449809045616314, 0.31260534121206357, 1.2663857904704,
+            0.05721522372316213, 0.9755953593077494))
+        price = black_call(F, K, T, r, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = implied_vol(price, F, K, T, r)
+        assert back == pytest.approx(sigma, rel=1e-12)
+
+    def test_deep_out_of_the_money_converges(self):
+        # the vega falls off so fast below the root that plain Newton
+        # steps creep towards it from above
+        F, K, T, r, sigma = (0.4073420869915338, 0.5975054222489732,
+                             0.14730117171761803, 0.029658040189968107,
+                             0.05097688147947135)
+        price = black_call(F, K, T, r, sigma)
+        assert price < 1e-88
+        assert implied_vol(price, F, K, T, r) == pytest.approx(sigma, rel=1e-12)
 
     def test_band_edges_rejected(self):
         disc = math.exp(-0.05)

@@ -145,6 +145,13 @@ class TestInverse:
         assert mixture_inverse(MIX7, f_min, "lower") == y_min
         assert mixture_inverse(MIX7, f_min, "upper") == y_min
 
+    def test_mixture_reaches_far_levels(self):
+        # 1e15 times the minimum lies past 1e14 / below 1e-14 in the factor
+        x = 1e15 * f_eval(MIX7, minimum_location(MIX7))
+        for br in ("lower", "upper"):
+            y = mixture_inverse(MIX7, x, br)
+            assert f_eval(MIX7, y) == pytest.approx(x, rel=1e-12)
+
     def test_below_minimum_rejected(self):
         with pytest.raises(ValueError):
             mixture_inverse(MIX7, 0.1, "lower")

@@ -30,6 +30,16 @@ def test_newton_bisect_with_and_without_derivative(root):
     assert got == pytest.approx(root, rel=1e-11)
 
 
+def test_newton_bisect_bisects_when_newton_creeps():
+    # steep and convex below the root: Newton steps from the right stay in
+    # the bracket but shrink it by a few percent each
+    root = 0.05
+    fn = lambda x: np.exp(-1.0 / (x * x)) - np.exp(-1.0 / (root * root))
+    dfn = lambda x: 2.0 / x**3 * np.exp(-1.0 / (x * x))
+    got = newton_bisect(fn, 1e-3, 10.0, dfn=dfn, rel_tol=1e-14)
+    assert got == pytest.approx(root, rel=1e-13)
+
+
 def test_newton_bisect_requires_bracket():
     with pytest.raises(ValueError):
         newton_bisect(lambda x: 1.0 + x * 0, 0.0, 1.0)
