@@ -9,8 +9,8 @@ exact-simulation Monte Carlo oracle.
 """
 
 from .american import (Boundary, SolverConfig, SolverError, american_price,
-                       convexity_witness, exercise_region_query,
-                       smooth_fit_check, solve_boundary, terminal_levels)
+                       convexity_witness, smooth_fit_check, solve_boundary,
+                       terminal_levels)
 from .black import SkewPoint, black_call, implied_vol, skew_curve
 from .cir import ChiSquareLaw, CirParams, transition_law
 from .european import (DivergentIntegralError, OptionSpec, QuadratureConfig,
@@ -20,15 +20,15 @@ from .mc import (McEstimate, mc_american_policy, mc_european, mc_futures,
                  policy_bias_indicator)
 from .models import (AssumptionError, CriticalLevels, ModelSpec,
                      critical_levels, f_deriv, f_eval, g_eval,
-                     mixture_inverse, model_from_dict, model_to_dict,
-                     payoff_levels, waiting_benefit, x_star)
+                     mixture_inverse, model_from_dict, payoff_levels,
+                     waiting_benefit, x_star)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Boundary", "SolverConfig", "SolverError", "american_price",
-    "convexity_witness", "exercise_region_query", "smooth_fit_check",
-    "solve_boundary", "terminal_levels",
+    "convexity_witness", "smooth_fit_check", "solve_boundary",
+    "terminal_levels",
     "SkewPoint", "black_call", "implied_vol", "skew_curve",
     "ChiSquareLaw", "CirParams", "transition_law",
     "DivergentIntegralError", "OptionSpec", "QuadratureConfig",
@@ -37,6 +37,6 @@ __all__ = [
     "policy_bias_indicator",
     "AssumptionError", "CriticalLevels", "ModelSpec",
     "critical_levels", "f_deriv", "f_eval", "g_eval",
-    "mixture_inverse", "model_from_dict", "model_to_dict", "payoff_levels",
-    "waiting_benefit", "x_star",
+    "mixture_inverse", "model_from_dict", "payoff_levels", "waiting_benefit",
+    "x_star",
 ]

@@ -15,6 +15,11 @@ other nodes depend on already-solved values only.
 Monotone families carry one boundary in the VIX coordinate; the mixture
 family carries a lower/upper pair in the factor coordinate (one of the two
 may be degenerate at 0 / inf when the corresponding map part is absent).
+Every solved boundary also carries its stopping region as one factor-space
+cut pair per grid time (:func:`~vixpricer.european.stop_cuts`, mapped once
+after the solve): :func:`american_price` and the Monte Carlo policy read
+that pair, interpolated in the factor coordinate between grid times, and
+invert no boundary level.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "solve_boundary",
     "american_price",
     "smooth_fit_check",
-    "exercise_region_query",
     "convexity_witness",
 ]
 
@@ -67,15 +71,20 @@ class SolverConfig:
 
 @dataclass
 class Boundary:
-    """Exercise boundary curve(s) on a time grid.
+    """Exercise boundary curve(s) on a time grid, with their stopping region.
 
     ``values`` is the single curve for monotone families (VIX coordinate)
     or the lower curve for mixtures (factor coordinate); ``upper`` is the
-    mixture's upper curve. Between grid points values interpolate linearly.
+    mixture's upper curve. ``cuts`` is the ``(2, n+1)`` factor-space stop
+    pair ``(lower, upper)`` per grid time, as :func:`stop_cuts` maps the
+    curves: a state stops when ``y <= lower`` or ``y >= upper``. Between
+    grid points every row interpolates linearly, the cuts in the factor
+    coordinate.
     """
 
     times: np.ndarray
     values: np.ndarray
+    cuts: np.ndarray
     upper: np.ndarray | None = None
     kind: str = "call"
     diagnostics: dict = field(default_factory=dict)
@@ -83,10 +92,6 @@ class Boundary:
     @property
     def is_pair(self) -> bool:
         return self.upper is not None
-
-    @property
-    def expiry(self) -> float:
-        return float(self.times[-1])
 
     def value_at(self, t):
         return np.interp(t, self.times, self.values)
@@ -96,11 +101,9 @@ class Boundary:
             raise ValueError("this boundary has a single curve")
         return np.interp(t, self.times, self.upper)
 
-    def levels_at(self, t):
-        """``(value,)`` or ``(lower, upper)`` at time(s) ``t``."""
-        if self.upper is None:
-            return (self.value_at(t),)
-        return self.value_at(t), self.upper_at(t)
+    def cuts_at(self, t):
+        """Factor-space stop pair ``(lower, upper)`` at time(s) ``t``."""
+        return tuple(np.interp(t, self.times, row) for row in self.cuts)
 
 
 def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
@@ -213,6 +216,7 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
         clips += found
     diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips]}
     return Boundary(times=times, values=out[0],
+                    cuts=np.array(stop_cuts(m, option, *out)),
                     upper=out[1] if len(out) == 2 else None, kind=option.kind,
                     diagnostics=diag)
 
@@ -238,7 +242,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
     names = ("lower", "upper") if len(curves) == 2 else ("",)
     cuts = np.empty((2, n_last + 1))
     for j in range(start, n_last + 1):
-        cuts[:, j] = stop_cuts(m, option, *curves[:, j], in_the_money=True)
+        cuts[:, j] = stop_cuts(m, option, *curves[:, j])
     for i in range(start - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
@@ -266,7 +270,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
             raise SolverError(
                 f"boundaries crossed at t={times[i]:.6g}: "
                 f"{curves[0, i]:.6g} >= {curves[1, i]:.6g}")
-        cuts[:, i] = stop_cuts(m, option, *curves[:, i], in_the_money=True)
+        cuts[:, i] = stop_cuts(m, option, *curves[:, i])
 
 
 def _startup_steps(n_steps):
@@ -384,10 +388,12 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
                    quad: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """European price plus the premium integral along the boundary.
 
-    The time integral uses the trapezoid rule on the boundary grid; the
-    zero-time endpoint is the analytic kernel limit weighted by the local
-    Gaussian crossing mass, which keeps the premium accurate deep in the
-    stopping region and smooth across the boundary.
+    The time integral uses the trapezoid rule on the boundary grid, against
+    the boundary's stored factor stop pair (interpolated in the factor
+    coordinate off the grid); the zero-time endpoint is the analytic kernel
+    limit weighted by the local Gaussian crossing mass, which keeps the
+    premium accurate deep in the stopping region and smooth across the
+    boundary.
     """
     tau = option.maturity - t
     if tau < 0.0:
@@ -398,25 +404,11 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     grid_step = boundary.times[1] - boundary.times[0]
     n_sub = max(1, int(math.ceil(tau / grid_step - 1e-12)))
     u = tau / n_sub * np.arange(1, n_sub + 1)
-    cuts = stop_cuts(m, option, *boundary.levels_at(t + u), in_the_money=True)
+    levels = boundary.cuts_at(t) if boundary.is_pair else (boundary.value_at(t),)
     euro, prem = _premium_formula(m, p, option, tau, state,
-                                  factor_state(m, state), boundary.levels_at(t),
-                                  u, cuts, quad)
+                                  factor_state(m, state), levels, u,
+                                  boundary.cuts_at(t + u), quad)
     return euro + max(prem, 0.0)
-
-
-def exercise_region_query(boundary: Boundary, t: float, state: float) -> str:
-    """Classify a state as ``"exercise"`` or ``"continue"`` (region closed)."""
-    if not 0.0 <= t <= boundary.expiry:
-        raise ValueError("time outside the boundary grid")
-    if boundary.is_pair:
-        if state <= boundary.value_at(t) or state >= boundary.upper_at(t):
-            return "exercise"
-        return "continue"
-    b = boundary.value_at(t)
-    if boundary.kind == "call":
-        return "exercise" if state >= b else "continue"
-    return "exercise" if state <= b else "continue"
 
 
 def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,

@@ -158,17 +158,17 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
     return lambda y: -sign * waiting_benefit(m, p, option.rate, option.strike, y)
 
 
-def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None,
-              in_the_money: bool = False):
-    """Stopping region of boundary level(s) as a factor-space cut pair.
+def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None):
+    """Paying stopping region of boundary level(s) as a factor-space cut pair.
 
     Returns ``(lower, upper)``: a path stops when ``y <= lower`` or
     ``y >= upper``, with ``-inf`` / ``inf`` for an absent side. Monotone
     families pass the VIX boundary level ``z``, which maps through the
     inverse map to one side; the mixture passes its factor-coordinate pair
-    ``z``, ``z_upper``. With ``in_the_money`` the region is intersected with
-    the contract's payoff region, where the premium kernel lives. Levels may
-    be scalars or arrays.
+    ``z``, ``z_upper``. The region is always intersected with the
+    contract's payoff region, where the premium kernel lives; on a solved
+    boundary that intersection changes nothing, since each curve stays on
+    the paying side of its terminal level. Levels may be scalars or arrays.
     """
     is_call = option.kind == "call"
     if m.is_mixture:
@@ -184,12 +184,10 @@ def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None,
         far = np.full(z.shape, np.inf)
         # an a1 call or a2 put stops below its cut, the others above it
         lower, upper = (cut, far) if (m.family == "a1") == is_call else (-far, cut)
-    if in_the_money:
-        k_lo, k_hi = _strike_cuts(m, option.strike)
-        if not is_call:  # a put pays between the strike cuts
-            k_lo, k_hi = k_hi, k_lo
-        lower, upper = np.minimum(lower, k_lo), np.maximum(upper, k_hi)
-    return lower, upper
+    k_lo, k_hi = _strike_cuts(m, option.strike)
+    if not is_call:  # a put pays between the strike cuts
+        k_lo, k_hi = k_hi, k_lo
+    return np.minimum(lower, k_lo), np.maximum(upper, k_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +302,7 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, u: float,
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
     benefit = _benefit_integrand(m, p, option)
-    lower, upper = (float(c) for c in
-                    stop_cuts(m, option, z, z_upper, in_the_money=True))
+    lower, upper = (float(c) for c in stop_cuts(m, option, z, z_upper))
     y0 = factor_state(m, state)
     if u == 0.0:
         return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
@@ -391,7 +388,7 @@ def kernel_row(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
 
     ``cuts`` is the ``(lower, upper)`` factor-space pair per elapsed time
     (scalars or arrays) bounding the paying stopping region, as returned by
-    :func:`stop_cuts` with ``in_the_money=True``.
+    :func:`stop_cuts` or stored on a solved boundary.
     """
     u = np.asarray(u, dtype=float)
     vals = _row_values(p, y0, u, _stop_regions(cuts), config,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cir import CirParams, transition_law
-from .european import OptionSpec, factor_state, stop_cuts
+from .european import OptionSpec, factor_state
 from .models import ModelSpec, f_eval
 
 __all__ = ["McEstimate", "mc_european", "mc_futures", "mc_american_policy",
@@ -84,9 +84,11 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     """Discounted payoff under the boundary's stopping rule.
 
     Paths evolve by exact transition sampling between grid times; each path
-    stops at the first grid time it enters the exercise region (boundary
-    values linearly interpolated in time) and collects the payoff there,
-    maturity included. Stopping only on the grid biases the estimate low.
+    stops at the first grid time it enters the exercise region and collects
+    the payoff there, maturity included. The region is the boundary's stored
+    factor stop pair, linearly interpolated in time, so the factor paths are
+    compared with it directly. Stopping only on the grid biases the
+    estimate low.
     """
     if n_time_steps < 1:
         raise ValueError("need at least one time step")
@@ -96,7 +98,7 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     rng = np.random.default_rng(seed)
     y0 = factor_state(m, state)
     times = t + np.linspace(0.0, tau, n_time_steps + 1)
-    lo_cut, hi_cut = stop_cuts(m, option, *boundary.levels_at(times))
+    lo_cut, hi_cut = boundary.cuts_at(times)
 
     payoff = np.zeros(n)
     y = np.full(n, y0)

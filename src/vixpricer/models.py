@@ -42,7 +42,6 @@ __all__ = [
     "ModelSpec",
     "CriticalLevels",
     "model_from_dict",
-    "model_to_dict",
     "f_eval",
     "f_deriv",
     "g_eval",
@@ -155,14 +154,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
     return ModelSpec(family=fam, terms=terms, terms_a2=terms_a2)
-
-
-def model_to_dict(m: ModelSpec) -> dict:
-    doc = {"class": m.family,
-           "terms": [{"weight": w, "power": p} for w, p in m.terms]}
-    if m.terms_a2:
-        doc["terms_a2"] = [{"weight": w, "power": p} for w, p in m.terms_a2]
-    return doc
 
 
 # ---------------------------------------------------------------------------

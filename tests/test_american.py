@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,20 +8,25 @@ import pytest
 from vixpricer import american
 from vixpricer.american import (SolverConfig, SolverError, _solve_step,
                                 american_price, convexity_witness,
-                                exercise_region_query, smooth_fit_check,
-                                solve_boundary, terminal_levels)
+                                smooth_fit_check, solve_boundary,
+                                terminal_levels)
 from vixpricer.cir import CirParams
-from vixpricer.european import OptionSpec, european_price
-from vixpricer.models import ModelSpec, f_eval, x_star
+from vixpricer.european import (OptionSpec, european_price, factor_state,
+                                stop_cuts)
+from vixpricer.mc import mc_american_policy
+from vixpricer.models import ModelSpec, f_eval, g_eval, x_star
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
 M12 = ModelSpec("a2", terms=((1.0, 1.0),))
 MIX7 = ModelSpec("mixture", terms=((0.07, 1.0),), terms_a2=((0.07, 1.0),))
+M1MIX = ModelSpec("a1", terms=((0.5, 1.0), (0.5, 1.2)))  # fig1_mix
 P1 = CirParams(2.94, 17.10, 2.05)
+P1MIX = CirParams(3.27, 17.10, 2.05)
 P2 = CirParams(3.0, 0.68, 1.0)
 P7 = CirParams(1.0, 2.0, 1.0)
 CALL = OptionSpec(0.15, 1.0, 0.05, "call")
 PUT = OptionSpec(0.15, 1.0, 0.05, "put")
+PUT25 = OptionSpec(0.25, 1.0, 0.05, "put")
 
 
 class TestTerminalLevels:
@@ -228,31 +234,89 @@ class TestSmoothFit:
                 smooth_fit_check(mix, p, CALL, b, 0.5, absent)
 
 
+def _stops(m, b, t, state):
+    """Whether the boundary's stored factor stop pair stops ``state`` at ``t``."""
+    lower, upper = b.cuts_at(t)
+    y = factor_state(m, state)
+    return bool(y <= lower or y >= upper)
+
+
+@pytest.fixture(scope="module")
+def m12_put_boundary():
+    return solve_boundary(M12, P2, PUT25, SolverConfig(n_steps=20))
+
+
 class TestExerciseQuery:
-    def test_closed_region_at_boundary(self, fig1_boundary_coarse):
+    def test_closed_region_at_boundary(self, fig1_boundary_coarse,
+                                       m12_put_boundary, fig7_boundary_coarse):
         b = fig1_boundary_coarse
         t = float(b.times[10])
-        assert exercise_region_query(b, t, b.values[10]) == "exercise"
-        assert exercise_region_query(b, t, b.values[10] - 1e-9) == "continue"
+        assert _stops(M32, b, t, b.values[10])
+        assert not _stops(M32, b, t, b.values[10] - 1e-9)
+        b = m12_put_boundary
+        t = float(b.times[10])
+        assert _stops(M12, b, t, b.values[10])
+        assert not _stops(M12, b, t, b.values[10] + 1e-9)
+        b = fig7_boundary_coarse
+        t = float(b.times[10])
+        assert _stops(MIX7, b, t, b.values[10])
+        assert not _stops(MIX7, b, t, b.values[10] + 1e-9)
+        assert _stops(MIX7, b, t, b.upper[10])
+        assert not _stops(MIX7, b, t, b.upper[10] - 1e-9)
 
-    def test_below_strike_is_continuation(self, fig1_boundary_coarse):
-        assert exercise_region_query(fig1_boundary_coarse, 0.2, 0.10) == "continue"
+    def test_below_strike_is_continuation(self, fig1_boundary_coarse,
+                                          m12_put_boundary):
+        assert not _stops(M32, fig1_boundary_coarse, 0.2, 0.10)
+        assert not _stops(M12, m12_put_boundary, 0.2, 0.30)  # above a put's strike
 
-    def test_put_orientation(self):
-        contract = OptionSpec(0.25, 1.0, 0.05, "put")
-        b = solve_boundary(M12, P2, contract, SolverConfig(n_steps=20))
-        assert exercise_region_query(b, 0.1, b.value_at(0.1) / 2) == "exercise"
-        assert exercise_region_query(b, 0.1, 0.3) == "continue"
+    def test_put_orientation(self, m12_put_boundary):
+        b = m12_put_boundary
+        assert _stops(M12, b, 0.1, b.value_at(0.1) / 2)
+        assert not _stops(M12, b, 0.1, 0.3)
 
     def test_mixture_middle_continues(self, fig7_boundary_coarse):
         b = fig7_boundary_coarse
-        assert exercise_region_query(b, 0.2, 1.0) == "continue"
-        assert exercise_region_query(b, 0.2, b.value_at(0.2)) == "exercise"
-        assert exercise_region_query(b, 0.2, b.upper_at(0.2) + 0.1) == "exercise"
+        assert float(f_eval(MIX7, 1.0)) < CALL.strike
+        assert not _stops(MIX7, b, 0.2, 1.0)
+        assert _stops(MIX7, b, 0.2, b.value_at(0.2))
+        assert _stops(MIX7, b, 0.2, b.upper_at(0.2))
+        assert _stops(MIX7, b, 0.2, b.upper_at(0.2) + 0.1)
 
-    def test_time_outside_grid(self, fig1_boundary_coarse):
-        with pytest.raises(ValueError):
-            exercise_region_query(fig1_boundary_coarse, 2.0, 0.2)
+
+class TestStopPair:
+    @pytest.mark.parametrize("m,p,option", [
+        (M32, P1, CALL), (M32, P1, PUT), (M12, P2, CALL), (M1MIX, P1MIX, CALL),
+        (MIX7, P7, CALL)], ids=["fig1-call", "fig1-put", "fig2-call",
+                                "a1-two-term-call", "fig7-pair"])
+    def test_cuts_are_the_stop_pair_of_the_curves(self, m, p, option):
+        b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
+        assert b.cuts.shape == (2, len(b.times))
+        for i, t in enumerate(b.times):
+            levels = (b.values[i],) if b.upper is None else (b.values[i], b.upper[i])
+            want = np.array(stop_cuts(m, option, *levels))
+            np.testing.assert_array_equal(b.cuts[:, i], want)
+            np.testing.assert_array_equal(b.cuts_at(t), want)
+
+    def test_quotes_invert_only_the_state(self, monkeypatch):
+        # on a two-term map every g_eval is a bracketed solve; pricing against
+        # a solved boundary needs one, for the quoted state
+        b = solve_boundary(M1MIX, P1MIX, CALL, SolverConfig(n_steps=12))
+        calls = []
+
+        def counted(m, x):
+            calls.append(x)
+            return g_eval(m, x)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vixpricer") and hasattr(module, "g_eval"):
+                monkeypatch.setattr(module, "g_eval", counted)
+        for t in (0.0, 0.3 * b.times[1], 0.5):
+            calls.clear()
+            american_price(M1MIX, P1MIX, CALL, b, t, 0.2)
+            assert calls == [0.2]
+        calls.clear()
+        mc_american_policy(M1MIX, P1MIX, CALL, b, 0.0, 0.2, 100, 7, 3)
+        assert calls == [0.2]
 
 
 class TestBoundaryContainer:

@@ -91,6 +91,21 @@ class TestImpliedVol:
         assert price < 1e-88
         assert implied_vol(price, F, K, T, r) == pytest.approx(sigma, rel=1e-12)
 
+    def test_each_bracket_end_is_priced_once(self, monkeypatch):
+        from vixpricer import black
+        sigmas = []
+
+        def counted(F, K, T, r, sigma):
+            sigmas.append(sigma)
+            return black_call(F, K, T, r, sigma)
+
+        monkeypatch.setattr(black, "black_call", counted)
+        price = black_call(0.22, 0.25, 0.75, 0.04, 0.8)
+        assert implied_vol(price, 0.22, 0.25, 0.75, 0.04) == \
+            pytest.approx(0.8, abs=1e-8)
+        assert sigmas.count(_VOL_LO) == 1
+        assert sigmas.count(_VOL_HI) == 1
+
     def test_band_edges_rejected(self):
         disc = math.exp(-0.05)
         with pytest.raises(ValueError):

@@ -182,7 +182,7 @@ class TestEepKernel:
             z = np.array([0.40, 0.35, 0.30, 0.25])
         else:
             z = np.array([0.05, 0.07, 0.09, 0.11])
-        cuts = stop_cuts(m, option, z, in_the_money=True)
+        cuts = stop_cuts(m, option, z)
         row = kernel_row(m, p, option, y0, u, cuts)
         slow = [eep_kernel(m, p, option, uu, state, zz) for uu, zz in zip(u, z)]
         np.testing.assert_allclose(row, slow, rtol=2e-7, atol=1e-12)
@@ -194,7 +194,7 @@ class TestEepKernel:
         z = np.array([0.05, 0.1, 0.15, 0.2, 0.4])
         clamp = np.maximum(z, 0.15) if kind == "call" else np.minimum(z, 0.15)
         want = np.array([g_eval(m, float(v)) for v in clamp])
-        lower, upper = stop_cuts(m, option, z, in_the_money=True)
+        lower, upper = stop_cuts(m, option, z)
         if (m.family == "a1") == (kind == "call"):
             np.testing.assert_array_equal(lower, want)
             assert np.all(upper == np.inf)

@@ -8,7 +8,7 @@ from vixpricer.european import OptionSpec, eep_kernel
 from vixpricer.models import (AssumptionError, ModelSpec,
                               critical_levels, f_deriv, f_eval, g_eval,
                               minimum_location, mixture_inverse,
-                              model_from_dict, model_to_dict, payoff_levels,
+                              model_from_dict, payoff_levels,
                               validate_model_params, waiting_benefit, x_star)
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
@@ -95,10 +95,12 @@ class TestConstruction:
         m = ModelSpec("mixture", terms=((0.2, 0.7),), terms_a2=((0.1, 0.9),))
         assert 0.0 < minimum_location(m) < math.inf
 
-    def test_json_roundtrip(self):
-        doc = model_to_dict(MIX7)
+    def test_json_documents(self):
+        doc = {"class": "mixture", "terms": [{"weight": 0.07, "power": 1.0}],
+               "terms_a2": [{"weight": 0.07, "power": 1.0}]}
         assert model_from_dict(doc) == MIX7
-        assert model_from_dict(model_to_dict(M32)) == M32
+        assert model_from_dict(
+            {"class": "a1", "terms": [{"weight": 1.0, "power": 1.0}]}) == M32
 
     def test_json_rejects_malformed(self):
         with pytest.raises(ValueError):
