@@ -33,9 +33,8 @@ from scipy import special
 from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        _benefit_integrand, euro_fast, factor_state, kernel_row,
-                       stop_cuts)
-from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
-                     mixture_inverse)
+                       stop_cuts, vix_level)
+from .models import ModelSpec, critical_levels, f_deriv, mixture_inverse
 from .numerics import ConvergenceError, newton_bisect
 
 __all__ = [
@@ -58,15 +57,12 @@ class SolverError(RuntimeError):
 class SolverConfig:
     n_steps: int = 200
     inner_tol: float = 1e-9
-    max_inner_iters: int = 100
 
     def __post_init__(self):
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be positive")
 
 
 @dataclass
@@ -126,7 +122,10 @@ def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
 # scalar equation solver (fixed point, secant-accelerated, bracketed)
 # ---------------------------------------------------------------------------
 
-def _solve_step(update, x0, tol, max_iters):
+_MAX_INNER_ITERS = 100  # fixed-point steps before the bracketed fallback
+
+
+def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
     """Solve x = update(x) near x0.
 
     Fixed-point steps with secant acceleration on the residual; a
@@ -251,7 +250,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
                 continue
 
             def update(v):
-                y0 = v if m.is_mixture else g_eval(m, v)
+                y0 = factor_state(m, v)
                 levels = (*curves[:k, i + 1], v, *curves[k + 1:, i + 1])
                 euro, prem = _premium_formula(m, p, option, tau, v, y0, levels,
                                               u, cuts[:, i + 1:], quad)
@@ -260,8 +259,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
                 return strike + sign * (euro + prem)
 
             try:
-                curves[k, i] = _solve_step(update, curves[k, i + 1],
-                                           cfg.inner_tol, cfg.max_inner_iters)
+                curves[k, i] = _solve_step(update, curves[k, i + 1], cfg.inner_tol)
             except SolverError as exc:
                 raise SolverError(
                     f"{name} boundary step at t={times[i]:.6g} failed: "
@@ -399,8 +397,7 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
-        x = f_eval(m, state) if m.is_mixture else state
-        return float(option.payoff_vix(x))
+        return float(option.payoff_vix(vix_level(m, state)))
     grid_step = boundary.times[1] - boundary.times[0]
     n_sub = max(1, int(math.ceil(tau / grid_step - 1e-12)))
     u = tau / n_sub * np.arange(1, n_sub + 1)

@@ -285,13 +285,11 @@ class ChiSquareLaw:
         return _sample_std(gen, self.df, self.noncentrality, n) * self.scale
 
 
-def _sample_std(gen, df, noncentrality, n):
-    if noncentrality > 0.0:
-        mix = gen.poisson(0.5 * noncentrality, size=n)
-        shape = 0.5 * df + mix
-    else:
-        shape = np.full(n, 0.5 * df)
-    return 2.0 * gen.standard_gamma(shape)
+def _sample_std(gen, df, noncentrality, size=None):
+    """Exact ``ncx2(df, lam)`` draws, ``2 * Gamma(df / 2 + Poisson(lam / 2))``:
+    one per entry of an array ``noncentrality``, or ``size`` sharing a scalar."""
+    mix = gen.poisson(0.5 * noncentrality, size)
+    return 2.0 * gen.standard_gamma(0.5 * df + mix)
 
 
 def _as_positive_array(y):
@@ -339,6 +337,18 @@ def log_density(df, lam, scale, y):
         return logp - np.log(scale)
 
 
+def law_params(params: CirParams, t, y0):
+    """``(lam, scale)`` of ``Y_t`` given ``Y_0 = y0``, broadcasting over both.
+
+    ``lam`` is linear in ``y0``. Inputs are checked by :func:`transition_law`.
+    """
+    decay = np.exp(-params.alpha * t)
+    growth = -np.expm1(-params.alpha * t)  # 1 - e^{-alpha t}, stable for small t
+    scale = params.kappa ** 2 * growth / (4.0 * params.alpha)
+    lam = 4.0 * params.alpha * decay * y0 / (params.kappa ** 2 * growth)
+    return lam, scale
+
+
 def transition_law(params: CirParams, t: float, y0: float) -> ChiSquareLaw:
     """Conditional law of ``Y_t`` given ``Y_0 = y0``.
 
@@ -350,12 +360,10 @@ def transition_law(params: CirParams, t: float, y0: float) -> ChiSquareLaw:
         raise ValueError(f"horizon must be finite and positive, got {t}")
     if not (np.isfinite(y0) and y0 > 0.0):
         raise ValueError(f"initial level must be positive, got {y0}")
-    decay = math.exp(-params.alpha * t)
-    growth = -math.expm1(-params.alpha * t)  # 1 - e^{-alpha t}, stable for small t
-    scale = params.kappa ** 2 * growth / (4.0 * params.alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        noncentrality, scale = map(float, law_params(params, t, y0))
     if not (scale > 0.0 and np.isfinite(scale)):
         raise ValueError(f"transition scale not representable for t={t}")
-    noncentrality = 4.0 * params.alpha * decay * y0 / (params.kappa ** 2 * growth)
     if not np.isfinite(noncentrality):
         raise ValueError(f"non-centrality overflows for t={t}, y0={y0}")
     return ChiSquareLaw(df=params.df, noncentrality=noncentrality, scale=scale)

@@ -16,7 +16,11 @@ contract, initial state and numerical settings::
     }
 
 ``--config`` accepts either a path or the name of a bundled figure preset
-(fig1, fig1_nu12, fig1_mix, fig2, fig3, fig4, fig5, fig7).
+(fig1, fig1_nu12, fig1_mix, fig2, fig3, fig4, fig5, fig7). fig5 has no
+exercise boundary: its beta = 0.1 does not exceed kappa^2 (p + 1) / 2 =
+0.429 for the falling power p = 0.75 (``validate_model_params``), so
+``boundary``, ``price`` and ``mc-check --target american`` exit 3 on it,
+while ``futures``, ``skew`` and the European and futures checks run.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 verification failure.
@@ -36,7 +40,7 @@ from .american import (Boundary, SolverConfig, SolverError, american_price,
 from .black import skew_curve
 from .cir import CirParams
 from .european import (OptionSpec, QuadratureConfig, DivergentIntegralError,
-                       european_price, futures_price, futures_taylor)
+                       european_price, futures_price, futures_taylor, vix_level)
 from .mc import (mc_american_policy, mc_european, mc_futures,
                  policy_bias_indicator)
 from .models import (AssumptionError, ModelSpec, f_eval, g_eval,
@@ -173,11 +177,10 @@ def cmd_price(cfg: RunConfig, t: float, state_grid,
     header = ["state", "european", "american", "intrinsic"]
     rows = []
     for s in state_grid:
-        x = f_eval(m, s) if m.is_mixture else s
         rows.append([float(s),
                      european_price(m, p, option, t, s, cfg.quadrature),
                      american_price(m, p, option, boundary, t, s, cfg.quadrature),
-                     float(option.payoff_vix(x))])
+                     float(option.payoff_vix(vix_level(m, s)))])
     states = [r[0] for r in rows]
     witness = convexity_witness(states, [r[2] for r in rows])
     meta = {"nonconvexity_witness": list(witness) if witness else None}

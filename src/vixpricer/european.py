@@ -18,7 +18,8 @@ Two integrators take the same regions and integrands:
   route; agreement with the adaptive route is asserted in the test suite.
 
 State conventions: monotone families quote the state as a VIX level,
-mixture models quote the factor level directly.
+mixture models quote the factor level directly; :func:`factor_state` and
+:func:`vix_level` read a quoted state in either coordinate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .cir import CirParams, ChiSquareLaw, log_density, transition_law
+from .cir import CirParams, ChiSquareLaw, law_params, log_density, transition_law
 from .models import (ModelSpec, f_eval, f_deriv, g_eval, minimum_location,
                      payoff_levels, waiting_benefit)
 from .numerics import adaptive_gauss_kronrod, panel_nodes
@@ -56,21 +57,21 @@ class DivergentIntegralError(RuntimeError):
     """The integrand's mass near the origin does not settle under refinement."""
 
 
+# absolute tolerance and panel budget of every adaptive integral
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 200
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
     tail_mass_cut: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        for name in ("abs_tol", "tail_mass_cut"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
+        if not self.tail_mass_cut > 0.0:
+            raise ValueError("tail_mass_cut must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -111,6 +112,11 @@ def factor_state(m: ModelSpec, state: float) -> float:
     if not state > 0.0:
         raise ValueError("state must be strictly positive")
     return float(state) if m.is_mixture else g_eval(m, float(state))
+
+
+def vix_level(m: ModelSpec, state: float) -> float:
+    """VIX level of the quoted state."""
+    return float(f_eval(m, state)) if m.is_mixture else float(state)
 
 
 @lru_cache(maxsize=512)
@@ -216,16 +222,16 @@ def _integrate(law: ChiSquareLaw, integrand, regions, config: QuadratureConfig,
         if not bb > aa:
             continue
         val, _ = adaptive_gauss_kronrod(
-            fn, aa, bb, rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-            max_subdivisions=config.max_subdivisions)
+            fn, aa, bb, rel_tol=config.rel_tol, abs_tol=_ABS_TOL,
+            max_subdivisions=_MAX_SUBDIVISIONS)
         total += val
         if check_origin and a == 0.0 and aa > 0.0:
             probes.append(aa)
     for aa in probes:
         piece, _ = adaptive_gauss_kronrod(
-            fn, 0.5 * aa, aa, rel_tol=1e-6, abs_tol=config.abs_tol,
-            max_subdivisions=config.max_subdivisions)
-        rel = abs(piece) / max(abs(total), scale_floor, config.abs_tol)
+            fn, 0.5 * aa, aa, rel_tol=1e-6, abs_tol=_ABS_TOL,
+            max_subdivisions=_MAX_SUBDIVISIONS)
+        rel = abs(piece) / max(abs(total), scale_floor, _ABS_TOL)
         if rel > 1e-2:
             raise DivergentIntegralError(
                 f"integrand mass below the truncation point moves the result "
@@ -244,8 +250,7 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
-        x = f_eval(m, state) if m.is_mixture else state
-        return float(option.payoff_vix(x))
+        return float(option.payoff_vix(vix_level(m, state)))
     law = transition_law(p, tau, factor_state(m, state))
     needs_probe = bool(m.decreasing_terms) and option.kind == "call"
     val = _integrate(law, _payoff_integrand(m, option), _euro_regions(m, option),
@@ -259,7 +264,7 @@ def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
     if horizon == 0.0:
-        return float(f_eval(m, state)) if m.is_mixture else float(state)
+        return vix_level(m, state)
     law = transition_law(p, horizon, factor_state(m, state))
     return _integrate(law, lambda y: f_eval(m, y), [(0.0, math.inf)], config,
                       check_origin=bool(m.decreasing_terms))
@@ -320,15 +325,6 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, u: float,
 _KERNEL_RULE = (10, 16)
 _EURO_RULE = (12, 16)
 
-def _law_grid(p: CirParams, u, y0: float):
-    """Transition-law parameters for a vector of horizons, shared start."""
-    u = np.asarray(u, dtype=float)
-    decay = np.exp(-p.alpha * u)
-    growth = -np.expm1(-p.alpha * u)
-    scale = p.kappa ** 2 * growth / (4.0 * p.alpha)
-    lam = 4.0 * p.alpha * decay * y0 / (p.kappa ** 2 * growth)
-    return lam, scale
-
 
 def _approx_mass_box(df, lam, scale, tail_mass):
     """Cheap support box per law (vectorized), cutting ~``tail_mass`` a side.
@@ -367,7 +363,7 @@ def _row_values(p, y0, u, regions, config, integrand, rule):
     ``(n_panels, n_nodes)`` composite Gauss-Legendre rule laid over each
     live region's part of the cheap support box.
     """
-    lam, scale = _law_grid(p, u, y0)
+    lam, scale = law_params(p, u, y0)
     box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
     total = np.zeros_like(u)
     for lo, hi in regions:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import CirParams, transition_law
-from .european import OptionSpec, factor_state
+from .cir import CirParams, _sample_std, law_params, transition_law
+from .european import OptionSpec, factor_state, vix_level
 from .models import ModelSpec, f_eval
 
 __all__ = ["McEstimate", "mc_european", "mc_futures", "mc_american_policy",
@@ -47,6 +47,12 @@ def _summarize(values: np.ndarray, seed: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, n_paths=n, seed=seed)
 
 
+def _terminal_vix(m, p, horizon, state, n, seed):
+    """``n`` exact draws of the VIX level ``horizon > 0`` ahead of the state."""
+    law = transition_law(p, horizon, factor_state(m, state))
+    return f_eval(m, law.sample(n, np.random.default_rng(seed)))
+
+
 def mc_european(m: ModelSpec, p: CirParams, option: OptionSpec, t: float,
                 state: float, n: int, seed: int) -> McEstimate:
     """Sample average of the discounted terminal payoff."""
@@ -54,14 +60,10 @@ def mc_european(m: ModelSpec, p: CirParams, option: OptionSpec, t: float,
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
-        x = f_eval(m, state) if m.is_mixture else state
-        return McEstimate(mean=float(option.payoff_vix(x)), std_error=0.0,
-                          n_paths=n, seed=seed)
-    y0 = factor_state(m, state)
-    law = transition_law(p, tau, y0)
-    y = law.sample(n, np.random.default_rng(seed))
-    pay = option.payoff_vix(f_eval(m, y)) * math.exp(-option.rate * tau)
-    return _summarize(pay, seed)
+        return McEstimate(mean=float(option.payoff_vix(vix_level(m, state))),
+                          std_error=0.0, n_paths=n, seed=seed)
+    x = _terminal_vix(m, p, tau, state, n, seed)
+    return _summarize(option.payoff_vix(x) * math.exp(-option.rate * tau), seed)
 
 
 def mc_futures(m: ModelSpec, p: CirParams, horizon: float, state: float,
@@ -70,12 +72,9 @@ def mc_futures(m: ModelSpec, p: CirParams, horizon: float, state: float,
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
     if horizon == 0.0:
-        x = f_eval(m, state) if m.is_mixture else state
-        return McEstimate(mean=float(x), std_error=0.0, n_paths=n, seed=seed)
-    y0 = factor_state(m, state)
-    law = transition_law(p, horizon, y0)
-    y = law.sample(n, np.random.default_rng(seed))
-    return _summarize(np.asarray(f_eval(m, y)), seed)
+        return McEstimate(mean=vix_level(m, state), std_error=0.0, n_paths=n,
+                          seed=seed)
+    return _summarize(_terminal_vix(m, p, horizon, state, n, seed), seed)
 
 
 def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
@@ -113,12 +112,9 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
             alive &= ~stopped
         if last or not alive.any():
             break
-        dt = times[i + 1] - times[i]
-        law = transition_law(p, dt, 1.0)  # scale/df for this step
-        lam_coef = law.noncentrality  # non-centrality per unit start level
+        lam_unit, scale = law_params(p, times[i + 1] - times[i], 1.0)
         idx = np.nonzero(alive)[0]
-        mix = rng.poisson(0.5 * lam_coef * y[idx])
-        y[idx] = 2.0 * law.scale * rng.standard_gamma(0.5 * p.df + mix)
+        y[idx] = scale * _sample_std(rng, p.df, lam_unit * y[idx])
     return _summarize(payoff, seed)
 
 

@@ -1,19 +1,18 @@
 """Catalog of VIX map functions and their critical thresholds.
 
-A model maps the square-root factor ``Y`` to the VIX through ``X = f(Y)``
-where ``f`` is a sum of power terms:
+A model maps the square-root factor ``Y`` to the VIX through one power sum
+``X = f(Y) = sum_j w_j * Y**s_j``, kept as one signed term list: ``s = -p``
+for the falling terms of family ``a1`` (generalized 3/2; strictly
+decreasing and convex, from +inf down to 0) and ``s = +p``, ``p`` in (0, 1],
+for the rising terms of family ``a2`` (generalized 1/2; strictly increasing
+and weakly concave). Family ``mixture`` has both and is U-shaped in the
+factor; one part may be empty, which leaves a single monotone branch
+expressed in factor coordinates.
 
-* family ``a1`` (generalized 3/2): ``f(y) = sum_j w_j * y**(-p_j)``,
-  strictly decreasing and convex, ranging from +inf down to 0;
-* family ``a2`` (generalized 1/2): ``f(y) = sum_j w_j * y**p_j`` with
-  powers in (0, 1], strictly increasing and weakly concave;
-* family ``mixture``: an ``a1`` part plus an ``a2`` part, U-shaped in the
-  factor. One of the two parts may be empty, which degenerates to a single
-  monotone branch expressed in factor coordinates.
-
-The module also evaluates the waiting-benefit function ``h`` (the drift of
-the discounted payoff along the factor), locates the level thresholds that
-determine terminal exercise boundaries, and verifies the sign-structure
+The waiting benefit ``h`` (the drift of the discounted payoff along the
+factor) is a power sum too: :func:`_power_sum` evaluates ``f``, its
+derivatives, ``h`` and ``h'``. The module also locates the level thresholds
+that determine terminal exercise boundaries and verifies the sign-structure
 assumptions the boundary theory relies on.
 
 Every threshold comes from two facts about one side of the map, worked out
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,6 +110,13 @@ class ModelSpec:
     def is_mixture(self) -> bool:
         return self.family == "mixture"
 
+    @cached_property
+    def _power_terms(self):
+        """Term lists of ``f = sum w * y**s`` (falling terms first, ``s = -p``)
+        and of its first four derivatives."""
+        signed = tuple((w, -p) for w, p in self.decreasing_terms) + self.increasing_terms
+        return tuple(_derivative(signed, k) for k in range(5))
+
 
 def _clean_terms(terms):
     out = []
@@ -169,25 +175,24 @@ def f_deriv(m: ModelSpec, y, order: int = 1):
     """Derivative of the VIX map, orders 0 through 4."""
     if order not in (0, 1, 2, 3, 4):
         raise ValueError(f"unsupported derivative order {order}")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0):
+    if np.any(np.asarray(y, dtype=float) <= 0.0):
         raise ValueError("factor level must be strictly positive")
-    out = np.zeros_like(y_arr)
-    for w, p in m.decreasing_terms:
-        coef = w * _falling(-p, order)
-        out = out + coef * y_arr ** (-p - order)
-    for w, p in m.increasing_terms:
-        coef = w * _falling(p, order)
-        if coef != 0.0:
-            out = out + coef * y_arr ** (p - order)
+    return _power_sum(m._power_terms[order], y)
+
+
+def _power_sum(pairs, y, const=0.0):
+    """``const + sum c * y**e`` over ``(c, e)`` pairs; zero coefficients drop out."""
+    y_arr = np.asarray(y, dtype=float)
+    out = np.full_like(y_arr, const)
+    for c, e in pairs:
+        if c != 0.0:
+            out = out + c * y_arr ** e
     return out if isinstance(y, np.ndarray) else float(out)
 
 
-def _falling(s, k):
-    c = 1.0
-    for i in range(k):
-        c *= s - i
-    return c
+def _derivative(pairs, k):
+    """Term list of the ``k``-th derivative of a power sum."""
+    return tuple((c * math.prod(e - i for i in range(k)), e - k) for c, e in pairs)
 
 
 def g_eval(m: ModelSpec, x: float) -> float:
@@ -265,34 +270,30 @@ def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
 def waiting_benefit(m: ModelSpec, p: CirParams, r: float, strike: float, y):
     """Drift-adjusted payoff rate h, expressed in the factor coordinate.
 
-    ``h(y) = (beta - alpha y) f'(y) + kappa^2 y f''(y) / 2 - r f(y) + r K``.
-    Terms sharing a power are grouped so the evaluation stays finite near
-    the origin even when individual pieces diverge.
+    ``h(y) = (beta - alpha y) f'(y) + kappa^2 y f''(y) / 2 - r f(y) + r K``,
+    a power sum itself (:func:`_benefit_terms`). Terms sharing a power are
+    grouped so the evaluation stays finite near the origin even when
+    individual pieces diverge.
     """
-    y_arr = np.asarray(y, dtype=float)
-    out = np.full_like(y_arr, r * strike)
-    half_k2 = 0.5 * p.kappa ** 2
-    for w, pw in m.decreasing_terms:
-        out = out + (w * pw * (half_k2 * (pw + 1.0) - p.beta)) * y_arr ** (-pw - 1.0)
-        out = out + (w * (pw * p.alpha - r)) * y_arr ** (-pw)
-    for w, pw in m.increasing_terms:
-        out = out + (w * pw * (p.beta + half_k2 * (pw - 1.0))) * y_arr ** (pw - 1.0)
-        out = out - (w * (pw * p.alpha + r)) * y_arr ** pw
-    return out if isinstance(y, np.ndarray) else float(out)
+    return _power_sum(_benefit_terms(m, p, r)[0], y, r * strike)
 
 
 def _waiting_benefit_dy(m, p, r, y):
-    y_arr = np.asarray(y, dtype=float)
-    out = np.zeros_like(y_arr)
+    """Derivative of :func:`waiting_benefit` in the factor level."""
+    return _power_sum(_benefit_terms(m, p, r)[1], y)
+
+
+@lru_cache(maxsize=256)
+def _benefit_terms(m, p, r):
+    """Term lists of ``h - r K`` and of ``h'``: each map term ``w * y**s`` gives
+    ``w s (beta + kappa^2 (s - 1) / 2)`` at power ``s - 1`` and
+    ``-w (alpha s + r)`` at power ``s``."""
     half_k2 = 0.5 * p.kappa ** 2
-    for w, pw in m.decreasing_terms:
-        out = out + (w * pw * (half_k2 * (pw + 1.0) - p.beta)) * (-pw - 1.0) * y_arr ** (-pw - 2.0)
-        out = out + (w * (pw * p.alpha - r)) * (-pw) * y_arr ** (-pw - 1.0)
-    for w, pw in m.increasing_terms:
-        if pw != 1.0:
-            out = out + (w * pw * (p.beta + half_k2 * (pw - 1.0))) * (pw - 1.0) * y_arr ** (pw - 2.0)
-        out = out - (w * (pw * p.alpha + r)) * pw * y_arr ** (pw - 1.0)
-    return out if isinstance(y, np.ndarray) else float(out)
+    terms = []
+    for w, s in m._power_terms[0]:
+        terms.append(((w * s) * (p.beta + half_k2 * (s - 1.0)), s - 1.0))
+        terms.append((-(w * (p.alpha * s + r)), s))
+    return tuple(terms), _derivative(terms, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +303,18 @@ def _waiting_benefit_dy(m, p, r, y):
 def validate_model_params(m: ModelSpec, p: CirParams):
     """Reject parameter pairings whose waiting benefit loses its sign shape.
 
-    Every decreasing-side power needs ``beta > kappa^2 (p + 1) / 2`` so the
-    benefit falls to -inf at the relevant end; the increasing side needs
-    ``beta + kappa^2 (p - 1) / 2 > 0``, which the Feller condition implies.
+    Every map term ``w * y**s`` needs ``beta + kappa^2 (s - 1) / 2 > 0``. On
+    the falling side (``s = -p``) this is ``beta > kappa^2 (p + 1) / 2``, so
+    the benefit falls to -inf at the origin; on the rising side the Feller
+    condition implies it.
     """
     half_k2 = 0.5 * p.kappa ** 2
-    for _, pw in m.decreasing_terms:
-        if p.beta <= half_k2 * (pw + 1.0):
+    for _, s in m._power_terms[0]:
+        if p.beta + half_k2 * (s - 1.0) <= 0.0:
+            side = "decreasing" if s < 0.0 else "increasing"
             raise AssumptionError(
-                f"beta={p.beta} must exceed kappa^2 (p+1)/2 = {half_k2 * (pw + 1.0)} "
-                f"for decreasing power {pw}")
-    for _, pw in m.increasing_terms:
-        if p.beta + half_k2 * (pw - 1.0) <= 0.0:
-            raise AssumptionError(
-                f"beta={p.beta} too small for increasing power {pw}")
+                f"beta={p.beta} must exceed kappa^2 (1-s)/2 = "
+                f"{-(half_k2 * (s - 1.0))} for {side} power {abs(s)}")
 
 
 @dataclass(frozen=True)
@@ -433,9 +432,8 @@ def _sign_change(m, p, r, strike, grid, rising):
     direction_ok = (h_vals[i] < 0.0 < h_vals[i + 1]) if rising else (h_vals[i] > 0.0 > h_vals[i + 1])
     if not direction_ok:
         raise AssumptionError("waiting benefit changes sign in the wrong direction")
-    obj = (lambda yy: -waiting_benefit(m, p, r, strike, yy)) if rising else \
-        (lambda yy: waiting_benefit(m, p, r, strike, yy))
-    return newton_bisect(obj, grid[i], grid[i + 1],
-                         dfn=(lambda yy: -_waiting_benefit_dy(m, p, r, yy)) if rising
-                         else (lambda yy: _waiting_benefit_dy(m, p, r, yy)),
+    sign = -1.0 if rising else 1.0  # the objective falls through the root
+    return newton_bisect(lambda yy: sign * waiting_benefit(m, p, r, strike, yy),
+                         grid[i], grid[i + 1],
+                         dfn=lambda yy: sign * _waiting_benefit_dy(m, p, r, yy),
                          rel_tol=_ROOT_TOL)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from vixpricer.cir import (ChiSquareLaw, CirParams, log_density,
+from vixpricer.cir import (ChiSquareLaw, CirParams, _sample_std, log_density,
                            transition_law)
 from vixpricer.numerics import adaptive_gauss_kronrod
 
@@ -215,6 +215,16 @@ class TestSampling:
         d_stat = max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / n)))
         critical_1pct = 1.6276 / math.sqrt(n)
         assert d_stat < critical_1pct
+
+    @pytest.mark.parametrize("noncentrality", [0.0, 0.7, 45.0])
+    def test_per_draw_noncentrality_reproduces_the_law(self, noncentrality):
+        law = ChiSquareLaw(df=1.3, noncentrality=noncentrality, scale=0.2)
+        gen_law, gen_std = np.random.default_rng(17), np.random.default_rng(17)
+        want = law.sample(500, gen_law)
+        got = _sample_std(gen_std, law.df, np.full(500, noncentrality)) * law.scale
+        np.testing.assert_array_equal(got, want)
+        # both generators stand at the same state afterwards
+        assert gen_law.random() == gen_std.random()
 
     def test_rejects_empty_sample(self):
         law = ChiSquareLaw(df=4.0, noncentrality=1.0, scale=0.5)

@@ -10,6 +10,12 @@ from vixpricer.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY,
                            main)
 
 
+FIG1_DOC = {"model": {"class": "a1", "terms": [{"weight": 1.0, "power": 1.0}]},
+            "cir": {"alpha": 2.94, "beta": 17.10, "kappa": 2.05},
+            "contract": {"strike": 0.15, "maturity": 1.0, "rate": 0.05},
+            "state": {"x0": 0.2}}
+
+
 def test_bundled_catalog():
     names = bundled_config_names()
     for expected in ("fig1", "fig1_nu12", "fig1_mix", "fig2", "fig3", "fig4",
@@ -256,6 +262,23 @@ class TestMainEntry:
         path = tmp_path / "weak.json"
         path.write_text(json.dumps(doc))
         assert main(["boundary", "--config", str(path)]) == EXIT_SOLVER
+
+    def test_fig5_has_no_boundary(self, capsys):
+        # beta = 0.1 <= kappa^2 (p + 1) / 2 for the falling power 0.75
+        assert main(["boundary", "--config", "fig5"]) == EXIT_SOLVER
+        assert "decreasing power 0.75" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("quadrature", "abs_tol", 1e-12),
+        ("quadrature", "max_subdivisions", 200),
+        ("solver", "max_inner_iters", 100),
+    ])
+    def test_removed_settings_are_rejected(self, tmp_path, section, name, value):
+        doc = json.loads(json.dumps(FIG1_DOC))
+        doc[section] = {name: value}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["boundary", "--config", str(path)]) == EXIT_CONFIG
 
     def test_mc_check_verification_exit(self, monkeypatch):
         import vixpricer.cli as cli

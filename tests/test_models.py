@@ -5,7 +5,7 @@ import pytest
 
 from vixpricer.cir import CirParams
 from vixpricer.european import OptionSpec, eep_kernel
-from vixpricer.models import (AssumptionError, ModelSpec,
+from vixpricer.models import (AssumptionError, ModelSpec, _waiting_benefit_dy,
                               critical_levels, f_deriv, f_eval, g_eval,
                               minimum_location, mixture_inverse,
                               model_from_dict, payoff_levels,
@@ -265,6 +265,15 @@ class TestCriticalLevels:
         with pytest.raises(AssumptionError):
             critical_levels(M32, weak, 0.05, 0.15)
 
+    def test_parameter_condition_on_the_rising_side(self):
+        # a rising power p needs beta + kappa^2 (p - 1) / 2 > 0
+        root = ModelSpec("a2", terms=((1.0, 0.5),))
+        weak = CirParams(alpha=1.0, beta=0.2, kappa=1.0, allow_non_feller=True)
+        with pytest.raises(AssumptionError, match="increasing power 0.5"):
+            validate_model_params(root, weak)
+        validate_model_params(root, CirParams(alpha=1.0, beta=0.3, kappa=1.0,
+                                              allow_non_feller=True))
+
     def test_mixture_levels_fig7(self):
         levels = critical_levels(MIX7, P7, 0.05, 0.15)
         disc = math.sqrt(0.15**2 - 4 * 0.07 * 0.07)
@@ -284,3 +293,22 @@ class TestCriticalLevels:
     def test_nonpositive_strike_rejected(self):
         with pytest.raises(ValueError):
             critical_levels(M32, P1, 0.05, 0.0)
+
+
+class TestWaitingBenefitSlope:
+    """The benefit's slope is the Newton slope of every sign-change search."""
+
+    @pytest.mark.parametrize("m,p", CATALOG + [
+        (MIX7, P7),
+        (ModelSpec("mixture", terms=((0.1, 0.75),), terms_a2=((0.02, 1.0),)),
+         CirParams(0.2, 0.5, 0.7)),
+        (ModelSpec("mixture", terms=((0.05, 1.2),), terms_a2=((0.03, 0.75),)),
+         CirParams(1.0, 2.0, 1.0)),
+    ])
+    def test_matches_central_differences(self, m, p):
+        ys = np.geomspace(0.02, 50.0, 200)
+        step = 1e-6 * ys
+        fd = (waiting_benefit(m, p, 0.05, 0.15, ys + step)
+              - waiting_benefit(m, p, 0.05, 0.15, ys - step)) / (2 * step)
+        exact = _waiting_benefit_dy(m, p, 0.05, ys)
+        assert np.all(np.abs(fd - exact) <= 1e-6 * (1.0 + np.abs(exact)))
