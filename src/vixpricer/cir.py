@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -31,6 +32,16 @@ _LOG_FLOOR = -745.0
 # relative size at which additional series terms stop mattering
 _TERM_EPS = 1e-16
 _BLOCK = 32
+
+# Table of log ive(nu, z): the octaves 2^(e-1) <= z < 2^e of np.frexp's
+# exponents _OCTAVES[0] <= e < _OCTAVES[1], split into _PANELS equal panels
+# each, with one Chebyshev interpolant of degree _DEGREE per panel.
+_OCTAVES = (-9, 25)
+_PANELS = 16
+_DEGREE = 7
+_Z_MAX = math.ldexp(1.0, _OCTAVES[1] - 1)
+# panels whose samples of ive fall below the normal range are left out
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,7 @@ class ChiSquareLaw:
         return total
 
     def log_pdf(self, y):
-        """Log-density via the scaled Bessel function, vectorized.
+        """Log-density via the tabulated scaled Bessel function, vectorized.
 
         Fast path used by the quadrature engines (see :func:`log_density`);
         agrees with :meth:`pdf` to near machine precision (asserted in the
@@ -299,14 +310,93 @@ def _as_positive_array(y):
     return arr, np.isscalar(y) or np.ndim(y) == 0
 
 
+@lru_cache(maxsize=64)
+def _ive_table(nu):
+    """Chebyshev coefficients of ``log ive(nu, .)``, ``(_DEGREE + 1, panels)``,
+    and the smallest ``z`` they serve.
+
+    Panel ``j`` covers ``2^(e-1) (1 + s / _PANELS) <= z < 2^(e-1) (1 + (s+1) /
+    _PANELS)`` for ``j = (e - _OCTAVES[0]) * _PANELS + s``. One ``ive`` call
+    samples every panel at its Chebyshev points; the coefficients are one
+    matrix product away. At large ``nu`` the lowest panels underflow: the
+    table then starts above the highest panel with a sample that is not a
+    finite, normal value.
+    """
+    n = _DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    to_coefs = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    to_coefs[0] *= 0.5
+    exps = np.arange(*_OCTAVES) - 1
+    left = np.ldexp(1.0 + np.arange(_PANELS) / _PANELS, exps[:, None]).ravel()
+    half = np.repeat(np.ldexp(0.5 / _PANELS, exps), _PANELS)
+    z = left[:, None] + half[:, None] * (1.0 + np.cos(theta))
+    with np.errstate(divide="ignore"):
+        vals = np.log(special.ive(nu, z))
+    bad = np.flatnonzero(~(vals > _LOG_TINY).all(axis=1))
+    start = bad[-1] + 1 if bad.size else 0
+    vals[:start] = 0.0  # never read: their z take the exact call
+    z_min = left[start] if start < left.size else math.inf
+    coefs = to_coefs @ vals.T
+    coefs.setflags(write=False)  # shared by every caller through the cache
+    return coefs, z_min
+
+
+def _log_ive(nu, z):
+    """``log(special.ive(nu, z))`` from the table of :func:`_ive_table`.
+
+    Clenshaw's recurrence on each abscissa's panel coefficients. Abscissae
+    outside the table, zero and non-finite ones included, take
+    ``special.ive`` itself. Every value depends on its own abscissa alone,
+    not on the batch.
+    """
+    z = np.asarray(z, dtype=float)
+    coefs, z_min = _ive_table(nu)
+    mant, e = np.frexp(z)
+    # panel _PANELS + s of the octave, and the position in it, in [0, 1)
+    x, s = np.modf(mant * (2 * _PANELS))
+    x *= 2.0
+    x -= 1.0
+    with np.errstate(invalid="ignore"):  # non-finite z, handled below
+        j = (e * _PANELS + s).astype(np.intp)
+    j -= (_OCTAVES[0] + 1) * _PANELS
+    c = coefs.take(j, axis=1, mode="clip")
+    x2 = x + x
+    b2 = c[_DEGREE]
+    b1 = x2 * b2
+    b1 += c[_DEGREE - 1]
+    out = c[_DEGREE - 1]  # spent row, reused as the third buffer
+    for k in range(_DEGREE - 2, 0, -1):
+        np.multiply(x2, b1, out=out)
+        out -= b2
+        out += c[k]
+        b1, b2, out = out, b1, b2
+    np.multiply(x, b1, out=out)
+    out -= b2
+    out += c[0]
+    if not (z.min(initial=z_min) >= z_min and z.max(initial=0.0) < _Z_MAX):
+        exact = ~((z >= z_min) & (z < _Z_MAX))
+        with np.errstate(divide="ignore"):
+            out[exact] = np.log(special.ive(nu, z[exact]))
+    return out
+
+
 def log_density(df, lam, scale, y):
     """Log-density of ``scale * ncx2(df, lam)``, laws (rows) against levels.
 
     ``lam`` and ``scale`` hold one law per row and ``y`` broadcasts against
     them to ``(rows, levels)``. Rows with ``lam < 1e-12`` take the central
-    density, as the non-centrality correction is below double precision
-    there; the other rows go through the exponentially scaled Bessel
-    function. Returns ``-inf`` where the density underflows.
+    density times the first-order non-centrality factor
+    ``exp(-lam / 2) (1 + lam x / (2 df))``, as the next order is below double
+    precision there; the other rows go through the exponentially scaled
+    Bessel function. Its logarithm comes from a table built once per order
+    ``nu = df / 2 - 1`` (:func:`_log_ive`): 16 panels per octave of
+    ``z = sqrt(lam x)`` from 2^-10 to 2^24, each holding a degree-7 Chebyshev
+    interpolant of ``log ive(nu, z)``, within 1e-13 of
+    ``log(special.ive(nu, z))`` relative to ``max(1, |log ive|)``. Outside
+    that range, for non-finite ``z`` and below the panels where ``ive``
+    underflows, ``special.ive`` is called itself. Every caller goes through
+    this one evaluation, and a value does not depend on the batch it comes
+    in. Returns ``-inf`` where the density underflows.
     """
     lam = np.asarray(lam, dtype=float)[:, None]
     scale = np.asarray(scale, dtype=float)[:, None]
@@ -314,14 +404,14 @@ def log_density(df, lam, scale, y):
     half_df = 0.5 * df
     nu = half_df - 1.0
 
-    def central(x, log_x):
+    def central(x, log_x, lam):
         return (half_df - 1.0) * log_x - 0.5 * x - half_df * _LN2 \
-            - special.gammaln(half_df)
+            - special.gammaln(half_df) - 0.5 * lam + np.log1p(0.5 * lam * x / df)
 
     def bessel(x, log_x, lam):
         z = np.sqrt(lam * x)
         return -0.5 * (x + lam) + 0.5 * nu * (log_x - np.log(lam)) \
-            + z + np.log(special.ive(nu, z)) - _LN2
+            + z + _log_ive(nu, z) - _LN2
 
     flat = lam[:, 0] < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -329,10 +419,10 @@ def log_density(df, lam, scale, y):
         if not flat.any():  # the usual case, kept free of row copies
             logp = bessel(x, log_x, lam)
         elif flat.all():
-            logp = central(x, log_x)
+            logp = central(x, log_x, lam)
         else:
             logp = np.empty(x.shape)
-            logp[flat] = central(x[flat], log_x[flat])
+            logp[flat] = central(x[flat], log_x[flat], lam[flat])
             logp[~flat] = bessel(x[~flat], log_x[~flat], lam[~flat])
         return logp - np.log(scale)
 

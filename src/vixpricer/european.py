@@ -107,16 +107,23 @@ class OptionSpec:
 # state handling and cached strike thresholds
 # ---------------------------------------------------------------------------
 
+def _checked_state(state: float) -> float:
+    state = float(state)
+    if not (math.isfinite(state) and state > 0.0):
+        raise ValueError("state must be strictly positive")
+    return state
+
+
 def factor_state(m: ModelSpec, state: float) -> float:
     """Map the quoted state to the factor coordinate."""
-    if not state > 0.0:
-        raise ValueError("state must be strictly positive")
-    return float(state) if m.is_mixture else g_eval(m, float(state))
+    state = _checked_state(state)
+    return state if m.is_mixture else g_eval(m, state)
 
 
 def vix_level(m: ModelSpec, state: float) -> float:
     """VIX level of the quoted state."""
-    return float(f_eval(m, state)) if m.is_mixture else float(state)
+    state = _checked_state(state)
+    return float(f_eval(m, state)) if m.is_mixture else state
 
 
 @lru_cache(maxsize=512)

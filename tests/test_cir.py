@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis import example, given, settings, strategies as st
+from scipy import special, stats
 
-from vixpricer.cir import (ChiSquareLaw, CirParams, _sample_std, log_density,
+from vixpricer.cir import (_OCTAVES, _PANELS, _Z_MAX, ChiSquareLaw, CirParams,
+                           _ive_table, _log_ive, _sample_std, log_density,
                            transition_law)
 from vixpricer.numerics import adaptive_gauss_kronrod
 
@@ -155,6 +156,86 @@ class TestDensity:
         lo, hi = law.mass_bounds(1e-9)
         assert law.cdf(lo) == pytest.approx(1e-9, rel=1e-4)
         assert law.sf(hi) == pytest.approx(1e-9, rel=1e-4)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(df=st.floats(0.1, 60.0),
+           lam=st.one_of(st.just(0.0), st.floats(0.0, 1e-12),
+                         st.floats(1e-12, 2e3)),
+           scale=st.floats(1e-3, 10.0), where=st.floats(-3.0, 1.0))
+    @example(df=6.1, lam=0.0, scale=0.2, where=0.0)
+    @example(df=0.7, lam=5e-13, scale=0.05, where=-2.0)
+    # a central row far in the tail, where exp(-lam / 2) (1 + lam x / (2 df))
+    # differs from 1 by more than the tolerance
+    @example(df=1.0, lam=9e-13, scale=1.0, where=1.0)
+    def test_log_density_matches_series(self, df, lam, scale, where):
+        # levels from 1e-3 of the mean to about 30 times it, on both sides
+        # of the central-row switch at lam = 1e-12
+        law = ChiSquareLaw(df=df, noncentrality=lam, scale=scale)
+        ys = law.mean() * np.geomspace(10.0 ** where, 10.0 ** (where + 0.5), 7)
+        fast = np.exp(log_density(df, [lam], [scale], ys)[0])
+        np.testing.assert_allclose(fast, law.pdf(ys), rtol=1e-11, atol=1e-300)
+
+
+def _exact_log_ive(nu, z):
+    with np.errstate(divide="ignore"):
+        return np.log(special.ive(nu, z))
+
+
+class TestLogIve:
+    """The tabulated ``log ive`` against ``np.log(special.ive)``."""
+
+    ORDERS = (-0.95, -0.59, 0.0, 0.36, 1.0, 3.0, 7.138, 25.0, 60.0, 120.0)
+
+    @staticmethod
+    def assert_close(nu, z):
+        got, want = _log_ive(nu, z), _exact_log_ive(nu, z)
+        assert not np.isnan(got[~np.isnan(want)]).any()
+        fin = np.isfinite(want)
+        # non-finite values come from the exact call, bit for bit
+        np.testing.assert_array_equal(got[~fin], want[~fin])
+        gap = np.abs(got[fin] - want[fin])
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(want[fin])))
+        return got, want
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_matches_exact_call(self, nu):
+        self.assert_close(nu, np.geomspace(1e-8, 1e12, 20_001))
+
+    @pytest.mark.parametrize("nu", (-0.59, 0.36, 7.138, 60.0))
+    def test_panel_edges(self, nu):
+        octaves = np.arange(_OCTAVES[0] - 1, _OCTAVES[1] - 1)
+        edges = np.ldexp(1.0 + np.arange(_PANELS) / _PANELS, octaves[:, None]).ravel()
+        edges = np.append(edges, _Z_MAX)
+        for z in (edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)):
+            self.assert_close(nu, z)
+
+    @pytest.mark.parametrize("nu", (-0.59, 0.0, 7.138))
+    def test_outside_the_table_is_the_exact_call(self, nu):
+        z_min = _ive_table(nu)[1]
+        z = np.array([0.0, 5e-324, 1e-300, 1e-8, np.nextafter(z_min, 0.0), _Z_MAX,
+                      1e8, 1e12, np.inf])
+        np.testing.assert_array_equal(_log_ive(nu, z), _exact_log_ive(nu, z))
+
+    def test_large_order_underflow(self):
+        # at nu = 120 the low panels underflow; the table starts above them
+        z_min = _ive_table(120.0)[1]
+        assert z_min > math.ldexp(1.0, _OCTAVES[0] - 1)
+        z = np.geomspace(1e-8, 1e3, 5_001)
+        got, want = self.assert_close(120.0, z)
+        assert np.isneginf(want).any()
+        assert not np.isnan(got).any()
+        low = z < z_min
+        np.testing.assert_array_equal(got[low], want[low])
+
+    def test_value_does_not_depend_on_the_batch(self):
+        z = np.exp(np.random.default_rng(5).uniform(-12.0, 20.0, 50_000))
+        z[::997] = np.inf
+        batch = _log_ive(3.3, z)
+        block = _log_ive(3.3, z.reshape(250, 200)).ravel()
+        np.testing.assert_array_equal(block, batch)
+        for i in range(0, z.size, 2_503):
+            np.testing.assert_array_equal(_log_ive(3.3, z[i:i + 1]), batch[i:i + 1])
 
 
 MOMENT_LAW = ChiSquareLaw(df=6.5, noncentrality=4.2, scale=0.3)

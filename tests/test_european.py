@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from vixpricer.american import american_price
 from vixpricer.cir import CirParams, transition_law
+from vixpricer.cli import cmd_price, load_config
 from vixpricer.european import (DivergentIntegralError,
                                 OptionSpec, QuadratureConfig,
                                 _approx_mass_box, eep_kernel,
                                 euro_fast, european_price, factor_state,
                                 futures_price, futures_taylor, kernel_row,
                                 stop_cuts)
+from vixpricer.mc import mc_european, mc_futures
 from vixpricer.models import (ModelSpec, f_eval, g_eval, waiting_benefit)
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
@@ -134,6 +137,38 @@ class TestFutures:
         quad_val = futures_price(m, p, 2.0 / 12.0, 0.776, cfg)
         est = mc_futures(m, p, 2.0 / 12.0, 0.776, 10**6, 5)
         assert abs(est.z_score(quad_val)) < 3.0
+
+
+class TestZeroHorizonState:
+    """At zero horizon every public quote rejects a state that is not finite
+    and positive, as it does at any positive horizon."""
+
+    @pytest.fixture
+    def quotes(self, fig1_boundary_coarse, fig7_boundary_coarse):
+        cfg = load_config("fig1")
+        boundaries = {M32: fig1_boundary_coarse, MIX7: fig7_boundary_coarse}
+        return {
+            "futures_price": lambda m, p, s: futures_price(m, p, 0.0, s),
+            "european_price": lambda m, p, s: european_price(m, p, CALL, 1.0, s),
+            "american_price": lambda m, p, s: american_price(
+                m, p, CALL, boundaries[m], 1.0, s),
+            "mc_european": lambda m, p, s: mc_european(m, p, CALL, 1.0, s, 10, 1),
+            "mc_futures": lambda m, p, s: mc_futures(m, p, 0.0, s, 10, 1),
+            "cmd_price": lambda m, p, s: cmd_price(
+                cfg, cfg.contract.maturity, [s], boundaries[M32]),
+        }
+
+    @pytest.mark.parametrize("state", [0.0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("m,p", [(M32, P1), (MIX7, P7)], ids=["a1", "mixture"])
+    def test_rejects_non_positive_state(self, quotes, m, p, state):
+        for name, quote in quotes.items():
+            with pytest.raises(ValueError, match="state must be strictly positive"):
+                quote(m, p, state)
+
+    def test_positive_state_still_quotes(self, quotes):
+        assert quotes["futures_price"](M32, P1, 0.37) == 0.37
+        assert quotes["mc_futures"](M32, P1, 0.37).mean == 0.37
+        assert quotes["european_price"](M32, P1, 0.4) == pytest.approx(0.25)
 
 
 class TestEepKernel:
