@@ -158,13 +158,16 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
         if cand <= 0.0:
             cand = 0.5 * x
         x = cand
-    if lo is not None and hi is not None:
-        try:
-            return newton_bisect(lambda v: update(v) - v, min(lo, hi),
-                                 max(lo, hi), rel_tol=0.0, abs_tol=tol)
-        except ConvergenceError:
-            pass
-    raise SolverError(f"inner iteration did not converge (last residual {resid:.3e})")
+    if lo is None or hi is None:
+        sign = "negative" if lo is None else "positive"
+        raise SolverError(f"inner iteration formed no bracket: the residual "
+                          f"stayed {sign} (last residual {resid:.3e})")
+    try:
+        return newton_bisect(lambda v: update(v) - v, min(lo, hi),
+                             max(lo, hi), rel_tol=0.0, abs_tol=tol)
+    except ConvergenceError:
+        raise SolverError(f"inner iteration did not converge (last residual "
+                          f"{resid:.3e})") from None
 
 
 # ---------------------------------------------------------------------------

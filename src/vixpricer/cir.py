@@ -27,8 +27,6 @@ from .numerics import newton_bisect
 __all__ = ["CirParams", "ChiSquareLaw", "transition_law"]
 
 _LN2 = math.log(2.0)
-# below this log-density the value is not meaningfully representable
-_LOG_FLOOR = -745.0
 # relative size at which additional series terms stop mattering
 _TERM_EPS = 1e-16
 _BLOCK = 32
@@ -108,11 +106,8 @@ class ChiSquareLaw:
     def mean(self) -> float:
         return self.scale * (self.df + self.noncentrality)
 
-    def variance(self) -> float:
-        return self.central_moment(2)
-
     def std(self) -> float:
-        return math.sqrt(self.variance())
+        return math.sqrt(self.central_moment(2))
 
     def central_moment(self, k: int) -> float:
         """Central moment E[(Y - EY)^k] for k in {1, 2, 3, 4}."""
@@ -127,69 +122,17 @@ class ChiSquareLaw:
             return c ** 4 * (12.0 * (d + 2.0 * l) ** 2 + 48.0 * (d + 4.0 * l))
         raise ValueError(f"unsupported central moment order {k}")
 
-    # -- density ------------------------------------------------------------
+    # -- density and distribution function -----------------------------------
 
     def pdf(self, y):
         """Probability density at positive level(s) ``y``.
 
-        Evaluated as a Poisson-weighted series of central gamma densities.
-        The summation starts at the Poisson mode and expands in both
-        directions until further terms fall below 1e-16 of the partial sum;
-        deep-tail values below the double-precision floor come out as an
-        exact 0 rather than NaN.
+        The Poisson-weighted series of gamma densities of
+        :func:`_poisson_gamma_sum`, each term formed in log space. It does
+        not use the Bessel table, so it is the oracle for :meth:`log_pdf`.
+        Deep-tail values below the double-precision floor come out as 0.
         """
-        y_arr, scalar = _as_positive_array(y)
-        x = y_arr / self.scale
-        dens = self._pdf_std(x) / self.scale
-        dens[~np.isfinite(dens)] = 0.0
-        return float(dens[0]) if scalar else dens
-
-    def _pdf_std(self, x):
-        """Density of the unscaled ncx2(df, noncentrality) at x > 0."""
-        half_df = 0.5 * self.df
-        half_nc = 0.5 * self.noncentrality
-        log_x = np.log(x)
-        if half_nc == 0.0:
-            logp = ((half_df - 1.0) * log_x - 0.5 * x
-                    - half_df * _LN2 - special.gammaln(half_df))
-            return np.where(logp < _LOG_FLOOR, 0.0, np.exp(logp))
-
-        log_hnc = math.log(half_nc)
-
-        def block(k_lo, k_hi):
-            ks = np.arange(k_lo, k_hi, dtype=float)
-            a = half_df + ks
-            log_w = ks * log_hnc - half_nc - special.gammaln(ks + 1.0)
-            log_t = (log_w[:, None]
-                     + (a[:, None] - 1.0) * log_x[None, :]
-                     - 0.5 * x[None, :]
-                     - a[:, None] * _LN2
-                     - special.gammaln(a)[:, None])
-            return np.exp(log_t)
-
-        total = np.zeros_like(x)
-        k_mode = int(half_nc)
-        # beyond these indices the term profile is strictly decaying for
-        # every abscissa in the batch, so tail tests are conclusive
-        k_decay_hi = math.sqrt(half_nc * float(x.max()) / 2.0)
-        k_decay_lo = math.sqrt(half_nc * float(x.min()) / 2.0)
-
-        k = k_mode
-        while True:
-            t = block(k, k + _BLOCK)
-            total += t.sum(axis=0)
-            k += _BLOCK
-            if k >= k_decay_hi and np.all(t[-1] <= _TERM_EPS * total):
-                break
-        k = k_mode
-        while k > 0:
-            k_lo = max(0, k - _BLOCK)
-            t = block(k_lo, k)
-            total += t.sum(axis=0)
-            k = k_lo
-            if k <= k_decay_lo and np.all(t[0] <= _TERM_EPS * total):
-                break
-        return total
+        return self._series(y, _gamma_pdf, 0)
 
     def log_pdf(self, y):
         """Log-density via the tabulated scaled Bessel function, vectorized.
@@ -202,54 +145,24 @@ class ChiSquareLaw:
         logp = log_density(self.df, [self.noncentrality], [self.scale], y_arr)[0]
         return float(logp[0]) if scalar else logp
 
-    # -- distribution function ----------------------------------------------
-
     def cdf(self, y):
-        """P(Y <= y), by the Poisson-weighted gamma-cdf series."""
-        return self._dist_series(y, special.gammainc)
+        """P(Y <= y): the Poisson-weighted series of regularized lower
+        incomplete gamma functions (:func:`_poisson_gamma_sum`), accurate
+        relative to the value deep in the lower tail."""
+        return self._series(y, special.gammainc, -1)
 
     def sf(self, y):
-        """P(Y > y), complementary series (accurate in the upper tail)."""
-        return self._dist_series(y, special.gammaincc)
+        """P(Y > y): the series of upper incomplete gamma functions, accurate
+        relative to the value deep in the upper tail."""
+        return self._series(y, special.gammaincc, 1)
 
-    def _dist_series(self, y, reg_gamma):
+    def _series(self, y, kernel, trend):
+        """:func:`_poisson_gamma_sum` at ``u = y / (2 scale)``: the density
+        for ``trend`` 0, else a probability, capped at 1."""
         y_arr, scalar = _as_positive_array(y)
-        x = 0.5 * y_arr / self.scale
-        half_df = 0.5 * self.df
-        half_nc = 0.5 * self.noncentrality
-        if half_nc == 0.0:
-            out = reg_gamma(half_df, x)
-            return float(out[0]) if scalar else out
-
-        log_hnc = math.log(half_nc)
-
-        def weights(k_lo, k_hi):
-            ks = np.arange(k_lo, k_hi, dtype=float)
-            return ks, np.exp(ks * log_hnc - half_nc - special.gammaln(ks + 1.0))
-
-        total = np.zeros_like(x)
-        mass = 0.0
-        k_mode = int(half_nc)
-        k = k_mode
-        while True:
-            ks, w = weights(k, k + _BLOCK)
-            total += w @ reg_gamma(half_df + ks[:, None], x[None, :])
-            mass += w.sum()
-            k += _BLOCK
-            if k > half_nc and (1.0 - mass) <= 1e-16:
-                break
-            if w[-1] < 1e-18 and k > half_nc:
-                break
-        k = k_mode
-        while k > 0:
-            k_lo = max(0, k - _BLOCK)
-            ks, w = weights(k_lo, k)
-            total += w @ reg_gamma(half_df + ks[:, None], x[None, :])
-            mass += w.sum()
-            k = k_lo
-            if w[0] < 1e-18:
-                break
-        out = np.clip(total, 0.0, 1.0)
+        out = _poisson_gamma_sum(0.5 * self.df, 0.5 * self.noncentrality,
+                                 0.5 * y_arr / self.scale, kernel, trend)
+        out = np.minimum(out, 1.0) if trend else out * (0.5 / self.scale)
         return float(out[0]) if scalar else out
 
     def ppf(self, p: float) -> float:
@@ -258,19 +171,16 @@ class ChiSquareLaw:
             raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
         if p <= 0.5:
             target = lambda v: p - self.cdf(v)
-            reached = lambda v: self.cdf(v) >= p
         else:
             # the survival series keeps full relative accuracy in this tail
             target = lambda v: self.sf(v) - (1.0 - p)
-            reached = lambda v: self.sf(v) <= 1.0 - p
+        # target is positive at 0+ and negative at hi
         hi = self.mean() + 10.0 * self.std()
-        while not reached(hi):
+        while target(hi) > 0.0:
             hi *= 2.0
             if hi > 1e300:
                 raise ValueError("quantile bracket expansion failed")
-        # target is positive at 0+ and negative at hi
-        lo_seed = min(self.mean(), hi) * 1e-14
-        lo = lo_seed
+        lo = min(self.mean(), hi) * 1e-14
         while target(lo) <= 0.0:
             lo *= 1e-2
             if lo < 1e-300:
@@ -308,6 +218,61 @@ def _as_positive_array(y):
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise ValueError("levels must be finite and strictly positive")
     return arr, np.isscalar(y) or np.ndim(y) == 0
+
+
+def _gamma_pdf(a, u):
+    """Density of the unit-scale gamma law of shape ``a`` at ``u``."""
+    return np.exp((a - 1.0) * np.log(u) - u - special.gammaln(a))
+
+
+@lru_cache(maxsize=64)
+def _poisson_block(half_df, half_nc, k_lo, k_hi):
+    """Gamma shapes (a column) and Poisson(``half_nc``) weights of the indices
+    ``k_lo <= k < k_hi``; cached, as the hundred-odd series calls of one
+    law's ``mass_bounds`` read the same few blocks."""
+    ks = np.arange(k_lo, k_hi, dtype=float)
+    w = np.exp(ks * math.log(half_nc) - half_nc - special.gammaln(ks + 1.0))
+    shapes = half_df + ks[:, None]
+    for arr in (shapes, w):
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return shapes, w
+
+
+def _poisson_gamma_sum(half_df, half_nc, u, kernel, trend):
+    """``sum_k P(k) kernel(half_df + k, u)`` over a Poisson(``half_nc``) index.
+
+    ``kernel(a, u)`` maps a column of gamma shapes and the row ``u`` to one
+    row per shape, at most 1 for ``a >= 1``: :func:`_gamma_pdf` (``trend``
+    0), or the regularized incomplete gamma function that falls (-1, lower)
+    or rises (+1, upper) with ``a``. The index is walked from the Poisson
+    mode upwards, then downwards, in blocks of ``_BLOCK`` terms, each summed
+    as one matrix-vector product. Each direction stops by one rule: the walk
+    is past the index beyond which every abscissa's terms fall, and its edge
+    term is at most ``_TERM_EPS`` of the running sum. Density terms fall
+    beyond ``r(u)``, the root of ``j (j + half_df - 1) = half_nc u``; a
+    falling (rising) kernel's terms fall with the weights above (below) the
+    mode; past an underflowed weight all terms are below the double range.
+    No Poisson-mass cut truncates the tails.
+    """
+    if half_nc == 0.0:
+        return kernel(np.array([[half_df]]), u)[0]
+    b = 0.5 * (half_df - 1.0)
+    root = lambda v: math.sqrt(b * b + half_nc * v) - b
+    r_lo = math.inf if trend > 0 else root(u.min(initial=math.inf))
+    r_hi = 0.0 if trend < 0 else root(u.max(initial=0.0))
+    total = np.zeros_like(u)
+    for up in (True, False):
+        k = int(half_nc)
+        while up or k > 0:
+            k_lo, k_hi = (k, k + _BLOCK) if up else (max(0, k - _BLOCK), k)
+            shapes, w = _poisson_block(half_df, half_nc, k_lo, k_hi)
+            terms = kernel(shapes, u)
+            total += w @ terms
+            k, edge = (k_hi, -1) if up else (k_lo, 0)
+            past = (k >= r_hi if up else 0 < k <= r_lo) or w[edge] == 0.0
+            if past and (w[edge] * terms[edge] <= _TERM_EPS * total).all():
+                break
+    return total
 
 
 @lru_cache(maxsize=64)

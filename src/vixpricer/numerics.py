@@ -153,6 +153,11 @@ def _gk_batch(fn, a, b):
     return ik, np.where(err > 0.0, scaled, err)
 
 
+# the most new intervals one refinement pass may evaluate (15 abscissae
+# each, in one integrand call)
+_MAX_PASS_INTERVALS = 4096
+
+
 def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
                            max_subdivisions=200):
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
@@ -160,6 +165,9 @@ def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
     The interval is bisected where the local Kronrod error estimate is
     largest until the summed error meets ``max(abs_tol, rel_tol * |I|)``.
     Callers split the domain at kinks (e.g. payoff kinks) beforehand.
+    ``ConvergenceError`` is raised after ``max_subdivisions`` passes, or
+    when a pass would evaluate more than ``_MAX_PASS_INTERVALS`` new
+    intervals, as the count can double on every pass.
 
     Returns ``(value, error_estimate)``.
     """
@@ -181,6 +189,12 @@ def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
         split = errs >= cutoff
         if not split.any():
             split[np.argmax(errs)] = True
+        n_new = 2 * int(split.sum())
+        if n_new > _MAX_PASS_INTERVALS:
+            raise ConvergenceError(
+                f"quadrature pass would evaluate {n_new} intervals, more than "
+                f"{_MAX_PASS_INTERVALS} (error {errs.sum():.3e} on "
+                f"[{a:.6g}, {b:.6g}])")
         keep_lo, keep_hi = lo[~split], hi[~split]
         keep_vals, keep_errs = vals[~split], errs[~split]
         mids = 0.5 * (lo[split] + hi[split])
@@ -201,15 +215,9 @@ def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gl_rule(n_nodes):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return x, w
-
-
-@lru_cache(maxsize=None)
 def _panel_rule(n_panels, n_nodes):
     """Composite rule on [0, 1]: nodes and weights, shape (n_panels*n_nodes,)."""
-    x, w = _gl_rule(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
     width = 1.0 / n_panels
     starts = np.arange(n_panels) * width
     nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()

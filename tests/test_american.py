@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -11,6 +12,7 @@ from vixpricer.american import (SolverConfig, SolverError, _solve_step,
                                 smooth_fit_check, solve_boundary,
                                 terminal_levels)
 from vixpricer.cir import CirParams
+from vixpricer.cli import load_config
 from vixpricer.european import (OptionSpec, european_price, factor_state,
                                 stop_cuts)
 from vixpricer.mc import mc_american_policy
@@ -136,6 +138,26 @@ class TestSolveStep:
     def test_no_bracket_is_a_solver_error(self):
         with pytest.raises(SolverError):
             _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
+
+    def test_no_bracket_names_the_sign_kept(self):
+        with pytest.raises(SolverError,
+                           match="no bracket: the residual stayed positive"):
+            _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_coarse_put_failure_names_its_reason(self, name):
+        # the a2 puts find no bracket at the first solved step of a 12-step
+        # grid, as the residual stays negative; at 30 steps they solve
+        cfg = load_config(name)
+        put = dataclasses.replace(cfg.contract, kind="put")
+        with pytest.raises(SolverError, match=r"step at t=0\.75 failed: inner "
+                           r"iteration formed no bracket: the residual stayed "
+                           r"negative"):
+            solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=12),
+                           cfg.quadrature)
+        b = solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=30),
+                           cfg.quadrature)
+        assert np.all(np.isfinite(b.values)) and b.values[0] > 0.0
 
 
 class TestDiagnostics:

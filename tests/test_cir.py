@@ -176,6 +176,31 @@ class TestDensity:
         fast = np.exp(log_density(df, [lam], [scale], ys)[0])
         np.testing.assert_allclose(fast, law.pdf(ys), rtol=1e-11, atol=1e-300)
 
+    @pytest.mark.parametrize("df", [0.8, 2.0, 6.1, 16.3, 60.0])
+    def test_distribution_tails_match_scipy(self, df):
+        # cdf and sf keep their relative accuracy from 1e-3 to 30 times the
+        # mean, far into both tails, batched and one level at a time
+        for lam in (0.0, 0.3, 5.0, 80.0, 1500.0, 2e4):
+            law = ChiSquareLaw(df=df, noncentrality=lam, scale=0.7)
+            ys = law.mean() * np.geomspace(1e-3, 30.0, 13)
+            ref = (stats.ncx2(df, lam, scale=0.7) if lam
+                   else stats.chi2(df, scale=0.7))
+            for name in ("cdf", "sf"):
+                want = getattr(ref, name)(ys)
+                batch = getattr(law, name)(ys)
+                single = np.array([getattr(law, name)(y) for y in ys[::3]])
+                seen = want >= 1e-100
+                np.testing.assert_allclose(batch[seen], want[seen], rtol=1e-9,
+                                           err_msg=f"{name} lam={lam}")
+                seen = seen[::3]
+                np.testing.assert_allclose(single[seen], want[::3][seen],
+                                           rtol=1e-9, err_msg=f"{name} lam={lam}")
+
+    def test_deep_lower_tail_matches_mpmath(self):
+        # the series summed in 40-digit mpmath arithmetic
+        law = ChiSquareLaw(df=6.1, noncentrality=1500.0, scale=1.0)
+        want = 2.44507526109541e-69
+        assert law.cdf(0.3 * law.mean()) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 def _exact_log_ive(nu, z):
     with np.errstate(divide="ignore"):

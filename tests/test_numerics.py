@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from vixpricer import numerics
 from vixpricer.numerics import (ConvergenceError, adaptive_gauss_kronrod,
                                 bracket_downcrossing, newton_bisect,
                                 panel_nodes)
@@ -76,6 +77,25 @@ def test_adaptive_peaked_integrand():
                                     max_subdivisions=2000)
     want = 1e-3 * np.sqrt(2.0 * np.pi)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_adaptive_pass_size_is_capped():
+    # a fast oscillation at an unreachable tolerance splits nearly every
+    # interval on every pass; the pass that would evaluate too many intervals
+    # raises before its integrand call instead of doubling towards memory
+    # exhaustion
+    cap = numerics._MAX_PASS_INTERVALS
+    sizes = []
+
+    def fn(x):
+        assert x.size <= 15 * cap, f"one call with {x.size} abscissae"
+        sizes.append(x.size)
+        return np.sin(1e6 * x)
+
+    with pytest.raises(ConvergenceError,
+                       match=rf"would evaluate \d+ intervals, more than {cap}"):
+        adaptive_gauss_kronrod(fn, 0.0, 1.0, rel_tol=1e-14, abs_tol=0.0)
+    assert 15 * cap // 2 < max(sizes) <= 15 * cap
 
 
 def test_adaptive_empty_interval():
