@@ -75,7 +75,11 @@ class Boundary:
     pair ``(lower, upper)`` per grid time, as :func:`stop_cuts` maps the
     curves: a state stops when ``y <= lower`` or ``y >= upper``. Between
     grid points every row interpolates linearly, the cuts in the factor
-    coordinate.
+    coordinate. ``diagnostics`` of a solve holds ``monotonicity_clips``, the
+    isotonic projection's ``(time, adjustment)`` pairs, and
+    ``inner_updates``, the value-matching ``update`` calls per curve and
+    grid time (0 where no step was solved: the terminal and pinned times
+    and an absent mixture side).
     """
 
     times: np.ndarray
@@ -204,7 +208,8 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
     curves = np.repeat(terminal[:, None], n + 1, axis=1)
     active = [_is_active(level) for level in terminal]
     pinned, discard = _startup_steps(n)
-    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad)
+    updates = np.zeros(curves.shape, dtype=int)
+    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad, updates)
 
     # a call's VIX boundary and a pair's upper curve fall towards expiry
     falling = (option.kind == "call",) if len(curves) == 1 else (False, True)
@@ -216,7 +221,8 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
                                           tol=cfg.inner_tol * 1e3)
         out.append(curve)
         clips += found
-    diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips]}
+    diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips],
+            "inner_updates": updates.tolist()}
     return Boundary(times=times, values=out[0],
                     cuts=np.array(stop_cuts(m, option, *out)),
                     upper=out[1] if len(out) == 2 else None, kind=option.kind,
@@ -228,7 +234,7 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-def _sweep(m, p, option, times, curves, active, start, cfg, quad):
+def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates):
     """Solve the active curves at steps start-1 .. 0 of a uniform grid, in place.
 
     ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
@@ -236,6 +242,8 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
     coordinate and mapped back by value matching on the premium formula,
     evaluated on the curve itself against the paying stop pairs of the
     later steps. The other curve of a pair enters at its later-step level.
+    ``updates``, shaped like ``curves``, counts the ``update`` calls per
+    curve and grid time.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
@@ -253,6 +261,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad):
                 continue
 
             def update(v):
+                updates[k, i] += 1
                 y0 = factor_state(m, v)
                 levels = (*curves[:k, i + 1], v, *curves[k + 1:, i + 1])
                 euro, prem = _premium_formula(m, p, option, tau, v, y0, levels,

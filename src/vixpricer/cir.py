@@ -30,6 +30,11 @@ _LN2 = math.log(2.0)
 # relative size at which additional series terms stop mattering
 _TERM_EPS = 1e-16
 _BLOCK = 32
+# ppf: bracket width on the log-quantile; how far past the secant's root a
+# step from one side of the root aims, and the shortest step, so that the
+# bracket closes
+_PPF_TOL = 1e-12
+_PPF_CROSS = 0.1 * _PPF_TOL
 
 # Table of log ive(nu, z): the octaves 2^(e-1) <= z < 2^e of np.frexp's
 # exponents _OCTAVES[0] <= e < _OCTAVES[1], split into _PANELS equal panels
@@ -40,6 +45,10 @@ _DEGREE = 7
 _Z_MAX = math.ldexp(1.0, _OCTAVES[1] - 1)
 # panels whose samples of ive fall below the normal range are left out
 _LOG_TINY = math.log(np.finfo(float).tiny)
+# from this z on, log ive is Hankel's large-argument expansion to this many
+# terms (special.ive returns NaN from about 2^30)
+_Z_HANKEL = 2.0 ** 29
+_HANKEL_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -166,27 +175,68 @@ class ChiSquareLaw:
         return float(out[0]) if scalar else out
 
     def ppf(self, p: float) -> float:
-        """Quantile by bracketed bisection on the numeric cdf/sf."""
+        """Quantile: the root in ``s = log v`` of ``log p - log cdf(e^s)``
+        below the median, or of ``log sf(e^s) - log(1 - p)`` above it, where
+        the survival series keeps full relative accuracy.
+
+        The bracket grows from ``mean + 10 sd`` by doubling and falls from
+        ``1e-14 mean`` in steps of 1e-2, which reaches the small lower
+        quantiles of non-Feller laws in a few evaluations (below 1e-300 the
+        quantile is 0). :func:`newton_bisect` then takes secant steps, the
+        slope through the objective's last two evaluated points, so a slope
+        costs no series call. It stops only once the bracket is ``_PPF_TOL``
+        wide, which is the same relative width in the quantile; but secant
+        steps towards a root on the objective's convex side never cross it.
+        So when both points lie on one side, the step aims ``_PPF_CROSS``
+        past the secant's root, and no step is shorter than that.
+        """
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
         if p <= 0.5:
-            target = lambda v: p - self.cdf(v)
+            prob, sign, log_target = self.cdf, 1.0, math.log(p)
         else:
-            # the survival series keeps full relative accuracy in this tail
-            target = lambda v: self.sf(v) - (1.0 - p)
-        # target is positive at 0+ and negative at hi
+            prob, sign, log_target = self.sf, -1.0, math.log(1.0 - p)
+
+        @lru_cache(maxsize=None)  # newton_bisect re-reads the bracket ends
+        def value(s):
+            q = prob(math.exp(s))
+            return sign * (log_target - (math.log(q) if q > 0.0 else -math.inf))
+
+        last = [None, None]  # the objective's last two (s, value) points
+
+        def target(s):  # positive below the quantile, negative above it
+            last[:] = last[1], (s, value(s))
+            return last[1][1]
+
+        def secant(s):  # newton_bisect asks right after target(s)
+            (s0, g0), (s1, g1) = last
+            slope = (g1 - g0) / (s1 - s0) if s1 != s0 else 0.0
+            if -math.inf < slope < 0.0:
+                step = -g1 / slope
+            elif abs(s1 - s0) <= _PPF_TOL:  # flat at rounding level
+                step = 0.0
+            else:
+                return slope  # no secant step: newton_bisect bisects
+            # the root lies upwards where the objective is positive
+            if g0 * g1 > 0.0:
+                step += math.copysign(_PPF_CROSS, g1)
+            elif abs(step) < _PPF_CROSS:
+                step = math.copysign(_PPF_CROSS, g1)
+            return -g1 / step
+
         hi = self.mean() + 10.0 * self.std()
-        while target(hi) > 0.0:
+        while target(math.log(hi)) > 0.0:
             hi *= 2.0
             if hi > 1e300:
                 raise ValueError("quantile bracket expansion failed")
         lo = min(self.mean(), hi) * 1e-14
-        while target(lo) <= 0.0:
+        while target(math.log(lo)) <= 0.0:
             lo *= 1e-2
             if lo < 1e-300:
                 return 0.0
-        return newton_bisect(target, lo, hi, rel_tol=1e-12,
-                             abs_tol=1e-300, max_iter=2000)
+        return math.exp(newton_bisect(target, math.log(lo), math.log(hi),
+                                      dfn=secant, rel_tol=0.0,
+                                      abs_tol=_PPF_TOL, max_iter=2000))
 
     def mass_bounds(self, tail_mass: float):
         """Interval holding all but ``tail_mass`` of probability per side."""
@@ -215,7 +265,7 @@ def _sample_std(gen, df, noncentrality, size=None):
 
 def _as_positive_array(y):
     arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("levels must be finite and strictly positive")
     return arr, np.isscalar(y) or np.ndim(y) == 0
 
@@ -310,9 +360,10 @@ def _log_ive(nu, z):
     """``log(special.ive(nu, z))`` from the table of :func:`_ive_table`.
 
     Clenshaw's recurrence on each abscissa's panel coefficients. Abscissae
-    outside the table, zero and non-finite ones included, take
-    ``special.ive`` itself. Every value depends on its own abscissa alone,
-    not on the batch.
+    from ``_Z_HANKEL`` on take :func:`_log_ive_hankel`, where ``special.ive``
+    returns NaN; other abscissae outside the table, zero and NaN included,
+    take ``special.ive`` itself. Every value depends on its own abscissa
+    alone, not on the batch.
     """
     z = np.asarray(z, dtype=float)
     coefs, z_min = _ive_table(nu)
@@ -339,10 +390,29 @@ def _log_ive(nu, z):
     out -= b2
     out += c[0]
     if not (z.min(initial=z_min) >= z_min and z.max(initial=0.0) < _Z_MAX):
-        exact = ~((z >= z_min) & (z < _Z_MAX))
+        large = z >= _Z_HANKEL
+        exact = ~((z >= z_min) & (z < _Z_MAX) | large)
         with np.errstate(divide="ignore"):
             out[exact] = np.log(special.ive(nu, z[exact]))
+        out[large] = _log_ive_hankel(nu, z[large])
     return out
+
+
+def _log_ive_hankel(nu, z):
+    """``log ive(nu, z)`` for large ``z`` by Hankel's expansion,
+    ``ive ~ (2 pi z)^(-1/2) sum_k (-1)^k a_k(nu) / z^k`` with
+    ``a_k = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)``, to
+    ``_HANKEL_TERMS`` terms: within 1e-16 relative of the exact value from
+    2^24 on, for orders up to 400. At ``z = inf`` it is the limit, ``-inf``.
+    """
+    mu = 4.0 * nu * nu
+    term = np.ones_like(z)
+    corr = np.zeros_like(z)
+    for k in range(1, _HANKEL_TERMS + 1):
+        term *= (2 * k - 1) ** 2 - mu
+        term /= 8.0 * k * z
+        corr += term
+    return np.log1p(corr) - 0.5 * np.log(2.0 * math.pi * z)
 
 
 def log_density(df, lam, scale, y):
@@ -357,9 +427,11 @@ def log_density(df, lam, scale, y):
     ``nu = df / 2 - 1`` (:func:`_log_ive`): 16 panels per octave of
     ``z = sqrt(lam x)`` from 2^-10 to 2^24, each holding a degree-7 Chebyshev
     interpolant of ``log ive(nu, z)``, within 1e-13 of
-    ``log(special.ive(nu, z))`` relative to ``max(1, |log ive|)``. Outside
-    that range, for non-finite ``z`` and below the panels where ``ive``
-    underflows, ``special.ive`` is called itself. Every caller goes through
+    ``log(special.ive(nu, z))`` relative to ``max(1, |log ive|)``. From
+    ``z = 2^29`` on, Hankel's large-argument expansion takes over, as
+    ``special.ive`` returns NaN from about 2^30; elsewhere outside the table,
+    for NaN ``z`` and below the panels where ``ive`` underflows,
+    ``special.ive`` is called itself. Every caller goes through
     this one evaluation, and a value does not depend on the batch it comes
     in. Returns ``-inf`` where the density underflows.
     """

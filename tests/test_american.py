@@ -179,6 +179,29 @@ class TestDiagnostics:
         assert clip[1] == pytest.approx(-1e-3, rel=1e-9)
         assert b.values[3] == b.values[4] and b.values[5] == b.values[6]
 
+    @pytest.mark.parametrize("m,p", [(M32, P1), (MIX7, P7),
+                                     (ModelSpec("mixture", terms_a2=((1.0, 1.0),)), P2)],
+                             ids=["fig1", "fig7-pair", "increasing-only-mixture"])
+    def test_inner_updates_count_the_premium_formula_calls(self, m, p, monkeypatch):
+        calls = []
+        formula = american._premium_formula
+        monkeypatch.setattr(american, "_premium_formula",
+                            lambda *args: calls.append(1) or formula(*args))
+        n = 16
+        b = solve_boundary(m, p, CALL, SolverConfig(n_steps=n))
+        updates = np.array(b.diagnostics["inner_updates"])
+        assert updates.shape == (2 if m.is_mixture else 1, n + 1)
+        assert updates.sum() == len(calls)
+        # the terminal and pinned steps are not solved, nor is an absent side
+        pinned = american._PIN_STEPS
+        assert not updates[:, n - pinned:].any()
+        for row, level in zip(updates, (b.values[-1], b.upper[-1]) if b.is_pair
+                              else (b.values[-1],)):
+            if american._is_active(level):
+                assert (row[:n - pinned] >= 1).all()
+            else:
+                assert not row.any()
+
 
 class TestAmericanPrice:
     def test_expiry_is_payoff(self, fig1_boundary_coarse):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
-from vixpricer.cir import (_OCTAVES, _PANELS, _Z_MAX, ChiSquareLaw, CirParams,
-                           _ive_table, _log_ive, _sample_std, log_density,
-                           transition_law)
+from vixpricer import cir
+from vixpricer.cir import (_OCTAVES, _PANELS, _Z_HANKEL, _Z_MAX, ChiSquareLaw,
+                           CirParams, _ive_table, _log_ive, _log_ive_hankel,
+                           _sample_std, log_density, transition_law)
+from vixpricer.cli import load_config
 from vixpricer.numerics import adaptive_gauss_kronrod
 
 
@@ -123,6 +125,21 @@ class TestDensity:
             law = ChiSquareLaw(df=6.1, noncentrality=lam[r], scale=scale[r])
             assert np.array_equal(rows[r], law.log_pdf(ys[r]))
 
+    def test_finite_at_bessel_arguments_past_2_30(self):
+        # lam 2e9: z = sqrt(lam x) is about 2e9 within 5 sd of the mean,
+        # where special.ive is NaN. The formula's terms of size lam cancel,
+        # so the reference (the same formula in mpmath) holds to 1e-6.
+        import mpmath as mp
+        df, lam, scale = 8.0, 2e9, 0.01
+        x = lam + np.array([-5.0, 0.0, 5.0]) * math.sqrt(2.0 * (df + 2.0 * lam))
+        got = log_density(df, [lam], [scale], scale * x)[0]
+        assert np.isfinite(got).all()
+        with mp.workdps(40):
+            want = [float(-(v + lam) / 2 + (df / 4 - 0.5) * mp.log(v / lam)
+                          + mp.log(mp.besseli(df / 2 - 1, mp.sqrt(lam * v)))
+                          - mp.log(2) - mp.log(scale)) for v in map(mp.mpf, x)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
     def test_deep_tail_is_zero_not_nan(self):
         law = ChiSquareLaw(df=8.0, noncentrality=2.0, scale=0.1)
         val = law.pdf(1e6)
@@ -202,9 +219,59 @@ class TestDensity:
         want = 2.44507526109541e-69
         assert law.cdf(0.3 * law.mean()) == pytest.approx(want, rel=1e-9, abs=0.0)
 
+
+class TestQuantile:
+    PROBS = (1e-14, 1e-12, 1e-9, 1e-5, 0.3, 0.5, 0.7, 1.0 - 1e-9, 1.0 - 1e-12)
+
+    @staticmethod
+    def assert_hits(law, p):
+        v = law.ppf(p)
+        got, want = (law.cdf(v), p) if p <= 0.5 else (law.sf(v), 1.0 - p)
+        assert abs(got - want) <= 1e-10 * want, f"{law} p={p}: {got} for {want}"
+
+    @pytest.mark.parametrize("df", [0.3, 0.8, 2.0, 6.1, 16.3, 60.0])
+    def test_probability_at_the_quantile(self, df):
+        # far into both tails, at every non-centrality from central to 2e4
+        for lam in (0.0, 1e-13, 0.3, 5.0, 80.0, 1500.0, 2e4):
+            law = ChiSquareLaw(df=df, noncentrality=lam, scale=0.7)
+            for p in self.PROBS:
+                self.assert_hits(law, p)
+
+    def test_non_feller_law(self):
+        cfg = load_config("fig5")
+        law = transition_law(cfg.cir, cfg.contract.maturity, cfg.initial_factor())
+        for p in self.PROBS:
+            self.assert_hits(law, p)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig5", "fig7"])
+    def test_series_calls_per_quantile(self, name, monkeypatch):
+        # the support box of the adaptive route: both tails of the
+        # configured tail mass, from a few hours to the maturity
+        calls = []
+        series = cir._poisson_gamma_sum
+        monkeypatch.setattr(cir, "_poisson_gamma_sum",
+                            lambda *args: calls.append(1) or series(*args))
+        cfg = load_config(name)
+        tail = cfg.quadrature.tail_mass_cut
+        for t in (1e-3, 0.01, 0.1, 0.5, cfg.contract.maturity):
+            law = transition_law(cfg.cir, t, cfg.initial_factor())
+            for p in (tail, 1.0 - tail):
+                calls.clear()
+                law.ppf(p)
+                assert 0 < len(calls) <= 20, f"t={t} p={p}: {len(calls)} calls"
+
+
 def _exact_log_ive(nu, z):
     with np.errstate(divide="ignore"):
         return np.log(special.ive(nu, z))
+
+
+def _mpmath_log_ive(nu, z):
+    """``log ive(nu, z)`` in 40-digit arithmetic, at finite positive ``z``."""
+    import mpmath as mp
+    with mp.workdps(40):
+        return np.array([float(mp.log(mp.besseli(nu, v)) - mp.mpf(v))
+                         for v in np.atleast_1d(z)])
 
 
 class TestLogIve:
@@ -215,7 +282,16 @@ class TestLogIve:
     @staticmethod
     def assert_close(nu, z):
         got, want = _log_ive(nu, z), _exact_log_ive(nu, z)
-        assert not np.isnan(got[~np.isnan(want)]).any()
+        assert not np.isnan(got[~np.isnan(z)]).any()
+        # special.ive is NaN from about 2^30 on: there, every 25th abscissa
+        # is held to mpmath instead
+        lost = np.isnan(want) & (z < np.inf)
+        assert (z[lost] >= _Z_HANKEL).all()
+        sample = np.flatnonzero(lost)[::25]
+        want[sample] = _mpmath_log_ive(nu, z[sample])
+        keep = ~lost
+        keep[sample] = True
+        got, want = got[keep], want[keep]
         fin = np.isfinite(want)
         # non-finite values come from the exact call, bit for bit
         np.testing.assert_array_equal(got[~fin], want[~fin])
@@ -239,8 +315,28 @@ class TestLogIve:
     def test_outside_the_table_is_the_exact_call(self, nu):
         z_min = _ive_table(nu)[1]
         z = np.array([0.0, 5e-324, 1e-300, 1e-8, np.nextafter(z_min, 0.0), _Z_MAX,
-                      1e8, 1e12, np.inf])
+                      1e8, np.nextafter(_Z_HANKEL, 0.0), np.nan])
         np.testing.assert_array_equal(_log_ive(nu, z), _exact_log_ive(nu, z))
+        # where special.ive is NaN, Hankel's expansion against mpmath, and
+        # its limit at infinity
+        z = np.array([2.0 ** 31, 1e12, np.inf])
+        assert np.isnan(_exact_log_ive(nu, z)).all()
+        got = _log_ive(nu, z)
+        np.testing.assert_allclose(got[:-1], _mpmath_log_ive(nu, z[:-1]), rtol=1e-15)
+        assert got[-1] == -np.inf
+
+    @pytest.mark.parametrize("nu", (-0.95, -0.6, 0.0, 3.0, 25.0, 200.0))
+    def test_large_argument_expansion(self, nu):
+        # within 4e-16 of mpmath from 2^24 on; it takes over at 2^29, where
+        # the exact call is as close
+        z = np.geomspace(2.0 ** 24, 1e12, 25)
+        np.testing.assert_allclose(_log_ive_hankel(nu, z), _mpmath_log_ive(nu, z),
+                                   rtol=4e-16)
+        z = np.array([np.nextafter(_Z_HANKEL, 0.0), _Z_HANKEL])
+        got = _log_ive(nu, z)
+        assert got[0] == _exact_log_ive(nu, z[0])
+        assert got[1] == _log_ive_hankel(nu, z[1:])[0]
+        np.testing.assert_allclose(got[1], got[0], rtol=1e-15)
 
     def test_large_order_underflow(self):
         # at nu = 120 the low panels underflow; the table starts above them
