@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .numerics import newton_bisect
+from .numerics import ConvergenceError, bracket_downcrossing, newton_bisect
 
 __all__ = ["CirParams", "ChiSquareLaw", "transition_law"]
 
@@ -30,11 +30,8 @@ _LN2 = math.log(2.0)
 # relative size at which additional series terms stop mattering
 _TERM_EPS = 1e-16
 _BLOCK = 32
-# ppf: bracket width on the log-quantile; how far past the secant's root a
-# step from one side of the root aims, and the shortest step, so that the
-# bracket closes
+# ppf: bracket width on the log-quantile
 _PPF_TOL = 1e-12
-_PPF_CROSS = 0.1 * _PPF_TOL
 
 # Table of log ive(nu, z): the octaves 2^(e-1) <= z < 2^e of np.frexp's
 # exponents _OCTAVES[0] <= e < _OCTAVES[1], split into _PANELS equal panels
@@ -179,16 +176,11 @@ class ChiSquareLaw:
         below the median, or of ``log sf(e^s) - log(1 - p)`` above it, where
         the survival series keeps full relative accuracy.
 
-        The bracket grows from ``mean + 10 sd`` by doubling and falls from
-        ``1e-14 mean`` in steps of 1e-2, which reaches the small lower
-        quantiles of non-Feller laws in a few evaluations (below 1e-300 the
-        quantile is 0). :func:`newton_bisect` then takes secant steps, the
-        slope through the objective's last two evaluated points, so a slope
-        costs no series call. It stops only once the bracket is ``_PPF_TOL``
-        wide, which is the same relative width in the quantile; but secant
-        steps towards a root on the objective's convex side never cross it.
-        So when both points lie on one side, the step aims ``_PPF_CROSS``
-        past the secant's root, and no step is shorter than that.
+        :func:`bracket_downcrossing` brackets it in steps of 10 from the
+        mean, so an upper quantile is never sought where ``sf`` rounds to 1;
+        below 1e-300 the quantile is 0. :func:`newton_bisect` then takes
+        false-position steps in ``s`` until the bracket is ``_PPF_TOL``
+        wide, the same relative width in the quantile.
         """
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
@@ -197,46 +189,23 @@ class ChiSquareLaw:
         else:
             prob, sign, log_target = self.sf, -1.0, math.log(1.0 - p)
 
-        @lru_cache(maxsize=None)  # newton_bisect re-reads the bracket ends
-        def value(s):
+        # cached: newton_bisect re-reads the ends bracket_downcrossing evaluated
+        @lru_cache(maxsize=None)
+        def target(s):  # positive below the quantile, negative above it
             q = prob(math.exp(s))
             return sign * (log_target - (math.log(q) if q > 0.0 else -math.inf))
 
-        last = [None, None]  # the objective's last two (s, value) points
-
-        def target(s):  # positive below the quantile, negative above it
-            last[:] = last[1], (s, value(s))
-            return last[1][1]
-
-        def secant(s):  # newton_bisect asks right after target(s)
-            (s0, g0), (s1, g1) = last
-            slope = (g1 - g0) / (s1 - s0) if s1 != s0 else 0.0
-            if -math.inf < slope < 0.0:
-                step = -g1 / slope
-            elif abs(s1 - s0) <= _PPF_TOL:  # flat at rounding level
-                step = 0.0
-            else:
-                return slope  # no secant step: newton_bisect bisects
-            # the root lies upwards where the objective is positive
-            if g0 * g1 > 0.0:
-                step += math.copysign(_PPF_CROSS, g1)
-            elif abs(step) < _PPF_CROSS:
-                step = math.copysign(_PPF_CROSS, g1)
-            return -g1 / step
-
-        hi = self.mean() + 10.0 * self.std()
-        while target(math.log(hi)) > 0.0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ValueError("quantile bracket expansion failed")
-        lo = min(self.mean(), hi) * 1e-14
-        while target(math.log(lo)) <= 0.0:
-            lo *= 1e-2
-            if lo < 1e-300:
-                return 0.0
+        mean = self.mean()
+        try:
+            lo, hi = bracket_downcrossing(lambda v: target(math.log(v)), mean,
+                                          grow=10.0, lo_limit=1e-300,
+                                          hi_limit=1e300)
+        except ConvergenceError:
+            if target(math.log(mean)) > 0.0:
+                raise ValueError("quantile bracket expansion failed") from None
+            return 0.0
         return math.exp(newton_bisect(target, math.log(lo), math.log(hi),
-                                      dfn=secant, rel_tol=0.0,
-                                      abs_tol=_PPF_TOL, max_iter=2000))
+                                      rel_tol=0.0, abs_tol=_PPF_TOL))
 
     def mass_bounds(self, tail_mass: float):
         """Interval holding all but ``tail_mass`` of probability per side."""
@@ -446,9 +415,12 @@ def log_density(df, lam, scale, y):
             - special.gammaln(half_df) - 0.5 * lam + np.log1p(0.5 * lam * x / df)
 
     def bessel(x, log_x, lam):
-        z = np.sqrt(lam * x)
-        return -0.5 * (x + lam) + 0.5 * nu * (log_x - np.log(lam)) \
-            + z + _log_ive(nu, z) - _LN2
+        # -(x + lam) / 2 + z is -(sqrt(x) - sqrt(lam))^2 / 2, formed from
+        # x - lam so that no terms of size lam cancel
+        root_x, root_lam = np.sqrt(x), np.sqrt(lam)
+        gap = (x - lam) / (root_x + root_lam)
+        return -0.5 * gap * gap + 0.5 * nu * (log_x - np.log(lam)) \
+            + _log_ive(nu, root_x * root_lam) - _LN2
 
     flat = lam[:, 0] < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):

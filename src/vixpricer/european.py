@@ -379,9 +379,12 @@ def _row_values(p, y0, u, regions, config, integrand, rule):
         if not live.any():  # absent side, or beyond every support box
             continue
         nodes, weights = panel_nodes(lo[live], hi[live], *rule)
-        logp = log_density(p.df, lam[live], scale[live], nodes)
-        dens = np.where(np.isfinite(logp), np.exp(logp), 0.0)
-        total[live] += (integrand(nodes) * dens * weights).sum(axis=1)
+        dens = np.exp(log_density(p.df, lam[live], scale[live], nodes))
+        vals = (integrand(nodes) * dens * weights).sum(axis=1)
+        if np.isnan(vals).any():
+            raise ValueError("NaN in a fixed-rule integral: the log-density or "
+                             "the integrand is not a number at some node")
+        total[live] += vals
     return total
 
 

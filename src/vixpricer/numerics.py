@@ -2,8 +2,10 @@
 
 Every bracketed scalar root of the package is found here: an outward search
 (:func:`bracket_downcrossing`) when no bracket is known, then one safeguarded
-Newton-bisection (:func:`newton_bisect`). Implied vols, the map inverses and
-the boundary solver's stalled fixed-point steps all go through them.
+solve (:func:`newton_bisect`: Newton steps on a given slope, false position
+without one). Implied vols, the map inverses and minimum, the waiting
+benefit's sign change, the factor law's quantiles and the boundary solver's
+stalled fixed-point steps all go through them.
 
 All quadrature helpers expect integrands that map a numpy array of abscissae
 to an array of the same shape, so a single call evaluates a whole batch of
@@ -62,14 +64,23 @@ def bracket_downcrossing(fn, x0=1.0, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
 
 def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
                   max_iter=200):
-    """Root of ``fn`` on a bracket, Newton steps safeguarded by bisection.
+    """Root of ``fn`` on a bracket, Newton or false-position steps safeguarded
+    by bisection.
 
     ``fn(lo)`` and ``fn(hi)`` must have opposite signs (one may be zero).
-    Newton is used whenever a derivative is supplied, the step stays inside
-    the current bracket and it is at most half the step before the last one;
-    otherwise the step falls back to bisection, so the bracket always shrinks
-    and a Newton run that creeps towards the root from one side (a steep,
-    convex objective) cannot stall.
+    The first point is the bracket's midpoint. With a derivative ``dfn`` the
+    steps are Newton's. Without one they are false position on the current
+    bracket, where an end kept twice in a row has its value scaled by the
+    Anderson-Björck factor ``1 - f(x) / f(replaced end)`` (0.5 when that is
+    not positive), so that both ends move towards the root (Anderson &
+    Björck, BIT 13, 1973); a false-position point stays half the tolerance
+    inside the bracket, so that a step can close it. A step is taken when it
+    stays inside the current bracket and is at most half the step before
+    the last one; otherwise the step falls back to bisection, so the bracket
+    always shrinks and a run that creeps towards the root from one side (a
+    steep, convex objective) cannot stall. Once the bracket is at most
+    ``rel_tol |x| + abs_tol`` wide, the evaluated end with the smaller
+    ``|fn|`` is returned.
     """
     f_lo = fn(lo)
     f_hi = fn(hi)
@@ -79,6 +90,8 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
         raise ValueError("root is not bracketed")
+    w_lo, w_hi = f_lo, f_hi  # the ends' false-position weights
+    moved = None  # the end the last step replaced
     x = 0.5 * (lo + hi)
     step = step_old = hi - lo
     for _ in range(max_iter):
@@ -86,23 +99,37 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
         if f_x == 0.0:
             return x
         if np.sign(f_x) == np.sign(f_lo):
-            lo, f_lo = x, f_x
+            w_hi *= _kept_weight(f_x, f_lo, moved == "lo")
+            lo, f_lo, w_lo, moved = x, f_x, f_x, "lo"
         else:
-            hi, f_hi = x, f_x
-        step_ok = False
-        if dfn is not None:
+            w_lo *= _kept_weight(f_x, f_hi, moved == "hi")
+            hi, f_hi, w_hi, moved = x, f_x, f_x, "hi"
+        if dfn is None:
+            # NaN where an end's value is infinite: the step bisects
+            x_new = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+            inside = 0.5 * (rel_tol * abs(x) + abs_tol)
+            x_new = min(max(x_new, lo + inside), hi - inside)
+        else:
             d = dfn(x)
-            if np.isfinite(d) and d != 0.0:
-                x_new = x - f_x / d
-                if lo < x_new < hi and abs(x_new - x) <= 0.5 * step_old:
-                    step_old, step = step, abs(x_new - x)
-                    x, step_ok = x_new, True
-        if not step_ok:
+            x_new = x - f_x / d if np.isfinite(d) and d != 0.0 else np.nan
+        if lo < x_new < hi and abs(x_new - x) <= 0.5 * step_old:
+            step_old, step = step, abs(x_new - x)
+            x = x_new
+        else:
             step_old, step = step, 0.5 * (hi - lo)
             x = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * abs(x) + abs_tol:
-            return x
+            return lo if abs(f_lo) < abs(f_hi) else hi
     raise ConvergenceError("newton_bisect did not converge")
+
+
+def _kept_weight(f_x, f_replaced, again):
+    """Anderson-Björck factor for the end a step keeps: 1 unless the same end
+    was kept by the step before too."""
+    if not again:
+        return 1.0
+    m = 1.0 - f_x / f_replaced
+    return m if m > 0.0 else 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -127,18 +127,27 @@ class TestDensity:
 
     def test_finite_at_bessel_arguments_past_2_30(self):
         # lam 2e9: z = sqrt(lam x) is about 2e9 within 5 sd of the mean,
-        # where special.ive is NaN. The formula's terms of size lam cancel,
-        # so the reference (the same formula in mpmath) holds to 1e-6.
-        import mpmath as mp
+        # where special.ive is NaN
         df, lam, scale = 8.0, 2e9, 0.01
         x = lam + np.array([-5.0, 0.0, 5.0]) * math.sqrt(2.0 * (df + 2.0 * lam))
         got = log_density(df, [lam], [scale], scale * x)[0]
         assert np.isfinite(got).all()
-        with mp.workdps(40):
-            want = [float(-(v + lam) / 2 + (df / 4 - 0.5) * mp.log(v / lam)
-                          + mp.log(mp.besseli(df / 2 - 1, mp.sqrt(lam * v)))
-                          - mp.log(2) - mp.log(scale)) for v in map(mp.mpf, x)]
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(
+            got, _mpmath_log_density(df, lam, scale, scale * x), rtol=0.0,
+            atol=1e-11)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(df=st.floats(0.5, 60.0), log_lam=st.floats(4.0, 9.0),
+           where=st.floats(-3.0, 3.0))
+    def test_large_noncentrality_matches_mpmath(self, df, log_lam, where):
+        # the terms -(x + lam) / 2 and sqrt(lam x) of size lam cancel; the
+        # density keeps its absolute accuracy within 3 sd of the mean
+        lam, scale = 10.0 ** log_lam, 0.05
+        sd = math.sqrt(2.0 * (df + 2.0 * lam))
+        y = scale * np.array([lam + df + where * sd])
+        np.testing.assert_allclose(log_density(df, [lam], [scale], y)[0],
+                                   _mpmath_log_density(df, lam, scale, y),
+                                   rtol=0.0, atol=1e-11)
 
     def test_deep_tail_is_zero_not_nan(self):
         law = ChiSquareLaw(df=8.0, noncentrality=2.0, scale=0.1)
@@ -243,6 +252,17 @@ class TestQuantile:
         for p in self.PROBS:
             self.assert_hits(law, p)
 
+    def test_upper_quantile_reads_no_level_below_the_mean(self, monkeypatch):
+        # below the mean sf rounds to 1 far into the lower tail, so the
+        # objective is flat there and its evaluations are wasted
+        levels = []
+        sf = ChiSquareLaw.sf
+        monkeypatch.setattr(ChiSquareLaw, "sf",
+                            lambda law, y: levels.append(y) or sf(law, y))
+        law = ChiSquareLaw(df=16.28, noncentrality=42.07, scale=0.091)
+        self.assert_hits(law, 1.0 - 1e-12)
+        assert min(levels) >= law.mean() * (1.0 - 1e-15)
+
     @pytest.mark.parametrize("name", ["fig1", "fig5", "fig7"])
     def test_series_calls_per_quantile(self, name, monkeypatch):
         # the support box of the adaptive route: both tails of the
@@ -259,6 +279,19 @@ class TestQuantile:
                 calls.clear()
                 law.ppf(p)
                 assert 0 < len(calls) <= 20, f"t={t} p={p}: {len(calls)} calls"
+
+
+def _mpmath_log_density(df, lam, scale, y):
+    """Log-density of ``scale * ncx2(df, lam)`` at levels ``y`` in 60-digit
+    arithmetic, from the Bessel-function form, at the rounded ``y / scale``
+    that :func:`log_density` itself forms."""
+    import mpmath as mp
+    xs = np.asarray(y, dtype=float) / scale
+    with mp.workdps(60):
+        lam, nu = mp.mpf(lam), mp.mpf(df) / 2 - 1
+        return [float(-(x + lam) / 2 + nu / 2 * mp.log(x / lam)
+                      + mp.log(mp.besseli(nu, mp.sqrt(lam * x)))
+                      - mp.log(2) - mp.log(scale)) for x in map(mp.mpf, xs)]
 
 
 def _exact_log_ive(nu, z):

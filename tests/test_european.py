@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vixpricer import european
 from vixpricer.american import american_price
 from vixpricer.cir import CirParams, transition_law
 from vixpricer.cli import cmd_price, load_config
@@ -86,6 +87,16 @@ class TestEuropeanPrice:
             slow = european_price(m, p, option, 0.25, state)
             fast = euro_fast(m, p, option, 0.75, y0)
             assert fast == pytest.approx(slow, rel=1e-8, abs=1e-11)
+
+    def test_fast_route_raises_on_a_nan_density(self, monkeypatch):
+        # -inf is zero density, NaN is a failed evaluation
+        def log_density(df, lam, scale, y):
+            out = np.full(np.shape(y), -np.inf)
+            out[:, 3] = np.nan
+            return out
+        monkeypatch.setattr(european, "log_density", log_density)
+        with pytest.raises(ValueError, match="NaN"):
+            euro_fast(M32, P1, CALL, 0.75, factor_state(M32, 0.2))
 
 
 class TestFutures:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,18 @@ MODULES = [vixpricer] + [importlib.import_module(f"vixpricer.{info.name}")
 def test_every_export_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda mod: mod.__name__)
+def test_no_root_finder_from_scipy(module):
+    # every bracketed root goes through vixpricer.numerics
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported
+                if f"{name}.".startswith("scipy.optimize.")]

@@ -5,8 +5,8 @@ import pytest
 
 from vixpricer.cir import CirParams
 from vixpricer.european import OptionSpec, eep_kernel
-from vixpricer.models import (AssumptionError, ModelSpec, _waiting_benefit_dy,
-                              critical_levels, f_deriv, f_eval, g_eval,
+from vixpricer.models import (AssumptionError, ModelSpec, critical_levels,
+                              f_deriv, f_eval, g_eval,
                               minimum_location, mixture_inverse,
                               model_from_dict, payoff_levels,
                               validate_model_params, waiting_benefit, x_star)
@@ -94,6 +94,11 @@ class TestConstruction:
     def test_mixture_single_minimum_enforced(self):
         m = ModelSpec("mixture", terms=((0.2, 0.7),), terms_a2=((0.1, 0.9),))
         assert 0.0 < minimum_location(m) < math.inf
+
+    def test_minimum_far_below_one(self):
+        # f = 1e-10 / y + y falls then rises, with its minimum at 1e-5
+        m = ModelSpec("mixture", terms=((1e-10, 1.0),), terms_a2=((1.0, 1.0),))
+        assert minimum_location(m) == pytest.approx(math.sqrt(1e-10), rel=1e-12)
 
     def test_json_documents(self):
         doc = {"class": "mixture", "terms": [{"weight": 0.07, "power": 1.0}],
@@ -293,22 +298,3 @@ class TestCriticalLevels:
     def test_nonpositive_strike_rejected(self):
         with pytest.raises(ValueError):
             critical_levels(M32, P1, 0.05, 0.0)
-
-
-class TestWaitingBenefitSlope:
-    """The benefit's slope is the Newton slope of every sign-change search."""
-
-    @pytest.mark.parametrize("m,p", CATALOG + [
-        (MIX7, P7),
-        (ModelSpec("mixture", terms=((0.1, 0.75),), terms_a2=((0.02, 1.0),)),
-         CirParams(0.2, 0.5, 0.7)),
-        (ModelSpec("mixture", terms=((0.05, 1.2),), terms_a2=((0.03, 0.75),)),
-         CirParams(1.0, 2.0, 1.0)),
-    ])
-    def test_matches_central_differences(self, m, p):
-        ys = np.geomspace(0.02, 50.0, 200)
-        step = 1e-6 * ys
-        fd = (waiting_benefit(m, p, 0.05, 0.15, ys + step)
-              - waiting_benefit(m, p, 0.05, 0.15, ys - step)) / (2 * step)
-        exact = _waiting_benefit_dy(m, p, 0.05, ys)
-        assert np.all(np.abs(fd - exact) <= 1e-6 * (1.0 + np.abs(exact)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -39,6 +41,22 @@ def test_newton_bisect_bisects_when_newton_creeps():
     dfn = lambda x: 2.0 / x**3 * np.exp(-1.0 / (x * x))
     got = newton_bisect(fn, 1e-3, 10.0, dfn=dfn, rel_tol=1e-14)
     assert got == pytest.approx(root, rel=1e-13)
+
+
+@pytest.mark.parametrize("fn,root", [
+    (lambda x: math.exp(x) - 2.0, math.log(2.0)),
+    (lambda x: 2.0 - math.exp(-x), -math.log(2.0)),
+], ids=["convex", "concave"])
+def test_false_position_moves_both_ends(fn, root):
+    # bisection takes 47 calls here; plain false position would keep the
+    # end on the objective's far side for ever
+    points = []
+    got = newton_bisect(lambda x: points.append(x) or fn(x), -10.0, 10.0,
+                        rel_tol=0.0, abs_tol=1e-12)
+    assert abs(got - root) <= 1e-12
+    steps = points[2:]  # after the bracket ends
+    assert min(steps) < root < max(steps)
+    assert len(points) <= 12
 
 
 def test_newton_bisect_requires_bracket():
