@@ -134,10 +134,10 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
 
     Fixed-point steps with secant acceleration on the residual; a
     residual bracket is tracked along the way and bisection takes over when
-    an accelerated step leaves it. If the iteration stalls, the bracket is
-    handed to :func:`~vixpricer.numerics.newton_bisect`.
+    an accelerated step leaves it. If the iteration stalls, the bracket's
+    ends and residuals go to :func:`~vixpricer.numerics.newton_bisect`.
     """
-    lo = hi = None  # bracket: resid > 0 at lo, < 0 at hi
+    lo = hi = None  # bracket ends (x, resid): resid > 0 at lo, < 0 at hi
     x = x0
     prev = None  # (x, resid)
     for _ in range(max_iters):
@@ -145,10 +145,11 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
         resid = fx - x
         if abs(resid) <= tol:
             return x if abs(resid) == 0.0 else fx
+        point = (x, resid)
         if resid > 0.0:
-            lo = x if lo is None else max(lo, x)
+            lo = point if lo is None else max(lo, point)
         else:
-            hi = x if hi is None else min(hi, x)
+            hi = point if hi is None else min(hi, point)
         cand = x + resid
         if prev is not None:
             x1, r1 = prev
@@ -156,9 +157,9 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
                 sec = x - resid * (x - x1) / (resid - r1)
                 if np.isfinite(sec) and sec > 0.0:
                     cand = sec
-        if lo is not None and hi is not None and not (min(lo, hi) < cand < max(lo, hi)):
-            cand = 0.5 * (lo + hi)
-        prev = (x, resid)
+        if lo and hi and not (min(lo, hi)[0] < cand < max(lo, hi)[0]):
+            cand = 0.5 * (lo[0] + hi[0])
+        prev = point
         if cand <= 0.0:
             cand = 0.5 * x
         x = cand
@@ -167,8 +168,8 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
         raise SolverError(f"inner iteration formed no bracket: the residual "
                           f"stayed {sign} (last residual {resid:.3e})")
     try:
-        return newton_bisect(lambda v: update(v) - v, min(lo, hi),
-                             max(lo, hi), rel_tol=0.0, abs_tol=tol)
+        return newton_bisect(lambda v: update(v) - v, *sorted((lo, hi)),
+                             rel_tol=0.0, abs_tol=tol)
     except ConvergenceError:
         raise SolverError(f"inner iteration did not converge (last residual "
                           f"{resid:.3e})") from None
@@ -306,11 +307,7 @@ def _isotonic_backward(values, decreasing_in_t, tol):
     out = values.copy()
     clips = []
     for i in range(len(out) - 2, -1, -1):
-        bound = out[i + 1]
-        if decreasing_in_t:
-            fixed = max(out[i], bound)
-        else:
-            fixed = min(out[i], bound)
+        fixed = (max if decreasing_in_t else min)(out[i], out[i + 1])
         if fixed != out[i] and abs(fixed - out[i]) > tol:
             clips.append((i, float(out[i] - fixed)))
         out[i] = fixed

@@ -60,8 +60,8 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     The price must lie strictly inside the static no-arbitrage band
     ``(e^{-rT} (F - K)^+, e^{-rT} F)``. The vol is found by
     :func:`~vixpricer.numerics.newton_bisect` on the bracket [1e-6, 10],
-    with Newton steps on the vega, which evaluates each end once; prices
-    beyond the bracket's ends return the floor or the cap.
+    with Newton steps on the vega. Each end is priced once; a price past
+    an end returns the floor or the cap, read off the ends' signs.
     """
     disc = math.exp(-r * T)
     lo_band = disc * max(F - K, 0.0)
@@ -72,10 +72,10 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     # Python floats: numpy scalars would warn on an overflowing Newton step
     gap = lambda sigma: float(black_call(F, K, T, r, sigma) - price)
     vega = lambda sigma: float(_vega(F, K, T, r, sigma))
-    try:
-        return newton_bisect(gap, _VOL_LO, _VOL_HI, dfn=vega, rel_tol=1e-14)
-    except ValueError:  # not bracketed: the price lies past an end
-        return _VOL_LO if gap(_VOL_LO) > 0.0 else _VOL_HI
+    lo, hi = (_VOL_LO, gap(_VOL_LO)), (_VOL_HI, gap(_VOL_HI))
+    if lo[1] > 0.0 or hi[1] < 0.0:  # the price lies past an end
+        return _VOL_LO if lo[1] > 0.0 else _VOL_HI
+    return newton_bisect(gap, lo, hi, dfn=vega, rel_tol=1e-14)
 
 
 def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,

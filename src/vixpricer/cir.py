@@ -189,22 +189,20 @@ class ChiSquareLaw:
         else:
             prob, sign, log_target = self.sf, -1.0, math.log(1.0 - p)
 
-        # cached: newton_bisect re-reads the ends bracket_downcrossing evaluated
-        @lru_cache(maxsize=None)
         def target(s):  # positive below the quantile, negative above it
             q = prob(math.exp(s))
             return sign * (log_target - (math.log(q) if q > 0.0 else -math.inf))
 
         mean = self.mean()
+        start = (mean, target(math.log(mean)))
         try:
-            lo, hi = bracket_downcrossing(lambda v: target(math.log(v)), mean,
-                                          grow=10.0, lo_limit=1e-300,
-                                          hi_limit=1e300)
+            ends = bracket_downcrossing(lambda v: target(math.log(v)), start,
+                                        grow=10.0, lo_limit=1e-300, hi_limit=1e300)
         except ConvergenceError:
-            if target(math.log(mean)) > 0.0:
+            if start[1] > 0.0:
                 raise ValueError("quantile bracket expansion failed") from None
             return 0.0
-        return math.exp(newton_bisect(target, math.log(lo), math.log(hi),
+        return math.exp(newton_bisect(target, *((math.log(v), f) for v, f in ends),
                                       rel_tol=0.0, abs_tol=_PPF_TOL))
 
     def mass_bounds(self, tail_mass: float):

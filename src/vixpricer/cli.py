@@ -151,10 +151,7 @@ def cmd_futures(cfg: RunConfig, t_grid, branch: str | None = None):
 
 def _futures_row(cfg, horizon, state):
     fut = futures_price(cfg.model, cfg.cir, horizon, state, cfg.quadrature)
-    if horizon > 0.0:
-        tay = futures_taylor(cfg.model, cfg.cir, horizon, state)
-    else:
-        tay = fut
+    tay = futures_taylor(cfg.model, cfg.cir, horizon, state) if horizon > 0.0 else fut
     gap = abs(fut - tay) / abs(fut) if fut != 0.0 else 0.0
     return [float(horizon), fut, tay, gap]
 
@@ -175,14 +172,11 @@ def cmd_price(cfg: RunConfig, t: float, state_grid,
         boundary = cmd_boundary(cfg)
     m, p, option = cfg.model, cfg.cir, cfg.contract
     header = ["state", "european", "american", "intrinsic"]
-    rows = []
-    for s in state_grid:
-        rows.append([float(s),
-                     european_price(m, p, option, t, s, cfg.quadrature),
-                     american_price(m, p, option, boundary, t, s, cfg.quadrature),
-                     float(option.payoff_vix(vix_level(m, s)))])
-    states = [r[0] for r in rows]
-    witness = convexity_witness(states, [r[2] for r in rows])
+    rows = [[float(s),
+             european_price(m, p, option, t, s, cfg.quadrature),
+             american_price(m, p, option, boundary, t, s, cfg.quadrature),
+             float(option.payoff_vix(vix_level(m, s)))] for s in state_grid]
+    witness = convexity_witness([r[0] for r in rows], [r[2] for r in rows])
     meta = {"nonconvexity_witness": list(witness) if witness else None}
     return header, rows, meta
 
@@ -255,6 +249,11 @@ def _write_table(header, rows, meta, out, fmt):
             lines.append(",".join(
                 f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
+    _emit(text, out)
+
+
+def _emit(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -321,9 +320,16 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
 
     try:
+        if args.command == "mc-check":
+            report = cmd_mc_check(cfg, args.target, args.n, args.seed,
+                                  horizon=args.horizon, mc_steps=args.mc_steps,
+                                  branch=args.branch)
+            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            if not math.isfinite(report["z"]) or abs(report["z"]) > 4.0:
+                return EXIT_VERIFY
+            return EXIT_OK
         if args.command == "futures":
             header, rows, meta = cmd_futures(cfg, args.t_grid, args.branch)
-            _write_table(header, rows, meta, args.out, args.format)
         elif args.command == "boundary":
             boundary = cmd_boundary(cfg)
             if boundary.is_pair:
@@ -332,27 +338,13 @@ def main(argv=None) -> int:
             else:
                 header, curves = ["t", "b"], (boundary.values,)
             rows = [[float(v) for v in r] for r in zip(boundary.times, *curves)]
-            _write_table(header, rows, {}, args.out, args.format)
+            meta = {}
         elif args.command == "price":
             header, rows, meta = cmd_price(cfg, args.t, args.state_grid)
-            _write_table(header, rows, meta, args.out, args.format)
-        elif args.command == "skew":
+        else:
             header, rows, meta = cmd_skew(cfg, args.maturity,
-                                          args.moneyness_grid,
-                                          args.branch)
-            _write_table(header, rows, meta, args.out, args.format)
-        elif args.command == "mc-check":
-            report = cmd_mc_check(cfg, args.target, args.n, args.seed,
-                                  horizon=args.horizon, mc_steps=args.mc_steps,
-                                  branch=args.branch)
-            text = json.dumps(report, indent=2) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            if not math.isfinite(report["z"]) or abs(report["z"]) > 4.0:
-                return EXIT_VERIFY
+                                          args.moneyness_grid, args.branch)
+        _write_table(header, rows, meta, args.out, args.format)
     except (SolverError, ConvergenceError, AssumptionError,
             DivergentIntegralError) as exc:
         return _fail(EXIT_SOLVER, str(exc))

@@ -196,8 +196,8 @@ def minimum_location(m: ModelSpec) -> float:
     if not m.decreasing_terms:
         return 0.0
     obj = lambda yy: -f_deriv(m, yy, 1)  # + below the minimum, - above
-    lo, hi = bracket_downcrossing(obj, 1.0)
-    return newton_bisect(obj, lo, hi, rel_tol=_ROOT_TOL)
+    return newton_bisect(obj, *bracket_downcrossing(obj, (1.0, obj(1.0))),
+                         rel_tol=_ROOT_TOL)
 
 
 def mixture_inverse(m: ModelSpec, x: float, branch: str) -> float:
@@ -233,16 +233,18 @@ def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
     if not other and len(own) == 1:
         w, p = own[0]
         return (w / x) ** (1.0 / p) if lower else (x / w) ** (1.0 / p)
-    start = 1.0
+    sign = 1.0 if lower else -1.0  # the objective falls through the root
+    obj = lambda yy: sign * (f_eval(m, yy) - x)
     if other:
-        start = minimum_location(m)
-        f_min = float(f_eval(m, start))
+        y_min = minimum_location(m)
+        f_min = float(f_eval(m, y_min))
         if x < f_min * (1.0 - 1e-14):
             raise ValueError(f"no factor level reaches VIX level {x} (minimum {f_min})")
         if x <= f_min * (1.0 + 1e-14):
-            return start
-    sign = 1.0 if lower else -1.0  # the objective falls through the root
-    obj = lambda yy: sign * (f_eval(m, yy) - x)
+            return y_min
+        start = (y_min, sign * (f_min - x))
+    else:
+        start = (1.0, obj(1.0))
     lo, hi = bracket_downcrossing(obj, start, lo_limit=1e-300, hi_limit=1e300)
     return newton_bisect(obj, lo, hi, rel_tol=_ROOT_TOL)
 
@@ -413,4 +415,5 @@ def _sign_change(m, p, r, strike, grid, rising):
         raise AssumptionError("waiting benefit changes sign in the wrong direction")
     sign = -1.0 if rising else 1.0  # the objective falls through the root
     return newton_bisect(lambda yy: sign * waiting_benefit(m, p, r, strike, yy),
-                         grid[i], grid[i + 1], rel_tol=_ROOT_TOL)
+                         (grid[i], sign * h_vals[i]),
+                         (grid[i + 1], sign * h_vals[i + 1]), rel_tol=_ROOT_TOL)

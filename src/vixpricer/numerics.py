@@ -3,9 +3,10 @@
 Every bracketed scalar root of the package is found here: an outward search
 (:func:`bracket_downcrossing`) when no bracket is known, then one safeguarded
 solve (:func:`newton_bisect`: Newton steps on a given slope, false position
-without one). Implied vols, the map inverses and minimum, the waiting
-benefit's sign change, the factor law's quantiles and the boundary solver's
-stalled fixed-point steps all go through them.
+without one), passing bracket points as evaluated pairs ``(x, f(x))``, so
+no point is evaluated twice. Implied vols, the map inverses and minimum, the
+waiting benefit's sign change, the factor law's quantiles and the boundary
+solver's stalled fixed-point steps all go through them.
 
 All quadrature helpers expect integrands that map a numpy array of abscissae
 to an array of the same shape, so a single call evaluates a whole batch of
@@ -35,55 +36,58 @@ class ConvergenceError(RuntimeError):
 # root finding
 # ---------------------------------------------------------------------------
 
-def bracket_downcrossing(fn, x0=1.0, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
+def bracket_downcrossing(fn, start, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
     """Bracket the sign change of a function that goes from + to - as x grows.
 
-    Starting from ``x0`` the bracket is expanded geometrically: upward while
-    the function is still positive, downward while it is still negative.
-    Returns ``(lo, hi)`` with ``fn(lo) > 0 >= fn(hi)``.
+    From the evaluated point ``start = (x0, fn(x0))`` the bracket is expanded
+    geometrically: upward while the function is still positive, downward
+    while it is still negative. Returns the evaluated ends ``(lo, fn(lo)),
+    (hi, fn(hi))``, ``fn(lo) > 0 >= fn(hi)``; ``fn`` runs once per new point.
     """
-    f0 = fn(x0)
+    x0, f0 = start
     if not np.isfinite(f0) and not np.isneginf(f0):
         raise ValueError(f"objective not evaluable at starting point {x0}")
     if f0 > 0.0:
-        lo = x0
-        hi = x0 * grow
-        while hi <= hi_limit:
-            if fn(hi) <= 0.0:
+        lo, x = start, x0 * grow
+        while x <= hi_limit:
+            hi = (x, fn(x))
+            if hi[1] <= 0.0:
                 return lo, hi
-            lo, hi = hi, hi * grow
+            lo, x = hi, x * grow
         raise ConvergenceError("no sign change found while expanding upward")
-    lo = x0 / grow
-    hi = x0
-    while lo >= lo_limit:
-        if fn(lo) > 0.0:
+    hi, x = start, x0 / grow
+    while x >= lo_limit:
+        lo = (x, fn(x))
+        if lo[1] > 0.0:
             return lo, hi
-        lo, hi = lo / grow, lo
+        hi, x = lo, x / grow
     raise ConvergenceError("no sign change found while expanding downward")
 
 
-def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
-                  max_iter=200):
+_MAX_ITER = 200  # newton_bisect's steps before it gives up
+
+
+def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0):
     """Root of ``fn`` on a bracket, Newton or false-position steps safeguarded
     by bisection.
 
-    ``fn(lo)`` and ``fn(hi)`` must have opposite signs (one may be zero).
-    The first point is the bracket's midpoint. With a derivative ``dfn`` the
-    steps are Newton's. Without one they are false position on the current
-    bracket, where an end kept twice in a row has its value scaled by the
-    Anderson-Björck factor ``1 - f(x) / f(replaced end)`` (0.5 when that is
-    not positive), so that both ends move towards the root (Anderson &
-    Björck, BIT 13, 1973); a false-position point stays half the tolerance
-    inside the bracket, so that a step can close it. A step is taken when it
-    stays inside the current bracket and is at most half the step before
-    the last one; otherwise the step falls back to bisection, so the bracket
+    The ends are evaluated points ``lo = (a, fn(a))``, ``hi = (b, fn(b))``,
+    ``a < b``, of opposite signs (one may be zero); ``fn`` is not called at
+    them. The first point is the bracket's midpoint. With a derivative
+    ``dfn`` the steps are Newton's. Without one they are false position on
+    the current bracket, where an end kept twice in a row has its value
+    scaled by the Anderson-Björck factor ``1 - f(x) / f(replaced end)`` (0.5
+    when that is not positive), so that both ends move towards the root
+    (Anderson & Björck, BIT 13, 1973); a false-position point stays half the
+    tolerance inside the bracket, so that a step can close it. A step is
+    taken when it stays inside the current bracket and is at most half the
+    step before the last one; otherwise the step bisects, so the bracket
     always shrinks and a run that creeps towards the root from one side (a
     steep, convex objective) cannot stall. Once the bracket is at most
     ``rel_tol |x| + abs_tol`` wide, the evaluated end with the smaller
     ``|fn|`` is returned.
     """
-    f_lo = fn(lo)
-    f_hi = fn(hi)
+    (lo, f_lo), (hi, f_hi) = lo, hi
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -94,7 +98,7 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0,
     moved = None  # the end the last step replaced
     x = 0.5 * (lo + hi)
     step = step_old = hi - lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         f_x = fn(x)
         if f_x == 0.0:
             return x

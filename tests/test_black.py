@@ -106,6 +106,22 @@ class TestImpliedVol:
         assert sigmas.count(_VOL_LO) == 1
         assert sigmas.count(_VOL_HI) == 1
 
+    @pytest.mark.parametrize("price,want", [(1e-7, _VOL_LO),
+                                            (1.0 - 1e-8, _VOL_HI)],
+                             ids=["floor", "cap"])
+    def test_price_past_an_end_prices_each_end_once(self, monkeypatch, price,
+                                                    want):
+        from vixpricer import black
+        sigmas = []
+
+        def counted(F, K, T, r, sigma):
+            sigmas.append(sigma)
+            return black_call(F, K, T, r, sigma)
+
+        monkeypatch.setattr(black, "black_call", counted)
+        assert implied_vol(price, 1.0, 1.0, 1.0, 0.0) == want
+        assert sorted(sigmas) == [_VOL_LO, _VOL_HI]
+
     def test_band_edges_rejected(self):
         disc = math.exp(-0.05)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vixpricer.american import SolverConfig, solve_boundary
 from vixpricer.cir import CirParams, transition_law
 from vixpricer.european import OptionSpec
 from vixpricer.mc import (McEstimate, mc_american_policy, mc_european,
@@ -75,6 +76,14 @@ class TestPolicyEstimates:
         est = mc_american_policy(M32, P1, CALL, b, 0.0, x, 500, 50, 9)
         assert est.mean == pytest.approx(x - 0.15)
         assert est.std_error == 0.0
+
+    def test_maturity_is_exact(self):
+        # a continuation state at maturity: no step is drawn
+        b = solve_boundary(M32, P1, CALL, SolverConfig(n_steps=12))
+        est = mc_american_policy(M32, P1, CALL, b, 1.0, 0.2, 1000, 12, 3)
+        assert est == McEstimate(mean=pytest.approx(0.05), std_error=0.0,
+                                 n_paths=1000, seed=3)
+        assert est == mc_european(M32, P1, CALL, 1.0, 0.2, 1000, 3)
 
     def test_dominates_european_estimate(self, fig1_boundary_coarse):
         b = fig1_boundary_coarse

@@ -163,6 +163,24 @@ class TestInverse:
         with pytest.raises(ValueError):
             mixture_inverse(MIX7, 0.1, "lower")
 
+    def test_each_abscissa_is_mapped_once(self, monkeypatch):
+        # the bracket search and the solve pass evaluated points, and the
+        # search starts from the minimum value already computed
+        from vixpricer import models
+        minimum_location(MIX7)
+        points = []
+        monkeypatch.setattr(models, "f_eval",
+                            lambda m, y: points.append(float(y)) or f_eval(m, y))
+        total = 0
+        xs = np.linspace(0.16, 0.40, 25)
+        for x in xs:
+            for br in ("lower", "upper"):
+                points.clear()
+                mixture_inverse(MIX7, float(x), br)
+                assert len(points) == len(set(points)), (x, br, points)
+                total += len(points)
+        assert total / (2 * len(xs)) <= 9.7
+
     @pytest.mark.parametrize("family,side,terms", [
         ("a1", "lower", ((1.0, 1.2),)), ("a2", "upper", ((1.0, 0.8),)),
     ])

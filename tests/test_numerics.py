@@ -12,24 +12,25 @@ from vixpricer.numerics import (ConvergenceError, adaptive_gauss_kronrod,
 
 def test_bracket_downcrossing_both_directions():
     fn = lambda x: 5.0 - x
-    lo, hi = bracket_downcrossing(fn, 1.0)
+    (lo, _), (hi, _) = bracket_downcrossing(fn, (1.0, fn(1.0)))
     assert fn(lo) > 0.0 >= fn(hi)
-    lo, hi = bracket_downcrossing(fn, 100.0)
+    (lo, _), (hi, _) = bracket_downcrossing(fn, (100.0, fn(100.0)))
     assert fn(lo) > 0.0 >= fn(hi)
 
 
 def test_bracket_failure():
     with pytest.raises(ConvergenceError):
-        bracket_downcrossing(lambda x: 1.0, 1.0, hi_limit=1e3)
+        bracket_downcrossing(lambda x: 1.0, (1.0, 1.0), hi_limit=1e3)
 
 
 @pytest.mark.parametrize("root", [0.3, 1.0, 17.5])
 def test_newton_bisect_with_and_without_derivative(root):
     fn = lambda x: root**3 - x**3
     dfn = lambda x: -3.0 * x**2
-    got = newton_bisect(fn, root / 10, root * 10, dfn=dfn)
+    ends = [(x, fn(x)) for x in (root / 10, root * 10)]
+    got = newton_bisect(fn, *ends, dfn=dfn)
     assert got == pytest.approx(root, rel=1e-12)
-    got = newton_bisect(fn, root / 10, root * 10)
+    got = newton_bisect(fn, *ends)
     assert got == pytest.approx(root, rel=1e-11)
 
 
@@ -39,7 +40,8 @@ def test_newton_bisect_bisects_when_newton_creeps():
     root = 0.05
     fn = lambda x: np.exp(-1.0 / (x * x)) - np.exp(-1.0 / (root * root))
     dfn = lambda x: 2.0 / x**3 * np.exp(-1.0 / (x * x))
-    got = newton_bisect(fn, 1e-3, 10.0, dfn=dfn, rel_tol=1e-14)
+    got = newton_bisect(fn, (1e-3, fn(1e-3)), (10.0, fn(10.0)), dfn=dfn,
+                        rel_tol=1e-14)
     assert got == pytest.approx(root, rel=1e-13)
 
 
@@ -51,7 +53,8 @@ def test_false_position_moves_both_ends(fn, root):
     # bisection takes 47 calls here; plain false position would keep the
     # end on the objective's far side for ever
     points = []
-    got = newton_bisect(lambda x: points.append(x) or fn(x), -10.0, 10.0,
+    traced = lambda x: points.append(x) or fn(x)
+    got = newton_bisect(traced, (-10.0, traced(-10.0)), (10.0, traced(10.0)),
                         rel_tol=0.0, abs_tol=1e-12)
     assert abs(got - root) <= 1e-12
     steps = points[2:]  # after the bracket ends
@@ -61,7 +64,23 @@ def test_false_position_moves_both_ends(fn, root):
 
 def test_newton_bisect_requires_bracket():
     with pytest.raises(ValueError):
-        newton_bisect(lambda x: 1.0 + x * 0, 0.0, 1.0)
+        newton_bisect(lambda x: 1.0 + x * 0, (0.0, 1.0), (1.0, 1.0))
+
+
+def test_given_points_are_not_evaluated_again():
+    points = []
+    fn = lambda x: points.append(x) or 5.0 - x
+    for x0 in (1.0, 100.0):
+        start = (x0, 5.0 - x0)
+        points.clear()
+        lo, hi = bracket_downcrossing(fn, start)
+        assert x0 not in points
+        assert len(points) == len(set(points))
+        assert lo[1] == 5.0 - lo[0] and hi[1] == 5.0 - hi[0]
+        points.clear()
+        newton_bisect(fn, lo, hi, rel_tol=0.0, abs_tol=1e-12)
+        assert lo[0] not in points and hi[0] not in points
+        assert len(points) == len(set(points))
 
 
 def test_kronrod_rule_is_high_degree():
