@@ -12,6 +12,13 @@ integral is discretized by the trapezoid rule whose zero-time node is the
 analytic kernel limit weighted by the local boundary-crossing mass; all
 other nodes depend on already-solved values only.
 
+Each scalar equation is a fixed point ``x = update(x)`` of value matching,
+solved by secant steps (:func:`_solve_step`) that start from the linear
+extrapolation of the two later solved levels and carry the slope of
+``update`` from one grid time to the next. A step stops on an estimate of
+its distance from the fixed point, not on the residual, so ``inner_tol``
+bounds each solved level's error; the estimates are recorded per step.
+
 Monotone families carry one boundary in the VIX coordinate; the mixture
 family carries a lower/upper pair in the factor coordinate (one of the two
 may be degenerate at 0 / inf when the corresponding map part is absent).
@@ -55,6 +62,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Sweep settings: ``n_steps`` uniform time steps, and ``inner_tol``,
+    the estimated distance each solved boundary level may keep from the
+    fixed point of its value-matching equation."""
+
     n_steps: int = 200
     inner_tol: float = 1e-9
 
@@ -76,10 +87,11 @@ class Boundary:
     curves: a state stops when ``y <= lower`` or ``y >= upper``. Between
     grid points every row interpolates linearly, the cuts in the factor
     coordinate. ``diagnostics`` of a solve holds ``monotonicity_clips``, the
-    isotonic projection's ``(time, adjustment)`` pairs, and
-    ``inner_updates``, the value-matching ``update`` calls per curve and
-    grid time (0 where no step was solved: the terminal and pinned times
-    and an absent mixture side).
+    isotonic projection's ``(time, adjustment)`` pairs; ``inner_updates``,
+    the value-matching ``update`` calls per curve and grid time; and
+    ``inner_error``, the final error estimate of each solved level (at most
+    ``inner_tol``). Both are 0 where no step was solved: the terminal and
+    pinned times and an absent mixture side.
     """
 
     times: np.ndarray
@@ -126,37 +138,64 @@ def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
 # scalar equation solver (fixed point, secant-accelerated, bracketed)
 # ---------------------------------------------------------------------------
 
-_MAX_INNER_ITERS = 100  # fixed-point steps before the bracketed fallback
+_MAX_INNER_ITERS = 100  # secant steps before the bracketed fallback
 
 
-def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
-    """Solve x = update(x) near x0.
+@dataclass
+class _InnerCarry:
+    """What one curve's inner solves pass on from one grid time to the next:
+    the last secant slope of ``update`` (None before any is known) and the
+    error estimate of the last solve."""
 
-    Fixed-point steps with secant acceleration on the residual; a
-    residual bracket is tracked along the way and bisection takes over when
-    an accelerated step leaves it. If the iteration stalls, the bracket's
-    ends and residuals go to :func:`~vixpricer.numerics.newton_bisect`.
+    slope: float | None = None
+    error: float = 0.0
+
+
+def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
+    """Solve x = update(x) near x0, to an estimated error of ``tol``.
+
+    Secant steps on the residual ``r = update(x) - x``: with ``s`` the slope
+    of ``update`` through the last two evaluations, the next point is
+    ``x + r / (1 - s)``. Before a solve's second evaluation ``s`` is
+    ``carry.slope``, the previous solve's last slope; with none known the
+    step is the plain fixed-point step. A residual bracket is tracked along
+    the way and bisection takes over when a step leaves it.
+
+    ``update(x)`` lies about ``|r s / (1 - s)|`` from the fixed point, and
+    the solve returns it once that estimate is at most ``tol``. With no
+    slope known only a zero residual stops, and ``s == 1`` never does. If
+    the iteration stalls, the bracket's ends and residuals go to
+    :func:`~vixpricer.numerics.newton_bisect`, whose final bracket width is
+    the error. ``carry`` (an :class:`_InnerCarry`) receives the last slope
+    and the error estimate of the returned value.
     """
+    carry = _InnerCarry() if carry is None else carry
     lo = hi = None  # bracket ends (x, resid): resid > 0 at lo, < 0 at hi
     x = x0
     prev = None  # (x, resid)
     for _ in range(max_iters):
         fx = update(x)
         resid = fx - x
-        if abs(resid) <= tol:
-            return x if abs(resid) == 0.0 else fx
+        if resid == 0.0:
+            carry.error = 0.0
+            return x
+        if prev is not None and prev[0] != x:
+            carry.slope = 1.0 + (resid - prev[1]) / (x - prev[0])
+        s = carry.slope
+        cand = x + resid
+        if s is not None and s != 1.0:
+            error = abs(resid * s / (1.0 - s))
+            if error <= tol:
+                carry.error = error
+                return fx
+            sec = x + resid / (1.0 - s)  # the secant's (or chord's) root
+            if np.isfinite(sec) and sec > 0.0:
+                cand = sec
         point = (x, resid)
         if resid > 0.0:
             lo = point if lo is None else max(lo, point)
         else:
             hi = point if hi is None else min(hi, point)
-        cand = x + resid
-        if prev is not None:
-            x1, r1 = prev
-            if r1 != resid:
-                sec = x - resid * (x - x1) / (resid - r1)
-                if np.isfinite(sec) and sec > 0.0:
-                    cand = sec
         if lo and hi and not (min(lo, hi)[0] < cand < max(lo, hi)[0]):
             cand = 0.5 * (lo[0] + hi[0])
         prev = point
@@ -167,12 +206,22 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS):
         sign = "negative" if lo is None else "positive"
         raise SolverError(f"inner iteration formed no bracket: the residual "
                           f"stayed {sign} (last residual {resid:.3e})")
+    seen = dict((lo, hi))  # x -> residual: the ends and the fallback's points
+
+    def residual(v):
+        seen[v] = update(v) - v
+        return seen[v]
+
     try:
-        return newton_bisect(lambda v: update(v) - v, *sorted((lo, hi)),
-                             rel_tol=0.0, abs_tol=tol)
+        x = newton_bisect(residual, *sorted((lo, hi)), rel_tol=0.0,
+                          abs_tol=tol)
     except ConvergenceError:
         raise SolverError(f"inner iteration did not converge (last residual "
                           f"{resid:.3e})") from None
+    # the other end of the final bracket is the nearest point of opposite sign
+    carry.error = min((abs(v - x) for v, r in seen.items()
+                       if r * seen[x] < 0.0), default=0.0)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +259,9 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
     active = [_is_active(level) for level in terminal]
     pinned, discard = _startup_steps(n)
     updates = np.zeros(curves.shape, dtype=int)
-    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad, updates)
+    errors = np.zeros(curves.shape)
+    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad, updates,
+           errors)
 
     # a call's VIX boundary and a pair's upper curve fall towards expiry
     falling = (option.kind == "call",) if len(curves) == 1 else (False, True)
@@ -223,7 +274,7 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
         out.append(curve)
         clips += found
     diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips],
-            "inner_updates": updates.tolist()}
+            "inner_updates": updates.tolist(), "inner_error": errors.tolist()}
     return Boundary(times=times, values=out[0],
                     cuts=np.array(stop_cuts(m, option, *out)),
                     upper=out[1] if len(out) == 2 else None, kind=option.kind,
@@ -235,7 +286,8 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates):
+def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates,
+           errors):
     """Solve the active curves at steps start-1 .. 0 of a uniform grid, in place.
 
     ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
@@ -243,14 +295,18 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates):
     coordinate and mapped back by value matching on the premium formula,
     evaluated on the curve itself against the paying stop pairs of the
     later steps. The other curve of a pair enters at its later-step level.
-    ``updates``, shaped like ``curves``, counts the ``update`` calls per
-    curve and grid time.
+    Each solve starts from the linear extrapolation of the curve's two later
+    levels once both were solved here (and the guess is positive), from the
+    later level otherwise, and inherits the curve's last secant slope.
+    ``updates`` and ``errors``, shaped like ``curves``, receive the
+    ``update`` calls and the final error estimate per curve and grid time.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
     n_last = len(times) - 1
     dt = times[1] - times[0]
     names = ("lower", "upper") if len(curves) == 2 else ("",)
+    carries = [_InnerCarry() for _ in names]
     cuts = np.empty((2, n_last + 1))
     for j in range(start, n_last + 1):
         cuts[:, j] = stop_cuts(m, option, *curves[:, j])
@@ -271,8 +327,13 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates):
                     return mixture_inverse(m, strike + euro + prem, name)
                 return strike + sign * (euro + prem)
 
+            x0 = curves[k, i + 1]
+            if i + 2 < start and 2.0 * x0 - curves[k, i + 2] > 0.0:
+                x0 = 2.0 * x0 - curves[k, i + 2]
             try:
-                curves[k, i] = _solve_step(update, curves[k, i + 1], cfg.inner_tol)
+                curves[k, i] = _solve_step(update, x0, cfg.inner_tol,
+                                           carry=carries[k])
+                errors[k, i] = carries[k].error
             except SolverError as exc:
                 raise SolverError(
                     f"{name} boundary step at t={times[i]:.6g} failed: "

@@ -114,7 +114,10 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
             alive &= ~stopped
         if last or not alive.any():
             break
-        lam_unit, scale = law_params(p, times[i + 1] - times[i], 1.0)
+        step = times[i + 1] - times[i]
+        if step == 0.0:  # rounded away near maturity: no time elapses
+            continue
+        lam_unit, scale = law_params(p, step, 1.0)
         idx = np.nonzero(alive)[0]
         y[idx] = scale * _sample_std(rng, p.df, lam_unit * y[idx])
     return _summarize(payoff, seed)

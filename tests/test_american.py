@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from vixpricer import american
-from vixpricer.american import (SolverConfig, SolverError, _solve_step,
-                                american_price, convexity_witness,
-                                smooth_fit_check, solve_boundary,
-                                terminal_levels)
+from vixpricer.american import (SolverConfig, SolverError, _InnerCarry,
+                                _solve_step, american_price,
+                                convexity_witness, smooth_fit_check,
+                                solve_boundary, terminal_levels)
 from vixpricer.cir import CirParams
 from vixpricer.cli import load_config
 from vixpricer.european import (OptionSpec, european_price, factor_state,
@@ -94,20 +94,33 @@ class TestBoundaryShape:
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
     @pytest.mark.parametrize("m,p,option,want", [
-        (M32, P1, CALL, (0.3687186774570612, 0.3321820574301475)),
-        (M32, P1, PUT, (0.10874940145164869, 0.11326419431328594)),
-        (M12, P2, CALL, (0.5670467235604406, 0.4950302603566137)),
-        (MIX7, P7, CALL, (0.277263965716632, 0.31747637096335435,
-                          3.2167686541458305, 2.9618982565157825)),
+        (M32, P1, CALL, (0.3687186773778224, 0.332182057205206)),
+        (M32, P1, PUT, (0.10874940145137282, 0.11326419430332416)),
+        (M12, P2, CALL, (0.5670467234284272, 0.49503026014481677)),
+        (MIX7, P7, CALL, (0.2772639657234148, 0.3174763710957386,
+                          3.2167686543626606, 2.9618982564274416)),
     ])
     def test_pinned_values(self, m, p, option, want):
-        # b(0) and b(T/2) at 30 steps, as first recorded; guards refactors
-        # of the sweep against drift far below the discretization error
+        # b(0) and b(T/2) at 30 steps, each within 2.4e-11 of the solve at
+        # inner_tol=1e-12; guards refactors of the sweep against drift far
+        # below the discretization error
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
         got = [b.values[0], b.values[15]]
         if b.is_pair:
             got += [b.upper[0], b.upper[15]]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m,p", [(M32, P1), (M12, P2), (MIX7, P7)],
+                             ids=["fig1", "fig2", "fig7-pair"])
+    def test_whole_curve_within_inner_tol_of_a_tight_solve(self, m, p):
+        cfg = SolverConfig(n_steps=30)
+        b = solve_boundary(m, p, CALL, cfg)
+        tight = solve_boundary(m, p, CALL,
+                               dataclasses.replace(cfg, inner_tol=1e-12))
+        for got, want in ((b.values, tight.values), (b.upper, tight.upper)):
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=2 * cfg.inner_tol)
 
     def test_increasing_only_mixture_is_the_a2_boundary(self):
         # with f(y) = y the one-sided mixture restates fig2's a2 call; its
@@ -134,6 +147,36 @@ class TestSolveStep:
     def test_bracketed_fallback_reaches_the_fixed_point(self):
         got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2)
         assert abs(got - 2.0) <= 1e-9
+
+    def test_fallback_reports_its_bracket_width(self):
+        carry = _InnerCarry()
+        got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2, carry=carry)
+        assert 0.0 < carry.error <= 1e-9
+        assert abs(got - 2.0) <= carry.error
+
+    def test_stops_on_the_error_estimate_not_the_residual(self):
+        # slope 0.95: the first residual, 5e-10, is inside the tolerance
+        # while update(x0) is 9.5e-9 from the fixed point 2
+        got = _solve_step(lambda x: 0.95 * x + 0.1, 2.0 - 1e-8, 1e-9)
+        assert abs(got - 2.0) <= 1e-9
+
+    def test_carry_receives_the_slope_and_the_error(self):
+        carry = _InnerCarry()
+        got = _solve_step(lambda x: 0.95 * x + 0.1, 1.0, 1e-9, carry=carry)
+        assert carry.slope == pytest.approx(0.95, rel=1e-6)
+        assert abs(got - 2.0) <= carry.error <= 1e-9
+
+    def test_carried_slope_stops_after_one_call(self):
+        calls = []
+
+        def update(x):
+            calls.append(x)
+            return 0.95 * x + 0.1
+
+        carry = _InnerCarry(slope=0.95)
+        got = _solve_step(update, 2.0 - 1e-12, 1e-9, carry=carry)
+        assert len(calls) == 1
+        assert abs(got - 2.0) == pytest.approx(carry.error, rel=1e-3)
 
     def test_no_bracket_is_a_solver_error(self):
         with pytest.raises(SolverError):
@@ -192,6 +235,11 @@ class TestDiagnostics:
         updates = np.array(b.diagnostics["inner_updates"])
         assert updates.shape == (2 if m.is_mixture else 1, n + 1)
         assert updates.sum() == len(calls)
+        # the error estimate of every solved step is within inner_tol
+        errors = np.array(b.diagnostics["inner_error"])
+        assert errors.shape == updates.shape
+        assert not errors[updates == 0].any()
+        assert (errors[updates > 0] <= SolverConfig().inner_tol).all()
         # the terminal and pinned steps are not solved, nor is an absent side
         pinned = american._PIN_STEPS
         assert not updates[:, n - pinned:].any()

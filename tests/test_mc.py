@@ -85,6 +85,16 @@ class TestPolicyEstimates:
                                  n_paths=1000, seed=3)
         assert est == mc_european(M32, P1, CALL, 1.0, 0.2, 1000, 3)
 
+    def test_steps_rounded_to_zero_leave_the_paths(self):
+        # 1e-15 before maturity some of the 12 grid steps round to zero
+        b = solve_boundary(M32, P1, CALL, SolverConfig(n_steps=12))
+        t = 1.0 - 1e-15
+        assert (np.diff(t + np.linspace(0.0, 1.0 - t, 13)) == 0.0).any()
+        est = mc_american_policy(M32, P1, CALL, b, t, 0.2, 1000, 12, 3)
+        assert est.mean == pytest.approx(0.05, abs=1e-8)
+        assert est.mean == pytest.approx(
+            mc_european(M32, P1, CALL, t, 0.2, 1000, 3).mean, abs=1e-8)
+
     def test_dominates_european_estimate(self, fig1_boundary_coarse):
         b = fig1_boundary_coarse
         am = mc_american_policy(M32, P1, CALL, b, 0.0, 0.2, 100_000, 100, 13)
