@@ -90,8 +90,8 @@ class Boundary:
     isotonic projection's ``(time, adjustment)`` pairs; ``inner_updates``,
     the value-matching ``update`` calls per curve and grid time; and
     ``inner_error``, the final error estimate of each solved level (at most
-    ``inner_tol``). Both are 0 where no step was solved: the terminal and
-    pinned times and an absent mixture side.
+    ``inner_tol``). Both are 0 where no step was solved: the terminal time
+    and an absent mixture side.
     """
 
     times: np.ndarray
@@ -116,6 +116,19 @@ class Boundary:
     def cuts_at(self, t):
         """Factor-space stop pair ``(lower, upper)`` at time(s) ``t``."""
         return tuple(np.interp(t, self.times, row) for row in self.cuts)
+
+    def check_covers(self, option: OptionSpec, t: float):
+        """Raise ValueError unless this boundary can price ``option`` at ``t``:
+        same kind, ending at its maturity, and starting no later than ``t``."""
+        if self.kind != option.kind:
+            raise ValueError(f"a {self.kind} boundary cannot price a "
+                             f"{option.kind}")
+        if self.times[-1] != option.maturity:
+            raise ValueError(f"the boundary ends at {self.times[-1]:g}, the "
+                             f"contract matures at {option.maturity:g}")
+        if t < self.times[0]:
+            raise ValueError(f"valuation time {t:g} lies before the "
+                             f"boundary's first time {self.times[0]:g}")
 
 
 def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
@@ -228,19 +241,6 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
 # boundary solvers
 # ---------------------------------------------------------------------------
 
-# Near expiry the value-matching equation degenerates whenever the terminal
-# boundary sits away from the strike: every term is of the order of the time
-# step and the first backward roots carry a grid-independent wobble. The
-# sweep therefore pins the first _PIN_STEPS values at the terminal level
-# (their true displacement is O(sqrt(dt))), discards the first actually
-# solved value, and rebuilds the startup window with a square-root bridge
-# anchored at the first trusted step. Monotonicity is imposed afterwards as
-# an isotonic projection whose adjustments are reported, so the sweep itself
-# always works with raw solutions and can self-correct.
-_PIN_STEPS = 2
-_BRIDGE_STEPS = 1
-
-
 def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
                    cfg: SolverConfig = SolverConfig(),
                    quad: QuadratureConfig = DEFAULT_CONFIG) -> Boundary:
@@ -257,18 +257,14 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
     terminal = np.atleast_1d(terminal_levels(m, p, option))
     curves = np.repeat(terminal[:, None], n + 1, axis=1)
     active = [_is_active(level) for level in terminal]
-    pinned, discard = _startup_steps(n)
     updates = np.zeros(curves.shape, dtype=int)
     errors = np.zeros(curves.shape)
-    _sweep(m, p, option, times, curves, active, n - pinned, cfg, quad, updates,
-           errors)
+    _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors)
 
     # a call's VIX boundary and a pair's upper curve fall towards expiry
     falling = (option.kind == "call",) if len(curves) == 1 else (False, True)
     out, clips = [], []
-    for curve, solved, decreasing_in_t in zip(curves, active, falling):
-        if solved:
-            _apply_bridge(times, curve, pinned + discard)
+    for curve, decreasing_in_t in zip(curves, falling):
         curve, found = _isotonic_backward(curve, decreasing_in_t,
                                           tol=cfg.inner_tol * 1e3)
         out.append(curve)
@@ -286,9 +282,8 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates,
-           errors):
-    """Solve the active curves at steps start-1 .. 0 of a uniform grid, in place.
+def _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors):
+    """Solve the active curves at every grid time before expiry, in place.
 
     ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
     pair (mixture, factor coordinate); each row is iterated in its own
@@ -308,9 +303,8 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates,
     names = ("lower", "upper") if len(curves) == 2 else ("",)
     carries = [_InnerCarry() for _ in names]
     cuts = np.empty((2, n_last + 1))
-    for j in range(start, n_last + 1):
-        cuts[:, j] = stop_cuts(m, option, *curves[:, j])
-    for i in range(start - 1, -1, -1):
+    cuts[:, n_last] = stop_cuts(m, option, *curves[:, n_last])
+    for i in range(n_last - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
         for k, name in enumerate(names):
@@ -328,7 +322,7 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates,
                 return strike + sign * (euro + prem)
 
             x0 = curves[k, i + 1]
-            if i + 2 < start and 2.0 * x0 - curves[k, i + 2] > 0.0:
+            if i + 2 < n_last and 2.0 * x0 - curves[k, i + 2] > 0.0:
                 x0 = 2.0 * x0 - curves[k, i + 2]
             try:
                 curves[k, i] = _solve_step(update, x0, cfg.inner_tol,
@@ -343,24 +337,6 @@ def _sweep(m, p, option, times, curves, active, start, cfg, quad, updates,
                 f"boundaries crossed at t={times[i]:.6g}: "
                 f"{curves[0, i]:.6g} >= {curves[1, i]:.6g}")
         cuts[:, i] = stop_cuts(m, option, *curves[:, i])
-
-
-def _startup_steps(n_steps):
-    pinned = _PIN_STEPS if n_steps >= 4 * (_PIN_STEPS + _BRIDGE_STEPS) else 0
-    return pinned, (_BRIDGE_STEPS if pinned else 0)
-
-
-def _apply_bridge(times, vals, n_window):
-    """Rebuild the last ``n_window`` interior values on a sqrt profile."""
-    if not n_window:
-        return
-    n_last = len(times) - 1
-    anchor = n_last - n_window - 1
-    expiry = times[n_last]
-    span = expiry - times[anchor]
-    for i in range(anchor + 1, n_last):
-        w = math.sqrt((expiry - times[i]) / span)
-        vals[i] = vals[n_last] + (vals[anchor] - vals[n_last]) * w
 
 
 def _isotonic_backward(values, decreasing_in_t, tol):
@@ -461,8 +437,10 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     coordinate off the grid); the zero-time endpoint is the analytic kernel
     limit weighted by the local Gaussian crossing mass, which keeps the
     premium accurate deep in the stopping region and smooth across the
-    boundary.
+    boundary. The boundary must be the contract's and start no later than
+    ``t`` (:meth:`Boundary.check_covers`).
     """
+    boundary.check_covers(option, t)
     tau = option.maturity - t
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
@@ -488,6 +466,7 @@ def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
     continuation region; at a true smooth-fit point the gap vanishes up to
     discretization error.
     """
+    boundary.check_covers(option, t)
     if t >= option.maturity:
         raise ValueError("smooth fit is checked strictly before expiry")
     if boundary.is_pair:

@@ -87,10 +87,14 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     the payoff there, maturity included. The region is the boundary's stored
     factor stop pair, linearly interpolated in time, so the factor paths are
     compared with it directly. Stopping only on the grid biases the
-    estimate low. At maturity it is :func:`mc_european`'s exact payoff.
+    estimate low. At maturity it is :func:`mc_european`'s exact payoff. The
+    boundary must cover the valuation as in :func:`american_price`.
     """
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
     if n_time_steps < 1:
         raise ValueError("need at least one time step")
+    boundary.check_covers(option, t)
     tau = option.maturity - t
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")

@@ -94,14 +94,14 @@ class TestBoundaryShape:
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
     @pytest.mark.parametrize("m,p,option,want", [
-        (M32, P1, CALL, (0.3687186773778224, 0.332182057205206)),
-        (M32, P1, PUT, (0.10874940145137282, 0.11326419430332416)),
-        (M12, P2, CALL, (0.5670467234284272, 0.49503026014481677)),
-        (MIX7, P7, CALL, (0.2772639657234148, 0.3174763710957386,
-                          3.2167686543626606, 2.9618982564274416)),
+        (M32, P1, CALL, (0.368661093973186, 0.332071986935938)),
+        (M32, P1, PUT, (0.10913912184213932, 0.11393404262624232)),
+        (M12, P2, CALL, (0.5665809136555968, 0.4942217889423923)),
+        (MIX7, P7, CALL, (0.27734327195929503, 0.3177123527063254,
+                          3.2163318916264476, 2.961282579455065)),
     ])
     def test_pinned_values(self, m, p, option, want):
-        # b(0) and b(T/2) at 30 steps, each within 2.4e-11 of the solve at
+        # b(0) and b(T/2) at 30 steps, each within 4.4e-11 of the solve at
         # inner_tol=1e-12; guards refactors of the sweep against drift far
         # below the discretization error
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
@@ -121,6 +121,21 @@ class TestBoundaryShape:
             if got is not None:
                 np.testing.assert_allclose(got, want, rtol=0.0,
                                            atol=2 * cfg.inner_tol)
+
+    @pytest.mark.parametrize("m,p,option", [
+        (M32, P1, CALL), (M32, P1, PUT), (M12, P2, CALL), (M1MIX, P1MIX, CALL),
+        (MIX7, P7, CALL)], ids=["fig1-call", "fig1-put", "fig2-call",
+                                "fig1_mix", "fig7-pair"])
+    def test_value_matching_at_every_grid_time(self, m, p, option):
+        # the sweep prices against the curve it solved: at each grid time
+        # before expiry the premium formula on a boundary level is the payoff
+        b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
+        for i, t in enumerate(b.times[:-1]):
+            for level in (b.values[i], b.upper[i]) if b.is_pair else (b.values[i],):
+                vix = float(f_eval(m, level)) if b.is_pair else level
+                payoff = float(option.payoff_vix(vix))
+                got = american_price(m, p, option, b, t, level)
+                assert abs(got - payoff) <= 1e-8, (t, level, got - payoff)
 
     def test_increasing_only_mixture_is_the_a2_boundary(self):
         # with f(y) = y the one-sided mixture restates fig2's a2 call; its
@@ -187,15 +202,23 @@ class TestSolveStep:
                            match="no bracket: the residual stayed positive"):
             _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
 
-    @pytest.mark.parametrize("name", ["fig2", "fig4"])
-    def test_coarse_put_failure_names_its_reason(self, name):
-        # the a2 puts find no bracket at the first solved step of a 12-step
-        # grid, as the residual stays negative; at 30 steps they solve
-        cfg = load_config(name)
+    @pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
+    def test_coarse_a2_puts_solve(self, n):
+        cfg = load_config("fig2")
         put = dataclasses.replace(cfg.contract, kind="put")
-        with pytest.raises(SolverError, match=r"step at t=0\.75 failed: inner "
-                           r"iteration formed no bracket: the residual stayed "
-                           r"negative"):
+        b = solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=n),
+                           cfg.quadrature)
+        assert np.all(np.isfinite(b.values)) and b.values[0] > 0.0
+        assert np.all(np.diff(b.values) >= 0.0)
+
+    def test_coarse_put_failure_names_its_reason(self):
+        # fig4's put finds no bracket at the first solved step of a 12-step
+        # grid, as the residual stays negative; at 30 steps it solves
+        cfg = load_config("fig4")
+        put = dataclasses.replace(cfg.contract, kind="put")
+        with pytest.raises(SolverError, match=r"step at t=0\.916667 failed: "
+                           r"inner iteration formed no bracket: the residual "
+                           r"stayed negative"):
             solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=12),
                            cfg.quadrature)
         b = solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=30),
@@ -240,13 +263,12 @@ class TestDiagnostics:
         assert errors.shape == updates.shape
         assert not errors[updates == 0].any()
         assert (errors[updates > 0] <= SolverConfig().inner_tol).all()
-        # the terminal and pinned steps are not solved, nor is an absent side
-        pinned = american._PIN_STEPS
-        assert not updates[:, n - pinned:].any()
+        # only the expiry column and an absent side are not solved
+        assert not updates[:, n].any()
         for row, level in zip(updates, (b.values[-1], b.upper[-1]) if b.is_pair
                               else (b.values[-1],)):
             if american._is_active(level):
-                assert (row[:n - pinned] >= 1).all()
+                assert (row[:n] >= 1).all()
             else:
                 assert not row.any()
 
@@ -289,6 +311,29 @@ class TestAmericanPrice:
             intrinsic = max(f_eval(MIX7, y) - 0.15, 0.0)
             assert am >= eu - 1e-9
             assert am >= intrinsic - 2e-4
+
+
+class TestBoundaryCoverage:
+    # a boundary prices only its own contract, from its first grid time on
+    @pytest.mark.parametrize("option,t,reason", [
+        (CALL, -0.5, "lies before"),
+        (dataclasses.replace(CALL, maturity=2.0), 0.0, "matures at 2"),
+        (PUT, 0.0, "call boundary cannot price a put")],
+        ids=["before-the-grid", "other-maturity", "other-kind"])
+    def test_uncovered_valuation_is_rejected(self, fig1_boundary_coarse,
+                                             option, t, reason):
+        b = fig1_boundary_coarse
+        with pytest.raises(ValueError, match=reason):
+            american_price(M32, P1, option, b, t, 0.2)
+        with pytest.raises(ValueError, match=reason):
+            smooth_fit_check(M32, P1, option, b, t)
+        with pytest.raises(ValueError, match=reason):
+            mc_american_policy(M32, P1, option, b, t, 0.2, 100, 10, 1)
+
+    def test_policy_needs_a_path(self, fig1_boundary_coarse):
+        with pytest.raises(ValueError, match="at least 1"):
+            mc_american_policy(M32, P1, CALL, fig1_boundary_coarse, 0.0, 0.2,
+                               0, 10, 1)
 
 
 class TestSmoothFit:
