@@ -24,9 +24,9 @@ family carries a lower/upper pair in the factor coordinate (one of the two
 may be degenerate at 0 / inf when the corresponding map part is absent).
 Every solved boundary also carries its stopping region as one factor-space
 cut pair per grid time (:func:`~vixpricer.european.stop_cuts`, mapped once
-after the solve): :func:`american_price` and the Monte Carlo policy read
-that pair, interpolated in the factor coordinate between grid times, and
-invert no boundary level.
+after the solve): :func:`american_price`, its zero-time node included, and
+the Monte Carlo policy read that pair, interpolated in the factor coordinate
+between grid times, and invert no boundary level.
 """
 
 from __future__ import annotations
@@ -289,10 +289,12 @@ def _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors):
     pair (mixture, factor coordinate); each row is iterated in its own
     coordinate and mapped back by value matching on the premium formula,
     evaluated on the curve itself against the paying stop pairs of the
-    later steps. The other curve of a pair enters at its later-step level.
-    Each solve starts from the linear extrapolation of the curve's two later
-    levels once both were solved here (and the guess is positive), from the
-    later level otherwise, and inherits the curve's last secant slope.
+    later steps. Its zero-time node reads the later step's stop pair with
+    the solved side (a monotone curve's finite one) moved to the iterate's
+    factor level, where that side weighs exactly 1/2. Each solve starts
+    from the linear extrapolation of the curve's two later levels once both
+    were solved here (and the guess is positive), from the later level
+    otherwise, and inherits the curve's last secant slope.
     ``updates`` and ``errors``, shaped like ``curves``, receive the
     ``update`` calls and the final error estimate per curve and grid time.
     """
@@ -304,6 +306,8 @@ def _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors):
     carries = [_InnerCarry() for _ in names]
     cuts = np.empty((2, n_last + 1))
     cuts[:, n_last] = stop_cuts(m, option, *curves[:, n_last])
+    # the cut-pair side each curve moves: a monotone curve's finite side
+    sides = (0, 1) if m.is_mixture else (int(np.isinf(cuts[0, n_last])),)
     for i in range(n_last - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
@@ -314,9 +318,10 @@ def _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors):
             def update(v):
                 updates[k, i] += 1
                 y0 = factor_state(m, v)
-                levels = (*curves[:k, i + 1], v, *curves[k + 1:, i + 1])
-                euro, prem = _premium_formula(m, p, option, tau, v, y0, levels,
-                                              u, cuts[:, i + 1:], quad)
+                stop = cuts[:, i + 1].copy()
+                stop[sides[k]] = y0
+                euro, prem = _premium_formula(m, p, option, tau, y0, stop, u,
+                                              cuts[:, i + 1:], quad)
                 if m.is_mixture:
                     return mixture_inverse(m, strike + euro + prem, name)
                 return strike + sign * (euro + prem)
@@ -380,49 +385,41 @@ def _zero_node_mass(d):
     return 2.0 * v - cdf_d
 
 
-def _crossing_mass(m, p, option, state, y0, levels, du):
-    """Local Gaussian mass past the boundary ``levels`` within time ``du``.
+def _crossing_mass(p, y0, cuts, du):
+    """Local Gaussian mass past the factor stop pair ``cuts`` within ``du``.
 
-    A pair's levels are factor levels, reached at the factor's local
-    volatility ``kappa sqrt(y0 du)``; a monotone boundary is a VIX level,
-    whose local volatility carries the map's slope too (each coordinate keeps
-    its own rounding of the square roots). Absent sides (at 0 / inf) add
-    nothing; on the boundary itself a side adds exactly 1/2.
+    Each side is reached at the factor's local volatility
+    ``kappa sqrt(y0 du)``. Absent sides (at 0 / inf) add nothing; a side
+    through ``y0`` adds exactly 1/2.
     """
-    if len(levels) == 2:
-        vol = p.kappa * math.sqrt(y0 * du)
-        lower, upper = levels
-        mass = 0.0
-        if _is_active(lower):
-            mass += _zero_node_mass((lower - y0) / vol)
-        if _is_active(upper):
-            mass += _zero_node_mass((y0 - upper) / vol)
-        return mass
-    (b,) = levels
-    d = state - b if option.kind == "call" else b - state
-    if d == 0.0:  # on the boundary, as in every sweep update: skip the slope
-        return _zero_node_mass(0.0)
-    vol = p.kappa * abs(float(f_deriv(m, y0, 1))) * math.sqrt(y0) * math.sqrt(du)
-    return _zero_node_mass(d / vol)
+    vol = p.kappa * math.sqrt(y0 * du)
+    lower, upper = cuts
+    mass = 0.0
+    if _is_active(lower):
+        mass += _zero_node_mass((lower - y0) / vol)
+    if _is_active(upper):
+        mass += _zero_node_mass((y0 - upper) / vol)
+    return mass
 
 
-def _premium_formula(m, p, option, tau, state, y0, levels, u, cuts, quad):
-    """European price and early-exercise premium at one state: ``(euro, prem)``.
+def _premium_formula(m, p, option, tau, y0, stop, u, cuts, quad):
+    """European price and early-exercise premium at factor state ``y0``:
+    ``(euro, prem)``.
 
     The American price is their sum (Carr, Jarrow & Myneni 1992). The
     premium is the kernel's time integral by the trapezoid rule over the
     uniform elapsed times ``u`` (step ``u[0]``), against the paying stop
     pairs ``cuts`` at those times. The zero-time node is the analytic kernel
     limit, the signed waiting benefit at ``y0``, on the trapezoid's half
-    panel and weighted by the local mass past the current boundary
-    ``levels`` (exactly 1/2 on the boundary itself).
+    panel and weighted by the local mass past the current stop pair ``stop``
+    (exactly 1/2 on one of its sides).
     """
     du = u[0]
     euro = euro_fast(m, p, option, tau, y0, quad)
     row = kernel_row(m, p, option, y0, u, cuts, quad)
     weights = np.full(len(u), du)
     weights[-1] = 0.5 * du
-    mass = _crossing_mass(m, p, option, state, y0, levels, du)
+    mass = _crossing_mass(p, y0, stop, du)
     benefit = float(_benefit_integrand(m, p, option)(y0))
     return euro, 0.5 * du * mass * benefit + float(row @ weights)
 
@@ -435,10 +432,10 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     The time integral uses the trapezoid rule on the boundary grid, against
     the boundary's stored factor stop pair (interpolated in the factor
     coordinate off the grid); the zero-time endpoint is the analytic kernel
-    limit weighted by the local Gaussian crossing mass, which keeps the
-    premium accurate deep in the stopping region and smooth across the
-    boundary. The boundary must be the contract's and start no later than
-    ``t`` (:meth:`Boundary.check_covers`).
+    limit weighted by the local Gaussian mass past the stop pair at ``t``,
+    which keeps the premium accurate deep in the stopping region and smooth
+    across the boundary. The boundary must be the contract's and start no
+    later than ``t`` (:meth:`Boundary.check_covers`).
     """
     boundary.check_covers(option, t)
     tau = option.maturity - t
@@ -449,9 +446,8 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     grid_step = boundary.times[1] - boundary.times[0]
     n_sub = max(1, int(math.ceil(tau / grid_step - 1e-12)))
     u = tau / n_sub * np.arange(1, n_sub + 1)
-    levels = boundary.cuts_at(t) if boundary.is_pair else (boundary.value_at(t),)
-    euro, prem = _premium_formula(m, p, option, tau, state,
-                                  factor_state(m, state), levels, u,
+    euro, prem = _premium_formula(m, p, option, tau, factor_state(m, state),
+                                  boundary.cuts_at(t), u,
                                   boundary.cuts_at(t + u), quad)
     return euro + max(prem, 0.0)
 
@@ -464,7 +460,8 @@ def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
     The derivative is a one-sided finite difference of the premium-formula
     price, stepping ``_SMOOTH_FIT_STEP`` times the boundary level into the
     continuation region; at a true smooth-fit point the gap vanishes up to
-    discretization error.
+    discretization error. ``which`` names the curve: ``"single"`` on a
+    monotone boundary, ``"lower"`` or ``"upper"`` on a mixture's pair.
     """
     boundary.check_covers(option, t)
     if t >= option.maturity:
@@ -478,6 +475,8 @@ def smooth_fit_check(m: ModelSpec, p: CirParams, option: OptionSpec,
         inward = 1.0 if which == "lower" else -1.0  # continuation between the pair
         slope = float(f_deriv(m, b, 1))
     else:
+        if which != "single":
+            raise ValueError("a single-curve boundary takes which='single'")
         b = boundary.value_at(t)
         slope = 1.0 if boundary.kind == "call" else -1.0
         inward = -slope  # a call continues below its boundary, a put above

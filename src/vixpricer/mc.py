@@ -47,6 +47,12 @@ def _summarize(values: np.ndarray, seed: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=se, n_paths=n, seed=seed)
 
 
+def _check_paths(n):
+    """Every estimator draws at least one path, also at zero horizon."""
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+
+
 def _terminal_vix(m, p, horizon, state, n, seed):
     """``n`` exact draws of the VIX level ``horizon > 0`` ahead of the state."""
     law = transition_law(p, horizon, factor_state(m, state))
@@ -56,6 +62,7 @@ def _terminal_vix(m, p, horizon, state, n, seed):
 def mc_european(m: ModelSpec, p: CirParams, option: OptionSpec, t: float,
                 state: float, n: int, seed: int) -> McEstimate:
     """Sample average of the discounted terminal payoff."""
+    _check_paths(n)
     tau = option.maturity - t
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
@@ -69,6 +76,7 @@ def mc_european(m: ModelSpec, p: CirParams, option: OptionSpec, t: float,
 def mc_futures(m: ModelSpec, p: CirParams, horizon: float, state: float,
                n: int, seed: int) -> McEstimate:
     """Sample average of the terminal VIX level."""
+    _check_paths(n)
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
     if horizon == 0.0:
@@ -90,8 +98,7 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     estimate low. At maturity it is :func:`mc_european`'s exact payoff. The
     boundary must cover the valuation as in :func:`american_price`.
     """
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
+    _check_paths(n)
     if n_time_steps < 1:
         raise ValueError("need at least one time step")
     boundary.check_covers(option, t)

@@ -137,21 +137,36 @@ class TestBoundaryShape:
                 got = american_price(m, p, option, b, t, level)
                 assert abs(got - payoff) <= 1e-8, (t, level, got - payoff)
 
-    def test_increasing_only_mixture_is_the_a2_boundary(self):
-        # with f(y) = y the one-sided mixture restates fig2's a2 call; its
-        # lower curve is pinned at 0 and must add no zero-node mass
-        mix = ModelSpec("mixture", terms_a2=((1.0, 1.0),))
-        cfg = SolverConfig(n_steps=30)
-        single = solve_boundary(M12, P2, CALL, cfg)
-        pair = solve_boundary(mix, P2, CALL, cfg)
-        assert np.all(pair.values == 0.0)
-        np.testing.assert_allclose(pair.upper, single.values, rtol=0.0,
-                                   atol=1e-12)
-        for x in np.linspace(0.08, 0.35, 10):
-            for t in (0.0, 0.4):
-                assert american_price(mix, P2, CALL, pair, t, x) == \
-                    pytest.approx(american_price(M12, P2, CALL, single, t, x),
-                                  rel=0.0, abs=1e-12)
+    @pytest.mark.parametrize("single_model,p,curve_atol,price_atol", [
+        (M12, P2, 1e-12, 1e-12), (M32, P1, 2e-9, 1e-10),
+        (M1MIX, P1MIX, 2e-9, 1e-10)],
+        ids=["a2-identity", "a1-reciprocal", "a1-two-term"])
+    def test_one_sided_mixture_is_the_monotone_boundary(
+            self, single_model, p, curve_atol, price_atol):
+        # a monotone map restated as a mixture with one part empty: its
+        # absent curve stays pinned and adds no zero-node mass, its solved
+        # curve maps onto the monotone one (within 2 * inner_tol; the two
+        # iterate in different coordinates), and both price alike, the
+        # mixture quoted at the factor level g(x)
+        rising = single_model.family == "a2"
+        mix = ModelSpec("mixture", **{("terms_a2" if rising else "terms"):
+                                      single_model.terms})
+        for n_steps in (12, 30):
+            cfg = SolverConfig(n_steps=n_steps)
+            single = solve_boundary(single_model, p, CALL, cfg)
+            pair = solve_boundary(mix, p, CALL, cfg)
+            solved, absent = ((pair.upper, pair.values) if rising
+                              else (pair.values, pair.upper))
+            assert np.all(absent == (0.0 if rising else np.inf))
+            np.testing.assert_allclose(f_eval(mix, solved), single.values,
+                                       rtol=0.0, atol=curve_atol)
+            for x in np.linspace(0.08, 0.45, 10):
+                for t in (0.0, 0.4):
+                    got = american_price(mix, p, CALL, pair, t,
+                                         g_eval(single_model, x))
+                    want = american_price(single_model, p, CALL, single, t, x)
+                    assert got == pytest.approx(want, rel=0.0, abs=price_atol), \
+                        (n_steps, t, x)
 
 
 class TestSolveStep:
@@ -354,6 +369,11 @@ class TestSmoothFit:
             level = (fig7_boundary_coarse.value_at(0.5) if which == "lower"
                      else fig7_boundary_coarse.upper_at(0.5))
             assert abs(gap) <= 0.05 * abs(f_deriv(MIX7, level, 1))
+
+    @pytest.mark.parametrize("which", ["upper", "lower", "bogus"])
+    def test_single_curve_takes_only_single(self, fig1_boundary_coarse, which):
+        with pytest.raises(ValueError, match="which='single'"):
+            smooth_fit_check(M32, P1, CALL, fig1_boundary_coarse, 0.5, which)
 
     def test_requires_time_before_expiry(self, fig1_boundary_coarse):
         with pytest.raises(ValueError):

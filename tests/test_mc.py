@@ -69,6 +69,18 @@ class TestFuturesEstimates:
         assert abs(one.mean - stepped_mean) < 3 * se
 
 
+class TestPathCount:
+    # every estimator rejects a non-positive path count, also at zero
+    # horizon where it draws nothing
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("horizon", [0.0, 0.5])
+    def test_terminal_estimators_reject_no_paths(self, n, horizon):
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            mc_european(M32, P1, CALL, 1.0 - horizon, 0.2, n, 1)
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            mc_futures(M32, P1, horizon, 0.2, n, 1)
+
+
 class TestPolicyEstimates:
     def test_immediate_exercise_is_exact(self, fig1_boundary_coarse):
         b = fig1_boundary_coarse
