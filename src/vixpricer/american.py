@@ -12,27 +12,28 @@ integral is discretized by the trapezoid rule whose zero-time node is the
 analytic kernel limit weighted by the local boundary-crossing mass; all
 other nodes depend on already-solved values only.
 
-Each scalar equation is a fixed point ``x = update(x)`` of value matching,
-solved by secant steps (:func:`_solve_step`) that start from the linear
-extrapolation of the two later solved levels and carry the slope of
+Every family's boundary is one factor-space stop pair ``(lower, upper)``
+per grid time, a state stopping when ``y <= lower`` or ``y >= upper``; a
+monotone family's pair lacks one side (0 / +-inf), a mixture's may. Each
+scalar equation is a fixed point ``y = update(y)`` of value matching on one
+side, solved by secant steps (:func:`_solve_step`) that start from the
+linear extrapolation of the two later solved levels and carry the slope of
 ``update`` from one grid time to the next. A step stops on an estimate of
-its distance from the fixed point, not on the residual, so ``inner_tol``
-bounds each solved level's error; the estimates are recorded per step.
+its distance from the fixed point, not on the residual; scaled by the map's
+slope, ``inner_tol`` bounds each solved level's error in VIX units.
 
-Monotone families carry one boundary in the VIX coordinate; the mixture
-family carries a lower/upper pair in the factor coordinate (one of the two
-may be degenerate at 0 / inf when the corresponding map part is absent).
-Every solved boundary also carries its stopping region as one factor-space
-cut pair per grid time (:func:`~vixpricer.european.stop_cuts`, mapped once
-after the solve): :func:`american_price`, its zero-time node included, and
-the Monte Carlo policy read that pair, interpolated in the factor coordinate
-between grid times, and invert no boundary level.
+A solve reports a monotone family's VIX curve or the mixture's factor pair,
+with the stop pair of those curves (:func:`~vixpricer.european.stop_cuts`):
+:func:`american_price`, its zero-time node included, and the Monte Carlo
+policy read that pair, interpolated in the factor coordinate between grid
+times, and invert no boundary level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -41,7 +42,8 @@ from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        _benefit_integrand, euro_fast, factor_state, kernel_row,
                        stop_cuts, vix_level)
-from .models import ModelSpec, critical_levels, f_deriv, mixture_inverse
+from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
+                     mixture_inverse)
 from .numerics import ConvergenceError, newton_bisect
 
 __all__ = [
@@ -63,13 +65,16 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Sweep settings: ``n_steps`` uniform time steps, and ``inner_tol``,
-    the estimated distance each solved boundary level may keep from the
-    fixed point of its value-matching equation."""
+    the estimated distance in VIX units each solved boundary level may keep
+    from the fixed point of its value-matching equation."""
 
     n_steps: int = 200
     inner_tol: float = 1e-9
 
     def __post_init__(self):
+        if not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got "
+                             f"{self.n_steps!r}")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
         if not self.inner_tol > 0.0:
@@ -87,11 +92,12 @@ class Boundary:
     curves: a state stops when ``y <= lower`` or ``y >= upper``. Between
     grid points every row interpolates linearly, the cuts in the factor
     coordinate. ``diagnostics`` of a solve holds ``monotonicity_clips``, the
-    isotonic projection's ``(time, adjustment)`` pairs; ``inner_updates``,
-    the value-matching ``update`` calls per curve and grid time; and
-    ``inner_error``, the final error estimate of each solved level (at most
+    isotonic projection's ``(time, adjustment)`` pairs, in factor levels;
+    and, as ``(2, n+1)`` rows for the lower and upper cut, ``inner_updates``,
+    the value-matching ``update`` calls per grid time, and ``inner_error``,
+    the final error estimate of each solved level in VIX units (at most
     ``inner_tol``). Both are 0 where no step was solved: the terminal time
-    and an absent mixture side.
+    and an absent side.
     """
 
     times: np.ndarray
@@ -246,114 +252,105 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
                    quad: QuadratureConfig = DEFAULT_CONFIG) -> Boundary:
     """Backward induction on the boundary integral equation(s).
 
-    Monotone families solve one curve in the VIX coordinate; the mixture
-    solves its lower/upper pair in the factor coordinate, where a side
-    whose map part is absent stays pinned at 0 / inf.
+    Every family solves its factor stop pair (:func:`_sweep`), projected
+    onto the monotone cone; a monotone family reports the VIX level of its
+    finite side.
     """
     if m.is_mixture and option.kind != "call":
         raise SolverError("mixture contracts support calls only")
     n = cfg.n_steps
     times = np.linspace(0.0, option.maturity, n + 1)
-    terminal = np.atleast_1d(terminal_levels(m, p, option))
-    curves = np.repeat(terminal[:, None], n + 1, axis=1)
-    active = [_is_active(level) for level in terminal]
-    updates = np.zeros(curves.shape, dtype=int)
-    errors = np.zeros(curves.shape)
-    _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors)
+    levels = np.atleast_1d(terminal_levels(m, p, option))
+    cuts = np.repeat(np.array(stop_cuts(m, option, *levels))[:, None], n + 1,
+                     axis=1)
+    updates = np.zeros(cuts.shape, dtype=int)
+    errors = np.zeros(cuts.shape)
+    _sweep(m, p, option, times, cuts, cfg, quad, updates, errors)
 
-    # a call's VIX boundary and a pair's upper curve fall towards expiry
-    falling = (option.kind == "call",) if len(curves) == 1 else (False, True)
-    out, clips = [], []
-    for curve, decreasing_in_t in zip(curves, falling):
-        curve, found = _isotonic_backward(curve, decreasing_in_t,
-                                          tol=cfg.inner_tol * 1e3)
-        out.append(curve)
-        clips += found
-    diag = {"monotonicity_clips": [(float(times[i]), gap) for i, gap in clips],
-            "inner_updates": updates.tolist(), "inner_error": errors.tolist()}
-    return Boundary(times=times, values=out[0],
-                    cuts=np.array(stop_cuts(m, option, *out)),
-                    upper=out[1] if len(out) == 2 else None, kind=option.kind,
-                    diagnostics=diag)
+    # isotonic projection: the lower cut rises towards expiry, the upper falls
+    raw = cuts.copy()
+    cuts[0] = np.minimum.accumulate(raw[0, ::-1])[::-1]
+    cuts[1] = np.maximum.accumulate(raw[1, ::-1])[::-1]
+    clips = [(float(times[i]), float(raw[k, i] - cuts[k, i]))
+             for k, i in zip(*np.nonzero(raw != cuts))
+             if abs(raw[k, i] - cuts[k, i]) > cfg.inner_tol * 1e3]
+    if m.is_mixture:
+        curves = tuple(cuts)
+    else:  # the VIX level of the one finite side
+        curves = (f_eval(m, cuts[0 if _is_active(cuts[0, n]) else 1]),)
+    diag = {"monotonicity_clips": clips, "inner_updates": updates.tolist(),
+            "inner_error": errors.tolist()}
+    return Boundary(times=times, values=curves[0],
+                    cuts=np.array(stop_cuts(m, option, *curves)),
+                    upper=curves[1] if m.is_mixture else None,
+                    kind=option.kind, diagnostics=diag)
 
 
 def _is_active(level):
-    """Whether a curve level is a real boundary (absent sides sit at 0 / inf)."""
+    """Whether a cut is a real boundary (absent sides sit at 0 / +-inf)."""
     return 0.0 < level < math.inf
 
 
-def _sweep(m, p, option, times, curves, active, cfg, quad, updates, errors):
-    """Solve the active curves at every grid time before expiry, in place.
+def _sweep(m, p, option, times, cuts, cfg, quad, updates, errors):
+    """Solve the stop pair ``cuts`` at every grid time before expiry, in place.
 
-    ``curves`` holds one row (monotone, VIX coordinate) or a lower/upper
-    pair (mixture, factor coordinate); each row is iterated in its own
-    coordinate and mapped back by value matching on the premium formula,
-    evaluated on the curve itself against the paying stop pairs of the
-    later steps. Its zero-time node reads the later step's stop pair with
-    the solved side (a monotone curve's finite one) moved to the iterate's
-    factor level, where that side weighs exactly 1/2. Each solve starts
-    from the linear extrapolation of the curve's two later levels once both
-    were solved here (and the guess is positive), from the later level
-    otherwise, and inherits the curve's last secant slope.
-    ``updates`` and ``errors``, shaped like ``curves``, receive the
-    ``update`` calls and the final error estimate per curve and grid time.
+    ``cuts`` is ``(2, n+1)``, filled with the terminal pair; a side is
+    active where that is finite and above 0. There, the premium formula at
+    level ``y``, against the paying stop pairs of the later steps, gives the
+    exercise level ``K +- (euro + prem)``, which the map's inverse on that
+    side takes back to ``update(y)``. The zero-time node reads the later
+    step's pair with the side moved to ``y``, where it weighs exactly 1/2.
+    Each solve starts from the linear extrapolation of the side's two later
+    levels once both were solved here (and the guess is positive), from the
+    later level otherwise, and inherits the side's last secant slope. Its
+    tolerance is ``inner_tol / |f'|`` at the later level. ``updates`` and
+    ``errors``, shaped like ``cuts``, receive the ``update`` calls and the
+    final error estimate in VIX units.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
     n_last = len(times) - 1
     dt = times[1] - times[0]
-    names = ("lower", "upper") if len(curves) == 2 else ("",)
-    carries = [_InnerCarry() for _ in names]
-    cuts = np.empty((2, n_last + 1))
-    cuts[:, n_last] = stop_cuts(m, option, *curves[:, n_last])
-    # the cut-pair side each curve moves: a monotone curve's finite side
-    sides = (0, 1) if m.is_mixture else (int(np.isinf(cuts[0, n_last])),)
+    active = []  # (row, name, the map's inverse on that side, carry)
+    for k, name in enumerate(("lower", "upper")):
+        if _is_active(cuts[k, n_last]):
+            inverse = (partial(mixture_inverse, m, branch=name) if m.is_mixture
+                       else partial(g_eval, m))
+            active.append((k, name, inverse, _InnerCarry()))
     for i in range(n_last - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
-        for k, name in enumerate(names):
-            if not active[k]:
-                continue
+        for k, name, inverse, carry in active:
 
-            def update(v):
+            def update(y):
                 updates[k, i] += 1
-                y0 = factor_state(m, v)
                 stop = cuts[:, i + 1].copy()
-                stop[sides[k]] = y0
-                euro, prem = _premium_formula(m, p, option, tau, y0, stop, u,
+                stop[k] = y
+                euro, prem = _premium_formula(m, p, option, tau, y, stop, u,
                                               cuts[:, i + 1:], quad)
-                if m.is_mixture:
-                    return mixture_inverse(m, strike + euro + prem, name)
-                return strike + sign * (euro + prem)
+                level = strike + sign * (euro + prem)
+                try:
+                    return inverse(level)
+                except ValueError:
+                    raise SolverError(
+                        f"value matching gave VIX level {level:.6g} outside "
+                        f"the map's range") from None
 
-            x0 = curves[k, i + 1]
-            if i + 2 < n_last and 2.0 * x0 - curves[k, i + 2] > 0.0:
-                x0 = 2.0 * x0 - curves[k, i + 2]
+            y0 = cuts[k, i + 1]
+            map_slope = abs(float(f_deriv(m, y0, 1)))
+            if i + 2 < n_last and 2.0 * y0 - cuts[k, i + 2] > 0.0:
+                y0 = 2.0 * y0 - cuts[k, i + 2]
             try:
-                curves[k, i] = _solve_step(update, x0, cfg.inner_tol,
-                                           carry=carries[k])
-                errors[k, i] = carries[k].error
+                cuts[k, i] = _solve_step(update, y0, cfg.inner_tol / map_slope,
+                                         carry=carry)
             except SolverError as exc:
-                raise SolverError(
-                    f"{name} boundary step at t={times[i]:.6g} failed: "
-                    f"{exc}".lstrip()) from exc
-        if len(curves) == 2 and curves[0, i] >= curves[1, i]:
+                raise SolverError(f"{name} boundary step at t={times[i]:.6g} "
+                                  f"failed: {exc}") from exc
+            errors[k, i] = carry.error * map_slope
+        if cuts[0, i] >= cuts[1, i]:
             raise SolverError(
                 f"boundaries crossed at t={times[i]:.6g}: "
-                f"{curves[0, i]:.6g} >= {curves[1, i]:.6g}")
-        cuts[:, i] = stop_cuts(m, option, *curves[:, i])
-
-
-def _isotonic_backward(values, decreasing_in_t, tol):
-    """Project onto the monotone cone, returning (projected, adjustments)."""
-    out = values.copy()
-    clips = []
-    for i in range(len(out) - 2, -1, -1):
-        fixed = (max if decreasing_in_t else min)(out[i], out[i + 1])
-        if fixed != out[i] and abs(fixed - out[i]) > tol:
-            clips.append((i, float(out[i] - fixed)))
-        out[i] = fixed
-    return out, clips
+                f"{cuts[0, i]:.6g} >= {cuts[1, i]:.6g}")
 
 
 # ---------------------------------------------------------------------------

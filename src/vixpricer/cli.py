@@ -230,10 +230,22 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _json_text(payload):
+    """Strict JSON text of ``payload``, a non-finite float written as null."""
+    def finite(value):
+        if isinstance(value, float):
+            return value if math.isfinite(value) else None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _write_table(header, rows, meta, out, fmt):
     if fmt == "json":
-        payload = {"columns": header, "rows": rows, "metadata": meta}
-        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        text = _json_text({"columns": header, "rows": rows, "metadata": meta})
     else:
         lines = []
         for key, value in sorted(meta.items()):
@@ -324,7 +336,7 @@ def main(argv=None) -> int:
             report = cmd_mc_check(cfg, args.target, args.n, args.seed,
                                   horizon=args.horizon, mc_steps=args.mc_steps,
                                   branch=args.branch)
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            _emit(_json_text(report), args.out)
             if not math.isfinite(report["z"]) or abs(report["z"]) > 4.0:
                 return EXIT_VERIFY
             return EXIT_OK

@@ -61,6 +61,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(inner_tol=0.0)
 
+    @pytest.mark.parametrize("n_steps", [12.5, 12.0, "12"])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            SolverConfig(n_steps=n_steps)
+
 
 class TestBoundaryShape:
     def test_call_boundary_monotone_and_above_terminal(self, fig1_boundary_coarse):
@@ -94,16 +99,17 @@ class TestBoundaryShape:
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
     @pytest.mark.parametrize("m,p,option,want", [
-        (M32, P1, CALL, (0.368661093973186, 0.332071986935938)),
-        (M32, P1, PUT, (0.10913912184213932, 0.11393404262624232)),
+        (M32, P1, CALL, (0.3686610939933642, 0.33207198693560896)),
+        (M32, P1, PUT, (0.10913912184057246, 0.11393404262518331)),
         (M12, P2, CALL, (0.5665809136555968, 0.4942217889423923)),
-        (MIX7, P7, CALL, (0.27734327195929503, 0.3177123527063254,
-                          3.2163318916264476, 2.961282579455065)),
+        (MIX7, P7, CALL, (0.2773432719713195, 0.3177123527151298,
+                          3.2163318911525853, 2.961282579411542)),
     ])
     def test_pinned_values(self, m, p, option, want):
-        # b(0) and b(T/2) at 30 steps, each within 4.4e-11 of the solve at
-        # inner_tol=1e-12; guards refactors of the sweep against drift far
-        # below the discretization error
+        # b(0) and b(T/2) at 30 steps (VIX levels of a monotone curve, factor
+        # levels of the pair), each within 4.8e-10 of the solve at
+        # inner_tol=1e-12 and within 4.4e-11 in VIX; guards refactors of the
+        # sweep against drift far below the discretization error
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
         got = [b.values[0], b.values[15]]
         if b.is_pair:
@@ -113,12 +119,15 @@ class TestBoundaryShape:
     @pytest.mark.parametrize("m,p", [(M32, P1), (M12, P2), (MIX7, P7)],
                              ids=["fig1", "fig2", "fig7-pair"])
     def test_whole_curve_within_inner_tol_of_a_tight_solve(self, m, p):
+        # inner_tol is a VIX-level accuracy for every family
         cfg = SolverConfig(n_steps=30)
         b = solve_boundary(m, p, CALL, cfg)
         tight = solve_boundary(m, p, CALL,
                                dataclasses.replace(cfg, inner_tol=1e-12))
         for got, want in ((b.values, tight.values), (b.upper, tight.upper)):
             if got is not None:
+                if m.is_mixture:
+                    got, want = f_eval(m, got), f_eval(m, want)
                 np.testing.assert_allclose(got, want, rtol=0.0,
                                            atol=2 * cfg.inner_tol)
 
@@ -137,17 +146,16 @@ class TestBoundaryShape:
                 got = american_price(m, p, option, b, t, level)
                 assert abs(got - payoff) <= 1e-8, (t, level, got - payoff)
 
-    @pytest.mark.parametrize("single_model,p,curve_atol,price_atol", [
-        (M12, P2, 1e-12, 1e-12), (M32, P1, 2e-9, 1e-10),
-        (M1MIX, P1MIX, 2e-9, 1e-10)],
+    @pytest.mark.parametrize("single_model,p", [
+        (M12, P2), (M32, P1), (M1MIX, P1MIX)],
         ids=["a2-identity", "a1-reciprocal", "a1-two-term"])
-    def test_one_sided_mixture_is_the_monotone_boundary(
-            self, single_model, p, curve_atol, price_atol):
+    def test_one_sided_mixture_is_the_monotone_boundary(self, single_model, p):
         # a monotone map restated as a mixture with one part empty: its
         # absent curve stays pinned and adds no zero-node mass, its solved
-        # curve maps onto the monotone one (within 2 * inner_tol; the two
-        # iterate in different coordinates), and both price alike, the
-        # mixture quoted at the factor level g(x)
+        # curve maps onto the monotone one (the two take the same sweep
+        # through the same factor cut), and both price alike, the mixture
+        # quoted at the factor level g(x)
+        curve_atol, price_atol = 1e-13, 1e-15
         rising = single_model.family == "a2"
         mix = ModelSpec("mixture", **{("terms_a2" if rising else "terms"):
                                       single_model.terms})
@@ -227,13 +235,14 @@ class TestSolveStep:
         assert np.all(np.diff(b.values) >= 0.0)
 
     def test_coarse_put_failure_names_its_reason(self):
-        # fig4's put finds no bracket at the first solved step of a 12-step
-        # grid, as the residual stays negative; at 30 steps it solves
+        # at the first solved step of a 12-step grid, value matching on
+        # fig4's put gives a negative exercise level, which no factor level
+        # reaches; at 30 steps it solves
         cfg = load_config("fig4")
         put = dataclasses.replace(cfg.contract, kind="put")
         with pytest.raises(SolverError, match=r"step at t=0\.916667 failed: "
-                           r"inner iteration formed no bracket: the residual "
-                           r"stayed negative"):
+                           r"value matching gave VIX level -0\.197065 "
+                           r"outside the map's range"):
             solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=12),
                            cfg.quadrature)
         b = solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=30),
@@ -245,10 +254,11 @@ class TestDiagnostics:
     def test_monotonicity_clips_report_planted_violations(self, monkeypatch):
         sweep = american._sweep
 
-        def planted(m, p, option, times, curves, *rest):
-            sweep(m, p, option, times, curves, *rest)
-            curves[0, 3] = curves[0, 4] - 1e-3  # a call boundary falls in t
-            curves[0, 5] = curves[0, 6] - 1e-8  # below the clip tolerance
+        def planted(m, p, option, times, cuts, *rest):
+            sweep(m, p, option, times, cuts, *rest)
+            # an a1 call stops below its lower cut, which rises in t
+            cuts[0, 3] = cuts[0, 4] + 1e-3
+            cuts[0, 5] = cuts[0, 6] + 1e-8  # below the clip tolerance
 
         monkeypatch.setattr(american, "_sweep", planted)
         cfg = SolverConfig(n_steps=12)
@@ -257,7 +267,7 @@ class TestDiagnostics:
         assert 1e-8 < tol < 1e-3
         (clip,) = b.diagnostics["monotonicity_clips"]
         assert clip[0] == b.times[3]
-        assert clip[1] == pytest.approx(-1e-3, rel=1e-9)
+        assert clip[1] == pytest.approx(1e-3, rel=1e-9)  # a factor level
         assert b.values[3] == b.values[4] and b.values[5] == b.values[6]
 
     @pytest.mark.parametrize("m,p", [(M32, P1), (MIX7, P7),
@@ -271,7 +281,7 @@ class TestDiagnostics:
         n = 16
         b = solve_boundary(m, p, CALL, SolverConfig(n_steps=n))
         updates = np.array(b.diagnostics["inner_updates"])
-        assert updates.shape == (2 if m.is_mixture else 1, n + 1)
+        assert updates.shape == (2, n + 1)  # lower and upper cut
         assert updates.sum() == len(calls)
         # the error estimate of every solved step is within inner_tol
         errors = np.array(b.diagnostics["inner_error"])
@@ -280,8 +290,7 @@ class TestDiagnostics:
         assert (errors[updates > 0] <= SolverConfig().inner_tol).all()
         # only the expiry column and an absent side are not solved
         assert not updates[:, n].any()
-        for row, level in zip(updates, (b.values[-1], b.upper[-1]) if b.is_pair
-                              else (b.values[-1],)):
+        for row, level in zip(updates, b.cuts[:, n]):
             if american._is_active(level):
                 assert (row[:n] >= 1).all()
             else:

@@ -188,6 +188,17 @@ class TestMainEntry:
         assert payload["columns"][0] == "T"
         assert len(payload["rows"]) == 1
 
+    def test_json_output_is_strict(self, capsys):
+        # an implied vol that does not exist is written as null, not NaN
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main(["skew", "--config", "fig7", "--maturity", "0.2",
+                     "--moneyness-grid=3,6", "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["rows"][0][1] > 0.0
+        assert payload["rows"][1] == [6.0, None]
+
     def test_boundary_csv_output(self, tmp_path):
         doc = {"model": {"class": "a1", "terms": [{"weight": 1.0, "power": 1.0}]},
                "cir": {"alpha": 2.94, "beta": 17.10, "kappa": 2.05},
@@ -279,6 +290,27 @@ class TestMainEntry:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         assert main(["boundary", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_non_integer_step_count_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIG1_DOC))
+        doc["solver"] = {"n_steps": 12.5}
+        path = tmp_path / "half_step.json"
+        path.write_text(json.dumps(doc))
+        assert main(["boundary", "--config", str(path)]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)
+        assert error["exit_code"] == EXIT_CONFIG
+        assert "n_steps must be an integer" in error["error"]
+
+    def test_mc_check_writes_an_infinite_z_as_null(self, monkeypatch, capsys):
+        import vixpricer.cli as cli
+        report = {"target": "european", "z": float("inf"), "analytic": 1.0,
+                  "mc_mean": 1.0, "std_error": 0.0, "n_paths": 10, "seed": 0}
+        monkeypatch.setattr(cli, "cmd_mc_check", lambda *a, **k: report)
+        assert main(["mc-check", "--config", "fig1", "--target", "european",
+                     "--n", "10"]) == EXIT_VERIFY
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=lambda token: pytest.fail(token))
+        assert payload["z"] is None and payload["analytic"] == 1.0
 
     def test_mc_check_verification_exit(self, monkeypatch):
         import vixpricer.cli as cli
