@@ -14,16 +14,16 @@ other nodes depend on already-solved values only.
 
 Every family's boundary is one factor-space stop pair ``(lower, upper)``
 per grid time, a state stopping when ``y <= lower`` or ``y >= upper``; a
-monotone family's pair lacks one side (0 / +-inf), a mixture's may. Each
-scalar equation is a fixed point ``y = update(y)`` of value matching on one
-side, solved by secant steps (:func:`_solve_step`) that start from the
+monotone family's pair lacks one side (0 below, inf above), a mixture's may.
+Each scalar equation is a fixed point ``y = update(y)`` of value matching on
+one side, solved by secant steps (:func:`_solve_step`) that start from the
 linear extrapolation of the two later solved levels and carry the slope of
 ``update`` from one grid time to the next. A step stops on an estimate of
 its distance from the fixed point, not on the residual; scaled by the map's
 slope, ``inner_tol`` bounds each solved level's error in VIX units.
 
 A solve reports a monotone family's VIX curve or the mixture's factor pair,
-with the stop pair of those curves (:func:`~vixpricer.european.stop_cuts`):
+with the stop pair of those curves (:func:`_stop_pair` maps VIX levels):
 :func:`american_price`, its zero-time node included, and the Monte Carlo
 policy read that pair, interpolated in the factor coordinate between grid
 times, and invert no boundary level.
@@ -41,7 +41,7 @@ from scipy import special
 from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        _benefit_integrand, euro_fast, factor_state, kernel_row,
-                       stop_cuts, vix_level)
+                       vix_level)
 from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
                      mixture_inverse)
 from .numerics import ConvergenceError, newton_bisect
@@ -77,8 +77,8 @@ class SolverConfig:
                              f"{self.n_steps!r}")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be finite and positive")
 
 
 @dataclass
@@ -88,16 +88,17 @@ class Boundary:
     ``values`` is the single curve for monotone families (VIX coordinate)
     or the lower curve for mixtures (factor coordinate); ``upper`` is the
     mixture's upper curve. ``cuts`` is the ``(2, n+1)`` factor-space stop
-    pair ``(lower, upper)`` per grid time, as :func:`stop_cuts` maps the
-    curves: a state stops when ``y <= lower`` or ``y >= upper``. Between
-    grid points every row interpolates linearly, the cuts in the factor
-    coordinate. ``diagnostics`` of a solve holds ``monotonicity_clips``, the
-    isotonic projection's ``(time, adjustment)`` pairs, in factor levels;
-    and, as ``(2, n+1)`` rows for the lower and upper cut, ``inner_updates``,
-    the value-matching ``update`` calls per grid time, and ``inner_error``,
-    the final error estimate of each solved level in VIX units (at most
-    ``inner_tol``). Both are 0 where no step was solved: the terminal time
-    and an absent side.
+    pair ``(lower, upper)`` per grid time, the mixture's curves themselves or
+    :func:`_stop_pair` of a monotone curve: a state stops when
+    ``y <= lower`` or ``y >= upper``, and an absent side sits at 0 or inf.
+    Between grid points every row interpolates linearly, the cuts in the
+    factor coordinate. ``diagnostics`` of a solve holds
+    ``monotonicity_clips``, the isotonic projection's ``(time, adjustment)``
+    pairs, in factor levels; and, as ``(2, n+1)`` rows for the lower and
+    upper cut, ``inner_updates``, the value-matching ``update`` calls per
+    grid time, and ``inner_error``, the final error estimate of each solved
+    level in VIX units (at most ``inner_tol``). Both are 0 where no step was
+    solved: the terminal time and an absent side.
     """
 
     times: np.ndarray
@@ -178,15 +179,16 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
     ``x + r / (1 - s)``. Before a solve's second evaluation ``s`` is
     ``carry.slope``, the previous solve's last slope; with none known the
     step is the plain fixed-point step. A residual bracket is tracked along
-    the way and bisection takes over when a step leaves it.
+    the way.
 
     ``update(x)`` lies about ``|r s / (1 - s)|`` from the fixed point, and
     the solve returns it once that estimate is at most ``tol``. With no
-    slope known only a zero residual stops, and ``s == 1`` never does. If
-    the iteration stalls, the bracket's ends and residuals go to
-    :func:`~vixpricer.numerics.newton_bisect`, whose final bracket width is
-    the error. ``carry`` (an :class:`_InnerCarry`) receives the last slope
-    and the error estimate of the returned value.
+    slope known only a zero residual stops, and ``s == 1`` never does. If a
+    step would leave the bracket, or the iteration stalls, the bracket's
+    ends and residuals go to :func:`~vixpricer.numerics.newton_bisect`,
+    whose final bracket width is the error. ``carry`` (an
+    :class:`_InnerCarry`) receives the last slope and the error estimate of
+    the returned value.
     """
     carry = _InnerCarry() if carry is None else carry
     lo = hi = None  # bracket ends (x, resid): resid > 0 at lo, < 0 at hi
@@ -216,7 +218,7 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
         else:
             hi = point if hi is None else min(hi, point)
         if lo and hi and not (min(lo, hi)[0] < cand < max(lo, hi)[0]):
-            cand = 0.5 * (lo[0] + hi[0])
+            break
         prev = point
         if cand <= 0.0:
             cand = 0.5 * x
@@ -260,9 +262,9 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
         raise SolverError("mixture contracts support calls only")
     n = cfg.n_steps
     times = np.linspace(0.0, option.maturity, n + 1)
-    levels = np.atleast_1d(terminal_levels(m, p, option))
-    cuts = np.repeat(np.array(stop_cuts(m, option, *levels))[:, None], n + 1,
-                     axis=1)
+    levels = terminal_levels(m, p, option)
+    terminal = np.array(levels) if m.is_mixture else _stop_pair(m, option, levels)
+    cuts = np.repeat(terminal[:, None], n + 1, axis=1)
     updates = np.zeros(cuts.shape, dtype=int)
     errors = np.zeros(cuts.shape)
     _sweep(m, p, option, times, cuts, cfg, quad, updates, errors)
@@ -275,19 +277,32 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
              for k, i in zip(*np.nonzero(raw != cuts))
              if abs(raw[k, i] - cuts[k, i]) > cfg.inner_tol * 1e3]
     if m.is_mixture:
-        curves = tuple(cuts)
-    else:  # the VIX level of the one finite side
-        curves = (f_eval(m, cuts[0 if _is_active(cuts[0, n]) else 1]),)
+        values, upper = cuts.copy()
+    else:  # the VIX level of the one finite side, mapped back so it stops
+        values, upper = f_eval(m, cuts[0 if _is_active(cuts[0, n]) else 1]), None
+        cuts = _stop_pair(m, option, values)
     diag = {"monotonicity_clips": clips, "inner_updates": updates.tolist(),
             "inner_error": errors.tolist()}
-    return Boundary(times=times, values=curves[0],
-                    cuts=np.array(stop_cuts(m, option, *curves)),
-                    upper=curves[1] if m.is_mixture else None,
+    return Boundary(times=times, values=values, cuts=cuts, upper=upper,
                     kind=option.kind, diagnostics=diag)
 
 
+def _stop_pair(m, option, values):
+    """Factor stop pair ``(lower, upper)`` of a monotone family's VIX level(s).
+
+    The inverse map puts each level on the side where the contract stops:
+    an ``a1`` call or ``a2`` put stops below its cut, the others above it.
+    The absent side is 0 below and inf above. Returns a ``(2, ...)`` array.
+    """
+    values = np.asarray(values, dtype=float)
+    cut = np.reshape([g_eval(m, float(v)) for v in values.ravel()], values.shape)
+    if (m.family == "a1") == (option.kind == "call"):
+        return np.array([cut, np.full(values.shape, np.inf)])
+    return np.array([np.zeros(values.shape), cut])
+
+
 def _is_active(level):
-    """Whether a cut is a real boundary (absent sides sit at 0 / +-inf)."""
+    """Whether a cut is a real boundary (absent sides sit at 0 / inf)."""
     return 0.0 < level < math.inf
 
 

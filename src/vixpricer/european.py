@@ -47,7 +47,6 @@ __all__ = [
     "eep_kernel",
     "euro_fast",
     "kernel_row",
-    "stop_cuts",
 ]
 
 log = logging.getLogger(__name__)
@@ -70,8 +69,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not self.tail_mass_cut > 0.0:
-            raise ValueError("tail_mass_cut must be positive")
+        if not 0.0 < self.tail_mass_cut < 0.5:
+            raise ValueError("tail_mass_cut must lie in (0, 0.5)")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -87,12 +86,12 @@ class OptionSpec:
     kind: str = "call"
 
     def __post_init__(self):
-        if not self.strike > 0.0:
-            raise ValueError("strike must be strictly positive")
-        if not self.maturity > 0.0:
-            raise ValueError("maturity must be strictly positive")
-        if self.rate < 0.0:
-            raise ValueError("rate must be non-negative")
+        if not 0.0 < self.strike < math.inf:
+            raise ValueError("strike must be finite and strictly positive")
+        if not 0.0 < self.maturity < math.inf:
+            raise ValueError("maturity must be finite and strictly positive")
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError("rate must be finite and non-negative")
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
 
@@ -169,38 +168,6 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
     """Signed waiting benefit: the premium kernel's integrand when stopped."""
     sign = 1.0 if option.kind == "call" else -1.0
     return lambda y: -sign * waiting_benefit(m, p, option.rate, option.strike, y)
-
-
-def stop_cuts(m: ModelSpec, option: OptionSpec, z, z_upper=None):
-    """Paying stopping region of boundary level(s) as a factor-space cut pair.
-
-    Returns ``(lower, upper)``: a path stops when ``y <= lower`` or
-    ``y >= upper``, with ``-inf`` / ``inf`` for an absent side. Monotone
-    families pass the VIX boundary level ``z``, which maps through the
-    inverse map to one side; the mixture passes its factor-coordinate pair
-    ``z``, ``z_upper``. The region is always intersected with the
-    contract's payoff region, where the premium kernel lives; on a solved
-    boundary that intersection changes nothing, since each curve stays on
-    the paying side of its terminal level. Levels may be scalars or arrays.
-    """
-    is_call = option.kind == "call"
-    if m.is_mixture:
-        if not is_call:
-            raise ValueError("mixture contracts support calls only")
-        if z_upper is None:
-            raise ValueError("a mixture boundary needs lower and upper levels")
-        lower = np.asarray(z, dtype=float)
-        upper = np.asarray(z_upper, dtype=float)
-    else:
-        z = np.asarray(z, dtype=float)
-        cut = np.array([g_eval(m, float(v)) for v in z.ravel()]).reshape(z.shape)
-        far = np.full(z.shape, np.inf)
-        # an a1 call or a2 put stops below its cut, the others above it
-        lower, upper = (cut, far) if (m.family == "a1") == is_call else (-far, cut)
-    k_lo, k_hi = _strike_cuts(m, option.strike)
-    if not is_call:  # a put pays between the strike cuts
-        k_lo, k_hi = k_hi, k_lo
-    return np.minimum(lower, k_lo), np.maximum(upper, k_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +267,19 @@ def futures_taylor(m: ModelSpec, p: CirParams, horizon: float,
     return out
 
 
-def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, u: float,
-               state: float, z: float, z_upper: float | None = None,
-               config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Early-exercise premium density after elapsed time ``u``.
+def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
+               u: float, cuts, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Early-exercise premium density after elapsed time ``u``, adaptively.
 
-    ``z`` is the boundary level (VIX coordinate for monotone families); the
-    mixture family passes the lower boundary as ``z`` and the upper one as
-    ``z_upper``, both in factor coordinates. ``u = 0`` is the continuity
-    limit: minus the contract's waiting benefit at the current state,
-    restricted to the stopping region.
+    The arguments are :func:`kernel_row`'s for one elapsed time: ``y0`` is
+    the factor level and ``cuts`` the ``(lower, upper)`` factor stop pair.
+    ``u = 0`` is the continuity limit: minus the contract's waiting benefit
+    at ``y0``, restricted to the stopping region.
     """
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
     benefit = _benefit_integrand(m, p, option)
-    lower, upper = (float(c) for c in stop_cuts(m, option, z, z_upper))
-    y0 = factor_state(m, state)
+    lower, upper = (float(c) for c in cuts)
     if u == 0.0:
         return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
     val = _integrate(transition_law(p, u, y0), benefit,
@@ -393,8 +357,8 @@ def kernel_row(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     """Premium kernel for a whole vector of elapsed times at once.
 
     ``cuts`` is the ``(lower, upper)`` factor-space pair per elapsed time
-    (scalars or arrays) bounding the paying stopping region, as returned by
-    :func:`stop_cuts` or stored on a solved boundary.
+    (scalars or arrays) bounding the stopping region, as stored on a solved
+    boundary. :func:`eep_kernel` is the adaptive route for one elapsed time.
     """
     u = np.asarray(u, dtype=float)
     vals = _row_values(p, y0, u, _stop_regions(cuts), config,

@@ -8,13 +8,12 @@ import pytest
 
 from vixpricer import american
 from vixpricer.american import (SolverConfig, SolverError, _InnerCarry,
-                                _solve_step, american_price,
+                                _solve_step, _stop_pair, american_price,
                                 convexity_witness, smooth_fit_check,
                                 solve_boundary, terminal_levels)
 from vixpricer.cir import CirParams
 from vixpricer.cli import load_config
-from vixpricer.european import (OptionSpec, european_price, factor_state,
-                                stop_cuts)
+from vixpricer.european import OptionSpec, european_price, factor_state
 from vixpricer.mc import mc_american_policy
 from vixpricer.models import ModelSpec, f_eval, g_eval, x_star
 
@@ -22,6 +21,7 @@ M32 = ModelSpec("a1", terms=((1.0, 1.0),))
 M12 = ModelSpec("a2", terms=((1.0, 1.0),))
 MIX7 = ModelSpec("mixture", terms=((0.07, 1.0),), terms_a2=((0.07, 1.0),))
 M1MIX = ModelSpec("a1", terms=((0.5, 1.0), (0.5, 1.2)))  # fig1_mix
+MIX_A2 = ModelSpec("mixture", terms_a2=((1.0, 1.0),))  # M12's map, no lower side
 P1 = CirParams(2.94, 17.10, 2.05)
 P1MIX = CirParams(3.27, 17.10, 2.05)
 P2 = CirParams(3.0, 0.68, 1.0)
@@ -60,6 +60,11 @@ class TestSolverConfig:
             SolverConfig(n_steps=1)
         with pytest.raises(ValueError):
             SolverConfig(inner_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_inner_tol_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="inner_tol must be finite"):
+            SolverConfig(inner_tol=tol)
 
     @pytest.mark.parametrize("n_steps", [12.5, 12.0, "12"])
     def test_n_steps_must_be_an_integer(self, n_steps):
@@ -189,6 +194,32 @@ class TestSolveStep:
     def test_fallback_reports_its_bracket_width(self):
         carry = _InnerCarry()
         got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2, carry=carry)
+        assert 0.0 < carry.error <= 1e-9
+        assert abs(got - 2.0) <= carry.error
+
+    def test_overshooting_secant_hands_its_bracket_over(self, monkeypatch):
+        # from 1.0 a secant step of UPDATE leaves the residual bracket long
+        # before the iteration limit; the bracket goes to newton_bisect
+        handed = []
+        newton_bisect = american.newton_bisect
+
+        def spy(fn, lo, hi, **kwargs):
+            handed.append((lo, hi))
+            return newton_bisect(fn, lo, hi, **kwargs)
+
+        monkeypatch.setattr(american, "newton_bisect", spy)
+        calls = []
+
+        def update(x):
+            calls.append(x)
+            return self.UPDATE(x)
+
+        carry = _InnerCarry()
+        got = _solve_step(update, 1.0, 1e-9, carry=carry)
+        assert len(handed) == 1 and len(calls) < 20
+        (a, r_a), (b, r_b) = handed[0]
+        assert a < b and r_a * r_b < 0.0
+        # the error is the final bracket's width, which holds the fixed point
         assert 0.0 < carry.error <= 1e-9
         assert abs(got - 2.0) <= carry.error
 
@@ -453,16 +484,23 @@ class TestExerciseQuery:
 class TestStopPair:
     @pytest.mark.parametrize("m,p,option", [
         (M32, P1, CALL), (M32, P1, PUT), (M12, P2, CALL), (M1MIX, P1MIX, CALL),
-        (MIX7, P7, CALL)], ids=["fig1-call", "fig1-put", "fig2-call",
-                                "a1-two-term-call", "fig7-pair"])
+        (MIX7, P7, CALL), (MIX_A2, P2, CALL)],
+        ids=["fig1-call", "fig1-put", "fig2-call", "a1-two-term-call",
+             "fig7-pair", "rising-side-mixture"])
     def test_cuts_are_the_stop_pair_of_the_curves(self, m, p, option):
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
         assert b.cuts.shape == (2, len(b.times))
+        want = (np.array([b.values, b.upper]) if b.is_pair
+                else _stop_pair(m, option, b.values))
+        np.testing.assert_array_equal(b.cuts, want)
         for i, t in enumerate(b.times):
-            levels = (b.values[i],) if b.upper is None else (b.values[i], b.upper[i])
-            want = np.array(stop_cuts(m, option, *levels))
-            np.testing.assert_array_equal(b.cuts[:, i], want)
-            np.testing.assert_array_equal(b.cuts_at(t), want)
+            np.testing.assert_array_equal(b.cuts_at(t), want[:, i])
+        # every family marks an absent side 0 below and inf above
+        lower, upper = b.cuts
+        active = [np.all((row > 0.0) & (row < np.inf)) for row in b.cuts]
+        assert active[0] or np.all(lower == 0.0)
+        assert active[1] or np.all(upper == np.inf)
+        assert sum(active) == (2 if m is MIX7 else 1)
 
     def test_quotes_invert_only_the_state(self, monkeypatch):
         # on a two-term map every g_eval is a bracketed solve; pricing against

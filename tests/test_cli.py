@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -290,6 +291,22 @@ class TestMainEntry:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         assert main(["boundary", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("quadrature", "tail_mass_cut", 0.6),
+        ("contract", "rate", math.nan),
+        ("contract", "maturity", math.inf),
+        ("solver", "inner_tol", math.inf),
+    ])
+    def test_out_of_domain_settings_are_rejected(self, tmp_path, capsys,
+                                                 section, name, value):
+        doc = json.loads(json.dumps(FIG1_DOC))
+        doc.setdefault(section, {})[name] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+        argv = ["futures", "--config", str(path), "--t-grid", "0.5"]
+        assert main(argv) == EXIT_CONFIG
+        assert name in json.loads(capsys.readouterr().err)["error"]
 
     def test_non_integer_step_count_is_a_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIG1_DOC))

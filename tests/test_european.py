@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from vixpricer import european
-from vixpricer.american import american_price
+from vixpricer.american import (SolverConfig, _stop_pair, american_price,
+                                solve_boundary)
 from vixpricer.cir import CirParams, transition_law
 from vixpricer.cli import cmd_price, load_config
 from vixpricer.european import (DivergentIntegralError,
                                 OptionSpec, QuadratureConfig,
                                 _approx_mass_box, eep_kernel,
                                 euro_fast, european_price, factor_state,
-                                futures_price, futures_taylor, kernel_row,
-                                stop_cuts)
+                                futures_price, futures_taylor, kernel_row)
 from vixpricer.mc import mc_european, mc_futures
 from vixpricer.models import (ModelSpec, f_eval, g_eval, waiting_benefit)
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
 M12 = ModelSpec("a2", terms=((1.0, 1.0),))
 MIX7 = ModelSpec("mixture", terms=((0.07, 1.0),), terms_a2=((0.07, 1.0),))
+M1MIX = ModelSpec("a1", terms=((0.5, 1.0), (0.5, 1.2)))  # fig1_mix
 P1 = CirParams(2.94, 17.10, 2.05)
+P1MIX = CirParams(3.27, 17.10, 2.05)
 P2 = CirParams(3.0, 0.68, 1.0)
 P7 = CirParams(1.0, 2.0, 1.0)
 CALL = OptionSpec(0.15, 1.0, 0.05, "call")
@@ -39,11 +41,24 @@ class TestOptionSpec:
         with pytest.raises(ValueError):
             OptionSpec(0.15, 1.0, 0.05, "straddle")
 
+    @pytest.mark.parametrize("field", ["strike", "maturity", "rate"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_terms_must_be_finite(self, field, value):
+        terms = {"strike": 0.15, "maturity": 1.0, "rate": 0.05, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OptionSpec(**terms)
+
     def test_quadrature_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=2.0)
         with pytest.raises(ValueError):
             QuadratureConfig(tail_mass_cut=0.0)
+
+    @pytest.mark.parametrize("tail", [0.5, 0.6, math.nan])
+    def test_tail_mass_cut_leaves_a_support_box(self, tail):
+        # at 0.5 or more the box around the mass is empty: every price reads 0
+        with pytest.raises(ValueError, match="tail_mass_cut"):
+            QuadratureConfig(tail_mass_cut=tail)
 
 
 class TestEuropeanPrice:
@@ -184,22 +199,28 @@ class TestZeroHorizonState:
 
 class TestEepKernel:
     def test_empty_region_vanishes(self):
-        assert eep_kernel(M32, P1, CALL, 0.5, 0.3, 1e9) == pytest.approx(0.0, abs=1e-30)
-        val = eep_kernel(MIX7, P7, CALL, 0.5, 1.0, 1e-9, z_upper=1e9)
+        y0 = g_eval(M32, 0.3)
+        assert eep_kernel(M32, P1, CALL, y0, 0.5, _stop_pair(M32, CALL, 1e9)) \
+            == pytest.approx(0.0, abs=1e-30)
+        val = eep_kernel(MIX7, P7, CALL, 1.0, 0.5, (1e-9, 1e9))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_elapsed_time_limit(self):
         x = 0.3
+        cuts = _stop_pair(M32, CALL, 0.25)
         want = -waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, x))
-        assert eep_kernel(M32, P1, CALL, 0.0, x, 0.25) == pytest.approx(want)
-        assert eep_kernel(M32, P1, CALL, 0.0, 0.2, 0.25) == 0.0
+        assert eep_kernel(M32, P1, CALL, g_eval(M32, x), 0.0, cuts) == \
+            pytest.approx(want)
+        assert eep_kernel(M32, P1, CALL, g_eval(M32, 0.2), 0.0, cuts) == 0.0
 
     def test_sign_beyond_critical_levels(self):
         from vixpricer.models import x_star
         xs = x_star(M32, P1, 0.05, 0.15)
+        y0 = g_eval(M32, 0.25)
         for u in (0.05, 0.3, 0.8):
             for z in np.linspace(max(0.15, xs), 0.6, 5):
-                assert eep_kernel(M32, P1, CALL, u, 0.25, z) >= -1e-12
+                cuts = _stop_pair(M32, CALL, z)
+                assert eep_kernel(M32, P1, CALL, y0, u, cuts) >= -1e-12
 
     def test_matches_monte_carlo(self):
         u, x, z = 0.5, 0.3, 0.3
@@ -209,57 +230,51 @@ class TestEepKernel:
         h = waiting_benefit(M32, P1, 0.05, 0.15, y)
         draw = -math.exp(-0.05 * u) * h * (vix >= max(z, 0.15))
         se = draw.std(ddof=1) / math.sqrt(len(draw))
-        got = eep_kernel(M32, P1, CALL, u, x, z)
+        got = eep_kernel(M32, P1, CALL, g_eval(M32, x), u, _stop_pair(M32, CALL, z))
         assert abs(got - draw.mean()) < 3 * se
 
     def test_put_kernel_positive_below_threshold(self):
-        got = eep_kernel(M12, P2, PUT, 0.3, 0.10, 0.12)
+        got = eep_kernel(M12, P2, PUT, g_eval(M12, 0.10), 0.3,
+                         _stop_pair(M12, PUT, 0.12))
         assert got > 0.0
 
     @pytest.mark.parametrize("m,p,state,kind", [
         (M32, P1, 0.3, "call"), (M12, P2, 0.3, "call"),
         (M32, P1, 0.08, "put"), (M12, P2, 0.08, "put"),
+        (M1MIX, P1MIX, 0.3, "call"), (MIX7, P7, 1.0, "call"),
     ])
     def test_row_route_agrees_with_adaptive(self, m, p, state, kind):
+        # both routes take the same (y0, u[i], cuts[:, i])
         option = OptionSpec(0.15, 1.0, 0.05, kind)
         y0 = factor_state(m, state)
-        u = np.array([0.02, 0.1, 0.4, 0.9])
-        if kind == "call":
-            z = np.array([0.40, 0.35, 0.30, 0.25])
+        if m.is_mixture:
+            u = np.array([0.05, 0.3, 0.8])
+            cuts = np.array([[0.5, 0.55, 0.6], [2.6, 2.4, 2.3]])
+            rtol, atol = 5e-7, 1e-10
         else:
-            z = np.array([0.05, 0.07, 0.09, 0.11])
-        cuts = stop_cuts(m, option, z)
+            u = np.array([0.02, 0.1, 0.4, 0.9])
+            z = [0.40, 0.35, 0.30, 0.25] if kind == "call" else [0.05, 0.07, 0.09, 0.11]
+            cuts = _stop_pair(m, option, z)
+            rtol, atol = 2e-7, 1e-12
         row = kernel_row(m, p, option, y0, u, cuts)
-        slow = [eep_kernel(m, p, option, uu, state, zz) for uu, zz in zip(u, z)]
-        np.testing.assert_allclose(row, slow, rtol=2e-7, atol=1e-12)
+        slow = [eep_kernel(m, p, option, y0, u[i], cuts[:, i])
+                for i in range(len(u))]
+        np.testing.assert_allclose(row, slow, rtol=rtol, atol=atol)
 
-    @pytest.mark.parametrize("m", [M32, M12, ModelSpec("a1", terms=((0.5, 1.0), (0.5, 1.2)))])
+    @pytest.mark.parametrize("m", [M32, M12, M1MIX])
     @pytest.mark.parametrize("kind", ["call", "put"])
     def test_in_the_money_cuts_stop_past_the_strike(self, m, kind):
+        # a solved stop pair lies inside the payoff region, so the kernel's
+        # stopping region needs no intersection with it
+        p = {M32: P1, M12: P2, M1MIX: P1MIX}[m]
         option = OptionSpec(0.15, 1.0, 0.05, kind)
-        z = np.array([0.05, 0.1, 0.15, 0.2, 0.4])
-        clamp = np.maximum(z, 0.15) if kind == "call" else np.minimum(z, 0.15)
-        want = np.array([g_eval(m, float(v)) for v in clamp])
-        lower, upper = stop_cuts(m, option, z)
+        b = solve_boundary(m, p, option, SolverConfig(n_steps=12))
+        k = g_eval(m, option.strike)
+        lower, upper = b.cuts
         if (m.family == "a1") == (kind == "call"):
-            np.testing.assert_array_equal(lower, want)
-            assert np.all(upper == np.inf)
+            assert np.all(lower <= k) and np.all(upper == np.inf)
         else:
-            np.testing.assert_array_equal(upper, want)
-            assert np.all(lower == -np.inf)
-
-    def test_mixture_row_agrees_with_adaptive(self):
-        u = np.array([0.05, 0.3, 0.8])
-        z1 = np.array([0.5, 0.55, 0.6])
-        z2 = np.array([2.6, 2.4, 2.3])
-        row = kernel_row(MIX7, P7, CALL, 1.0, u, (z1, z2))
-        slow = [eep_kernel(MIX7, P7, CALL, uu, 1.0, a, z_upper=b)
-                for uu, a, b in zip(u, z1, z2)]
-        np.testing.assert_allclose(row, slow, rtol=5e-7, atol=1e-10)
-
-    def test_mixture_requires_upper_boundary(self):
-        with pytest.raises(ValueError):
-            eep_kernel(MIX7, P7, CALL, 0.5, 1.0, 0.5)
+            assert np.all(upper >= k) and np.all(lower == 0.0)
 
 
 class TestMassBox:

@@ -241,22 +241,24 @@ class TestBigH:
     PUT = OptionSpec(0.15, 1.0, 0.05, "put")
 
     def test_call_indicator(self):
-        assert -eep_kernel(M32, P1, self.CALL, 0.0, 0.10, 0.15) == 0.0
-        x = 0.2
-        assert -eep_kernel(M32, P1, self.CALL, 0.0, x, 0.15) == \
-            waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, x))
+        cuts = (g_eval(M32, 0.15), math.inf)  # an a1 call stops at low factors
+        assert -eep_kernel(M32, P1, self.CALL, g_eval(M32, 0.10), 0.0, cuts) == 0.0
+        y = g_eval(M32, 0.2)
+        assert -eep_kernel(M32, P1, self.CALL, y, 0.0, cuts) == \
+            waiting_benefit(M32, P1, 0.05, 0.15, y)
 
     def test_put_indicator_and_sign(self):
-        x = 0.10
-        assert -eep_kernel(M32, P1, self.PUT, 0.0, x, 0.15) == \
-            -waiting_benefit(M32, P1, 0.05, 0.15, g_eval(M32, x))
-        assert -eep_kernel(M32, P1, self.PUT, 0.0, 0.2, 0.15) == 0.0
+        cuts = (0.0, g_eval(M32, 0.15))  # an a1 put stops at high factors
+        y = g_eval(M32, 0.10)
+        assert -eep_kernel(M32, P1, self.PUT, y, 0.0, cuts) == \
+            -waiting_benefit(M32, P1, 0.05, 0.15, y)
+        assert -eep_kernel(M32, P1, self.PUT, g_eval(M32, 0.2), 0.0, cuts) == 0.0
 
     def test_mixture_dead_zone(self):
         k_lo, k_hi, _ = payoff_levels(MIX7, 0.15)
 
         def big_h(y):
-            return -eep_kernel(MIX7, P7, self.CALL, 0.0, y, k_lo, k_hi)
+            return -eep_kernel(MIX7, P7, self.CALL, y, 0.0, (k_lo, k_hi))
         assert big_h(1.0) == 0.0
         assert big_h(0.5) != 0.0
         assert big_h(2.5) != 0.0
