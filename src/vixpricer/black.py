@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .cir import CirParams
+from .cir import CirParams, transition_law
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
-                       european_price, futures_price)
+                       _european_on, _futures_on, factor_state)
 from .models import ModelSpec
 from .numerics import newton_bisect
 
@@ -85,14 +85,16 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
     For each moneyness the strike is ``F_T * exp(moneyness)``; the model
     call price is inverted through the Black formula. Points whose price
     falls outside the invertible band come back with NaN vol instead of
-    raising.
+    raising. The futures level and every strike share one law and its box.
     """
-    fut = futures_price(m, p, T, state, config)
+    law = transition_law(p, T, factor_state(m, state))
+    box = law.mass_bounds(config.tail_mass_cut)
+    fut = _futures_on(m, law, box, config)
     points = []
     for mny in np.asarray(moneyness_grid, dtype=float):
         strike = fut * math.exp(mny)
         option = OptionSpec(strike=strike, maturity=T, rate=r, kind="call")
-        price = european_price(m, p, option, 0.0, state, config)
+        price = _european_on(m, option, T, law, box, config)
         try:
             vol = implied_vol(price, fut, strike, T, r)
         except ValueError:

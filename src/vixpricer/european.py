@@ -12,10 +12,10 @@ Two integrators take the same regions and integrands:
 
 * the public functions use adaptive Gauss-Kronrod subdivision to the
   configured tolerance, on the exact quantile box;
-* :func:`kernel_row` and :func:`euro_fast` use one fixed composite
-  Gauss-Legendre rule (:func:`_row_values`) on a cheap support box,
-  vectorized across many horizons at once. The boundary solver runs on this
-  route; agreement with the adaptive route is asserted in the test suite.
+* :func:`kernel_row` and :func:`euro_fast` use a composite Gauss-Legendre
+  rule (:func:`_row_values`) on a cheap box with a tail-bound upper edge,
+  one row per horizon, panels set by each row's span. The boundary solver
+  runs on this route, which the tests check against the adaptive one.
 
 State conventions: monotone families quote the state as a VIX level,
 mixture models quote the factor level directly; :func:`factor_state` and
@@ -174,9 +174,10 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
 # adaptive integration against a transition law
 # ---------------------------------------------------------------------------
 
-def _integrate(law: ChiSquareLaw, integrand, regions, config: QuadratureConfig,
+def _integrate(law: ChiSquareLaw, box, integrand, regions, config: QuadratureConfig,
                check_origin: bool = False, scale_floor: float = 0.0):
-    """Sum of integrals of ``integrand`` times the density over the regions.
+    """Sum of integrals of ``integrand`` times the density over the regions,
+    within the law's support ``box`` (its ``mass_bounds``).
 
     When ``check_origin`` is set, regions starting at 0 get a
     truncation-sensitivity probe: the result must not move materially
@@ -187,12 +188,10 @@ def _integrate(law: ChiSquareLaw, integrand, regions, config: QuadratureConfig,
     def fn(y):
         return integrand(y) * np.exp(law.log_pdf(y))
 
-    box_lo, box_hi = law.mass_bounds(config.tail_mass_cut)
     total = 0.0
     probes = []
     for a, b in regions:
-        aa = max(a, box_lo)
-        bb = min(b, box_hi)
+        aa, bb = max(a, box[0]), min(b, box[1])
         if not bb > aa:
             continue
         val, _ = adaptive_gauss_kronrod(
@@ -226,9 +225,15 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     if tau == 0.0:
         return float(option.payoff_vix(vix_level(m, state)))
     law = transition_law(p, tau, factor_state(m, state))
+    return _european_on(m, option, tau, law, law.mass_bounds(config.tail_mass_cut), config)
+
+
+def _european_on(m, option, tau, law, box, config) -> float:
+    """:func:`european_price` ``tau`` before maturity, on the law at maturity."""
     needs_probe = bool(m.decreasing_terms) and option.kind == "call"
-    val = _integrate(law, _payoff_integrand(m, option), _euro_regions(m, option),
-                     config, check_origin=needs_probe, scale_floor=option.strike)
+    val = _integrate(law, box, _payoff_integrand(m, option),
+                     _euro_regions(m, option), config,
+                     check_origin=needs_probe, scale_floor=option.strike)
     return math.exp(-option.rate * tau) * max(val, 0.0)
 
 
@@ -240,7 +245,12 @@ def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
     if horizon == 0.0:
         return vix_level(m, state)
     law = transition_law(p, horizon, factor_state(m, state))
-    return _integrate(law, lambda y: f_eval(m, y), [(0.0, math.inf)], config,
+    return _futures_on(m, law, law.mass_bounds(config.tail_mass_cut), config)
+
+
+def _futures_on(m, law, box, config) -> float:
+    """:func:`futures_price` on the law at the horizon."""
+    return _integrate(law, box, lambda y: f_eval(m, y), [(0.0, math.inf)], config,
                       check_origin=bool(m.decreasing_terms))
 
 
@@ -282,7 +292,8 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     lower, upper = (float(c) for c in cuts)
     if u == 0.0:
         return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
-    val = _integrate(transition_law(p, u, y0), benefit,
+    law = transition_law(p, u, y0)
+    val = _integrate(law, law.mass_bounds(config.tail_mass_cut), benefit,
                      _stop_regions((lower, upper)), config,
                      check_origin=bool(m.decreasing_terms))
     return math.exp(-option.rate * u) * val
@@ -292,36 +303,28 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
 # fast fixed-rule path (vectorized across horizons)
 # ---------------------------------------------------------------------------
 
-# composite Gauss-Legendre rules, (panels, nodes per panel)
-_KERNEL_RULE = (10, 16)
-_EURO_RULE = (12, 16)
+# composite Gauss-Legendre rules, (base panel count, nodes per panel)
+_KERNEL_RULE = (5, 16)
+_EURO_RULE = (6, 16)
 
 
 def _approx_mass_box(df, lam, scale, tail_mass):
-    """Cheap support box per law (vectorized), cutting ~``tail_mass`` a side.
+    """Cheap support box per law (vectorized), cutting at most ``tail_mass``
+    above it and about ``tail_mass`` below it.
 
-    Deep in the left tail the first mixture term dominates the distribution
-    function, so its quantile (a gamma inverse shifted by the Poisson
-    zero-weight) tracks the exact one; laws whose non-centrality pushes the
-    requested mass into the body fall back to the scaled-central moment
-    match. The right cutoff uses the moment match with padding at a deeper
-    probability. The test suite verifies both ends against the exact
-    distribution function.
+    With ``m = df + lam``, ``v = df + 2 lam`` and ``L = -log(tail_mass)``,
+    at most ``e^-L`` of a unit-scale law lies above ``m + 2 sqrt(v L) + 2 L``
+    or below ``m - 2 sqrt(v L)`` (Birgé 2001, Lemma 8.1). The upper edge is
+    the first bound; the lower edge is the larger of the second and the
+    quantile of the mixture's first term (a gamma inverse shifted by the
+    Poisson zero-weight), which is not a bound.
     """
-    lam = np.asarray(lam, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    half_df = 0.5 * df
-    m_eff = (df + lam) ** 2 / (df + 2.0 * lam)
-    rho = (df + 2.0 * lam) / (df + lam)
-    log_q = math.log(tail_mass) + 0.5 * lam
-    q = np.exp(np.minimum(log_q, math.log(0.5)))
-    lo = 2.0 * scale * special.gammaincinv(half_df, q)
-    # strongly non-central laws concentrate; the Gaussian bound then beats
-    # the (median-capped) first-term quantile without losing mass
-    mean = scale * (df + lam)
-    std = scale * np.sqrt(2.0 * (df + 2.0 * lam))
-    lo = np.maximum(lo, mean - 9.0 * std)
-    hi = 1.3 * rho * scale * special.chdtri(m_eff, tail_mass * 1e-3)
+    big_l = -math.log(tail_mass)
+    mean = df + lam
+    dev = 2.0 * np.sqrt((df + 2.0 * lam) * big_l)
+    hi = scale * (mean + dev + 2.0 * big_l)
+    q = np.exp(np.minimum(math.log(tail_mass) + 0.5 * lam, math.log(0.5)))
+    lo = scale * np.maximum(2.0 * special.gammaincinv(0.5 * df, q), mean - dev)
     # a zero lower quantile would defeat the log-graded panel layout
     return np.maximum(lo, 1e-18 * hi), hi
 
@@ -332,23 +335,29 @@ def _row_values(p, y0, u, regions, config, integrand, rule):
     ``u`` is an array of horizons; ``regions`` lists ``(lo, hi)`` factor
     bounds, scalars or arrays matching ``u``; ``rule`` is the
     ``(n_panels, n_nodes)`` composite Gauss-Legendre rule laid over each
-    live region's part of the cheap support box.
+    live region's part of the cheap support box, or one panel per decade
+    of a wider part, at most ``2 n_panels``, batched by panel count.
     """
     lam, scale = law_params(p, u, y0)
     box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
+    base, n_nodes = rule
     total = np.zeros_like(u)
     for lo, hi in regions:
         lo, hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
-        live = hi > lo
-        if not live.any():  # absent side, or beyond every support box
+        live = np.flatnonzero(hi > lo)
+        if not live.size:  # absent side, or beyond every support box
             continue
-        nodes, weights = panel_nodes(lo[live], hi[live], *rule)
-        dens = np.exp(log_density(p.df, lam[live], scale[live], nodes))
-        vals = (integrand(nodes) * dens * weights).sum(axis=1)
-        if np.isnan(vals).any():
-            raise ValueError("NaN in a fixed-rule integral: the log-density or "
-                             "the integrand is not a number at some node")
-        total[live] += vals
+        lo, hi = lo[live], hi[live]
+        panels = np.minimum(np.maximum(np.ceil(np.log10(hi / lo)), base), 2 * base)
+        for n_panels in set(panels.tolist()):
+            at = panels == n_panels
+            nodes, weights = panel_nodes(lo[at], hi[at], int(n_panels), n_nodes)
+            rows = live[at]
+            dens = np.exp(log_density(p.df, lam[rows], scale[rows], nodes))
+            total[rows] += (integrand(nodes) * dens * weights).sum(axis=1)
+    if np.isnan(total).any():
+        raise ValueError("NaN in a fixed-rule integral: the log-density or "
+                         "the integrand is not a number at some node")
     return total
 
 

@@ -256,26 +256,23 @@ def _panel_rule(n_panels, n_nodes):
     return nodes, weights
 
 
-def panel_nodes(lo, hi, n_panels=10, n_nodes=16):
+def panel_nodes(lo, hi, n_panels, n_nodes):
     """Composite Gauss-Legendre nodes/weights on each [lo_i, hi_i].
 
     ``lo`` and ``hi`` are arrays of interval endpoints; empty intervals
-    (hi <= lo) produce zero weights. Intervals spanning more than two
-    decades switch to log-spaced panels, which keeps fractional-power
-    behavior near a small left endpoint well resolved. Returns
-    ``(nodes, weights)`` with shape ``(len(lo), n_panels * n_nodes)``.
+    (hi <= lo) produce zero weights. Intervals with ``hi > 20 lo > 0``
+    switch to log-spaced panels: a Gauss panel converges at a rate set by
+    its distance from a branch point at 0, so fractional-power behavior near
+    a small left endpoint stays resolved. Returns ``(nodes, weights)`` with
+    shape ``(len(lo), n_panels * n_nodes)``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     base, wts = _panel_rule(n_panels, n_nodes)
-    span = np.maximum(hi - lo, 0.0)
-    nodes = lo[..., None] + span[..., None] * base[None, :]
-    weights = span[..., None] * wts[None, :]
-    wide = (span > 0.0) & (lo > 0.0) & (hi > 100.0 * lo)
-    if np.any(wide):
-        ratio = np.log(hi[wide] / lo[wide])[..., None]
-        log_nodes = lo[wide][..., None] * np.exp(ratio * base[None, :])
-        nodes[wide] = log_nodes
-        weights[wide] = ratio * wts[None, :] * log_nodes
-    return nodes, weights
+    # [0, 1] maps onto a wide interval exponentially, onto the others linearly
+    wide = (lo > 0.0) & (hi > 20.0 * lo)
+    ratio = np.log(np.where(wide, hi, 1.0) / np.where(wide, lo, 1.0))[..., None]
+    span = np.where(wide, 0.0, np.maximum(hi - lo, 0.0))[..., None]
+    nodes = lo[..., None] * np.exp(ratio * base) + span * base
+    return nodes, ratio * wts * nodes + span * wts
 

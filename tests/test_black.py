@@ -7,7 +7,8 @@ from scipy import stats
 
 from vixpricer.black import (_VOL_HI, _VOL_LO, SkewPoint, black_call,
                              implied_vol, skew_curve)
-from vixpricer.cir import CirParams
+from vixpricer.cir import ChiSquareLaw, CirParams
+from vixpricer.european import OptionSpec, european_price, futures_price
 from vixpricer.models import ModelSpec
 
 
@@ -162,6 +163,32 @@ class TestSkewCurve:
         vols = np.array([q.implied_vol for q in pts])
         assert np.nanmax(vols) < 0.1
         assert np.nanmax(vols) - np.nanmin(vols) < 0.02
+
+    @pytest.mark.parametrize("m,p,state", [
+        (ModelSpec("a1", terms=((1.0, 1.0),)), CirParams(2.94, 17.10, 2.05), 0.2),
+        (ModelSpec("a2", terms=((1.0, 1.0),)), CirParams(3.0, 0.68, 1.0), 0.2),
+        (ModelSpec("mixture", terms=((0.07, 1.0),), terms_a2=((0.07, 1.0),)),
+         CirParams(1.0, 2.0, 1.0), 1.2),
+    ])
+    def test_one_support_box_per_curve(self, m, p, state, monkeypatch):
+        # the futures level and every strike share one law and one box, and
+        # price as the one-contract functions do, bit for bit
+        grid = np.linspace(-0.3, 0.3, 7)
+        calls = []
+        mass_bounds = ChiSquareLaw.mass_bounds
+        monkeypatch.setattr(ChiSquareLaw, "mass_bounds",
+                            lambda law, tail: calls.append(law) or mass_bounds(law, tail))
+        pts = skew_curve(m, p, 0.5, 0.05, state, grid)
+        assert len(calls) == 1
+        fut = futures_price(m, p, 0.5, state)
+        for mny, pt in zip(grid, pts):
+            strike = fut * math.exp(mny)
+            price = european_price(m, p, OptionSpec(strike, 0.5, 0.05), 0.0, state)
+            try:
+                want = implied_vol(price, fut, strike, 0.5, 0.05)
+            except ValueError:
+                want = math.nan
+            assert pt.implied_vol == want or math.isnan(pt.implied_vol) and math.isnan(want)
 
     def test_points_carry_moneyness(self, curve_inputs):
         m, p, grid = curve_inputs
