@@ -29,8 +29,8 @@ def _norm_cdf(x):
 class SkewPoint:
     """One point of an implied-volatility curve.
 
-    ``moneyness`` is log(K / F_T); ``implied_vol`` is NaN when the price
-    could not be inverted.
+    ``moneyness`` is log(K / F_T); ``implied_vol`` is NaN where
+    :func:`skew_curve` gives the point no vol.
     """
 
     moneyness: float
@@ -47,21 +47,14 @@ def black_call(F: float, K: float, T: float, r: float, sigma: float) -> float:
     return math.exp(-r * T) * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
 
 
-def _vega(F, K, T, r, sigma):
-    vol = sigma * math.sqrt(T)
-    d1 = (math.log(F / K) + 0.5 * vol * vol) / vol
-    return math.exp(-r * T) * F * math.sqrt(T) \
-        * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-
-
 def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     """Volatility solving ``black_call(F, K, T, r, sigma) = price``.
 
     The price must lie strictly inside the static no-arbitrage band
     ``(e^{-rT} (F - K)^+, e^{-rT} F)``. The vol is found by
-    :func:`~vixpricer.numerics.newton_bisect` on the bracket [1e-6, 10],
-    with Newton steps on the vega. Each end is priced once; a price past
-    an end returns the floor or the cap, read off the ends' signs.
+    :func:`~vixpricer.numerics.newton_bisect`'s false position on the
+    bracket [1e-6, 10], to 1e-14 relative. Each end is priced once; a price
+    past an end returns the floor or the cap, read off the ends' signs.
     """
     disc = math.exp(-r * T)
     lo_band = disc * max(F - K, 0.0)
@@ -69,13 +62,11 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     if not lo_band < price < hi_band:
         raise ValueError(
             f"price {price} outside the invertible band ({lo_band}, {hi_band})")
-    # Python floats: numpy scalars would warn on an overflowing Newton step
-    gap = lambda sigma: float(black_call(F, K, T, r, sigma) - price)
-    vega = lambda sigma: float(_vega(F, K, T, r, sigma))
+    gap = lambda sigma: black_call(F, K, T, r, sigma) - price
     lo, hi = (_VOL_LO, gap(_VOL_LO)), (_VOL_HI, gap(_VOL_HI))
     if lo[1] > 0.0 or hi[1] < 0.0:  # the price lies past an end
         return _VOL_LO if lo[1] > 0.0 else _VOL_HI
-    return newton_bisect(gap, lo, hi, dfn=vega, rel_tol=1e-14)
+    return newton_bisect(gap, lo, hi, rel_tol=1e-14)
 
 
 def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
@@ -83,9 +74,11 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
     """Implied-vol curve of model option prices across log-moneyness.
 
     For each moneyness the strike is ``F_T * exp(moneyness)``; the model
-    call price is inverted through the Black formula. Points whose price
-    falls outside the invertible band come back with NaN vol instead of
-    raising. The futures level and every strike share one law and its box.
+    call price is inverted through the Black formula. A point gets NaN vol
+    instead of raising where the price is outside the invertible band, or
+    where its time value ``price - e^{-rT} (F_T - K)^+`` is at most
+    ``config.rel_tol * price``, within the quadrature's own error. The
+    futures level and every strike share one law and its box.
     """
     law = transition_law(p, T, factor_state(m, state))
     box = law.mass_bounds(config.tail_mass_cut)
@@ -95,8 +88,10 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
         strike = fut * math.exp(mny)
         option = OptionSpec(strike=strike, maturity=T, rate=r, kind="call")
         price = _european_on(m, option, T, law, box, config)
+        time_value = price - math.exp(-r * T) * max(fut - strike, 0.0)
         try:
-            vol = implied_vol(price, fut, strike, T, r)
+            vol = (implied_vol(price, fut, strike, T, r)
+                   if time_value > config.rel_tol * price else math.nan)
         except ValueError:
             vol = math.nan
         points.append(SkewPoint(moneyness=float(mny), implied_vol=vol))

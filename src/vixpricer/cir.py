@@ -172,9 +172,24 @@ class ChiSquareLaw:
         return float(out[0]) if scalar else out
 
     def ppf(self, p: float) -> float:
-        """Quantile: the root in ``s = log v`` of ``log p - log cdf(e^s)``
-        below the median, or of ``log sf(e^s) - log(1 - p)`` above it, where
-        the survival series keeps full relative accuracy.
+        """Quantile: :meth:`_tail_quantile` of ``cdf`` at ``p`` below the
+        median, of ``sf`` at ``1 - p`` above it."""
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
+        if p <= 0.5:
+            return self._tail_quantile(self.cdf, 1.0, p)
+        return self._tail_quantile(self.sf, -1.0, 1.0 - p)
+
+    def mass_bounds(self, tail_mass: float):
+        """Interval holding all but ``tail_mass`` of probability per side; the
+        upper edge solves ``sf = tail_mass``, as ``1 - tail_mass`` rounds."""
+        return self.ppf(tail_mass), self._tail_quantile(self.sf, -1.0, tail_mass)
+
+    def _tail_quantile(self, prob, sign, tail):
+        """Level where the tail probability ``prob`` (``cdf`` with ``sign``
+        1, ``sf`` with -1) equals ``tail``: the root in ``s = log v`` of
+        ``sign (log tail - log prob(e^s))``, where each series keeps full
+        relative accuracy in its own tail.
 
         :func:`bracket_downcrossing` brackets it in steps of 10 from the
         mean, so an upper quantile is never sought where ``sf`` rounds to 1;
@@ -182,12 +197,7 @@ class ChiSquareLaw:
         false-position steps in ``s`` until the bracket is ``_PPF_TOL``
         wide, the same relative width in the quantile.
         """
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-        if p <= 0.5:
-            prob, sign, log_target = self.cdf, 1.0, math.log(p)
-        else:
-            prob, sign, log_target = self.sf, -1.0, math.log(1.0 - p)
+        log_target = math.log(tail)
 
         def target(s):  # positive below the quantile, negative above it
             q = prob(math.exp(s))
@@ -196,18 +206,13 @@ class ChiSquareLaw:
         mean = self.mean()
         start = (mean, target(math.log(mean)))
         try:
-            ends = bracket_downcrossing(lambda v: target(math.log(v)), start,
-                                        grow=10.0, lo_limit=1e-300, hi_limit=1e300)
+            ends = bracket_downcrossing(lambda v: target(math.log(v)), start, 10.0)
         except ConvergenceError:
             if start[1] > 0.0:
                 raise ValueError("quantile bracket expansion failed") from None
             return 0.0
         return math.exp(newton_bisect(target, *((math.log(v), f) for v, f in ends),
                                       rel_tol=0.0, abs_tol=_PPF_TOL))
-
-    def mass_bounds(self, tail_mass: float):
-        """Interval holding all but ``tail_mass`` of probability per side."""
-        return self.ppf(tail_mass), self.ppf(1.0 - tail_mass)
 
     # -- sampling -------------------------------------------------------------
 

@@ -245,8 +245,7 @@ def _side_inverse(m: ModelSpec, x: float, side: str) -> float:
         start = (y_min, sign * (f_min - x))
     else:
         start = (1.0, obj(1.0))
-    lo, hi = bracket_downcrossing(obj, start, lo_limit=1e-300, hi_limit=1e300)
-    return newton_bisect(obj, lo, hi, rel_tol=_ROOT_TOL)
+    return newton_bisect(obj, *bracket_downcrossing(obj, start), rel_tol=_ROOT_TOL)
 
 
 # ---------------------------------------------------------------------------

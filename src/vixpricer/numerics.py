@@ -2,11 +2,12 @@
 
 Every bracketed scalar root of the package is found here: an outward search
 (:func:`bracket_downcrossing`) when no bracket is known, then one safeguarded
-solve (:func:`newton_bisect`: Newton steps on a given slope, false position
-without one), passing bracket points as evaluated pairs ``(x, f(x))``, so
-no point is evaluated twice. Implied vols, the map inverses and minimum, the
-waiting benefit's sign change, the factor law's quantiles and the boundary
-solver's stalled fixed-point steps all go through them.
+solve (:func:`newton_bisect`: Anderson-Björck false position, bisecting
+where a step would stall), passing bracket points as evaluated pairs
+``(x, f(x))``, so no point is evaluated twice. Implied vols, the map
+inverses and minimum, the waiting benefit's sign change, the factor law's
+quantiles and the boundary solver's stalled fixed-point steps all go through
+them, and none supplies a slope.
 
 All quadrature helpers expect integrands that map a numpy array of abscissae
 to an array of the same shape, so a single call evaluates a whole batch of
@@ -36,12 +37,16 @@ class ConvergenceError(RuntimeError):
 # root finding
 # ---------------------------------------------------------------------------
 
-def bracket_downcrossing(fn, start, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
+_SEARCH_RANGE = (1e-300, 1e300)  # bracket_downcrossing's, for every caller
+
+
+def bracket_downcrossing(fn, start, grow=2.0):
     """Bracket the sign change of a function that goes from + to - as x grows.
 
     From the evaluated point ``start = (x0, fn(x0))`` the bracket is expanded
-    geometrically: upward while the function is still positive, downward
-    while it is still negative. Returns the evaluated ends ``(lo, fn(lo)),
+    geometrically by the factor ``grow``: upward while the function is
+    still positive, downward while it is still negative, within
+    [1e-300, 1e300]. Returns the evaluated ends ``(lo, fn(lo)),
     (hi, fn(hi))``, ``fn(lo) > 0 >= fn(hi)``; ``fn`` runs once per new point.
     """
     x0, f0 = start
@@ -49,14 +54,14 @@ def bracket_downcrossing(fn, start, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
         raise ValueError(f"objective not evaluable at starting point {x0}")
     if f0 > 0.0:
         lo, x = start, x0 * grow
-        while x <= hi_limit:
+        while x <= _SEARCH_RANGE[1]:
             hi = (x, fn(x))
             if hi[1] <= 0.0:
                 return lo, hi
             lo, x = hi, x * grow
         raise ConvergenceError("no sign change found while expanding upward")
     hi, x = start, x0 / grow
-    while x >= lo_limit:
+    while x >= _SEARCH_RANGE[0]:
         lo = (x, fn(x))
         if lo[1] > 0.0:
             return lo, hi
@@ -67,25 +72,23 @@ def bracket_downcrossing(fn, start, grow=2.0, lo_limit=1e-14, hi_limit=1e14):
 _MAX_ITER = 200  # newton_bisect's steps before it gives up
 
 
-def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0):
-    """Root of ``fn`` on a bracket, Newton or false-position steps safeguarded
-    by bisection.
+def newton_bisect(fn, lo, hi, rel_tol=1e-12, abs_tol=0.0):
+    """Root of ``fn`` on a bracket, by false-position steps safeguarded by
+    bisection; it takes no Newton steps and needs no slope.
 
     The ends are evaluated points ``lo = (a, fn(a))``, ``hi = (b, fn(b))``,
     ``a < b``, of opposite signs (one may be zero); ``fn`` is not called at
-    them. The first point is the bracket's midpoint. With a derivative
-    ``dfn`` the steps are Newton's. Without one they are false position on
-    the current bracket, where an end kept twice in a row has its value
-    scaled by the Anderson-Björck factor ``1 - f(x) / f(replaced end)`` (0.5
-    when that is not positive), so that both ends move towards the root
-    (Anderson & Björck, BIT 13, 1973); a false-position point stays half the
-    tolerance inside the bracket, so that a step can close it. A step is
-    taken when it stays inside the current bracket and is at most half the
-    step before the last one; otherwise the step bisects, so the bracket
-    always shrinks and a run that creeps towards the root from one side (a
-    steep, convex objective) cannot stall. Once the bracket is at most
-    ``rel_tol |x| + abs_tol`` wide, the evaluated end with the smaller
-    ``|fn|`` is returned.
+    them. The first point is the bracket's midpoint. Each step is false
+    position on the current bracket, where an end kept twice in a row has
+    its value scaled by the Anderson-Björck factor ``1 - f(x) / f(replaced
+    end)`` (0.5 when that is not positive), so that both ends move towards
+    the root (Anderson & Björck, BIT 13, 1973); a step stays half the
+    tolerance inside the bracket, so that it can close it. A step is taken
+    when it is at most half the step before the last one; otherwise the
+    step bisects, so the bracket always shrinks and a run that creeps
+    towards the root from one side (a steep, convex objective) cannot
+    stall. Once the bracket is at most ``rel_tol |x| + abs_tol`` wide, the
+    evaluated end with the smaller ``|fn|`` is returned.
     """
     (lo, f_lo), (hi, f_hi) = lo, hi
     if f_lo == 0.0:
@@ -108,14 +111,10 @@ def newton_bisect(fn, lo, hi, dfn=None, rel_tol=1e-12, abs_tol=0.0):
         else:
             w_lo *= _kept_weight(f_x, f_hi, moved == "hi")
             hi, f_hi, w_hi, moved = x, f_x, f_x, "hi"
-        if dfn is None:
-            # NaN where an end's value is infinite: the step bisects
-            x_new = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
-            inside = 0.5 * (rel_tol * abs(x) + abs_tol)
-            x_new = min(max(x_new, lo + inside), hi - inside)
-        else:
-            d = dfn(x)
-            x_new = x - f_x / d if np.isfinite(d) and d != 0.0 else np.nan
+        # NaN where an end's value is infinite: the step bisects
+        x_new = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        inside = 0.5 * (rel_tol * abs(x) + abs_tol)
+        x_new = min(max(x_new, lo + inside), hi - inside)
         if lo < x_new < hi and abs(x_new - x) <= 0.5 * step_old:
             step_old, step = step, abs(x_new - x)
             x = x_new

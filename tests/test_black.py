@@ -8,7 +8,9 @@ from scipy import stats
 from vixpricer.black import (_VOL_HI, _VOL_LO, SkewPoint, black_call,
                              implied_vol, skew_curve)
 from vixpricer.cir import ChiSquareLaw, CirParams
-from vixpricer.european import OptionSpec, european_price, futures_price
+from vixpricer.cli import load_config
+from vixpricer.european import (DEFAULT_CONFIG, OptionSpec, european_price,
+                                futures_price)
 from vixpricer.models import ModelSpec
 
 
@@ -184,11 +186,23 @@ class TestSkewCurve:
         for mny, pt in zip(grid, pts):
             strike = fut * math.exp(mny)
             price = european_price(m, p, OptionSpec(strike, 0.5, 0.05), 0.0, state)
+            time_value = price - math.exp(-0.05 * 0.5) * max(fut - strike, 0.0)
             try:
-                want = implied_vol(price, fut, strike, 0.5, 0.05)
+                want = (implied_vol(price, fut, strike, 0.5, 0.05)
+                        if time_value > DEFAULT_CONFIG.rel_tol * price else math.nan)
             except ValueError:
                 want = math.nan
             assert pt.implied_vol == want or math.isnan(pt.implied_vol) and math.isnan(want)
+
+    def test_rounding_level_time_value_has_no_vol(self):
+        # fig7's strike at log-moneyness -0.2, 0.124, lies below the map
+        # minimum 0.14: the call's time value, 2.5e-13 on a price of 0.027,
+        # is within the quadrature's own error, so it has no vol
+        cfg = load_config("fig7")
+        pts = skew_curve(cfg.model, cfg.cir, 0.2, cfg.contract.rate,
+                         cfg.initial_state(), (-0.2, 0.1), cfg.quadrature)
+        assert math.isnan(pts[0].implied_vol)
+        assert math.isfinite(pts[1].implied_vol)
 
     def test_points_carry_moneyness(self, curve_inputs):
         m, p, grid = curve_inputs

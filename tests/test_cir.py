@@ -178,10 +178,14 @@ class TestDensity:
         assert mean == pytest.approx(law.mean(), rel=1e-8)
 
     def test_quantiles_bracket_mass(self):
-        law = ChiSquareLaw(df=5.0, noncentrality=3.0, scale=0.2)
-        lo, hi = law.mass_bounds(1e-9)
-        assert law.cdf(lo) == pytest.approx(1e-9, rel=1e-4)
-        assert law.sf(hi) == pytest.approx(1e-9, rel=1e-4)
+        # the upper edge takes the tail mass itself, not 1 - (1 - tail):
+        # that is 9.99978e-13 at 1e-12, and 1 below about 1.1e-16
+        for law in (ChiSquareLaw(df=5.0, noncentrality=3.0, scale=0.2),
+                    ChiSquareLaw(df=16.28, noncentrality=42.07, scale=0.091)):
+            for tail in (1e-9, 1e-12, 1e-17):
+                lo, hi = law.mass_bounds(tail)
+                assert law.cdf(lo) == pytest.approx(tail, rel=1e-10)
+                assert law.sf(hi) == pytest.approx(tail, rel=1e-10)
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
               database=None)

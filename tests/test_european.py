@@ -106,6 +106,19 @@ class TestEuropeanPrice:
             fast = euro_fast(m, p, option, 0.75, y0)
             assert fast == pytest.approx(slow, rel=1e-8, abs=1e-11)
 
+    def test_tail_mass_below_the_rounding_of_one(self):
+        # 1 - 1e-17 rounds to 1, so the box's upper edge must be sought from
+        # the tail mass itself; both routes price such a config
+        cfg = load_config("fig1")
+        quad = QuadratureConfig(tail_mass_cut=1e-17)
+        state = cfg.initial_state()
+        option = cfg.contract
+        fast = euro_fast(cfg.model, cfg.cir, option, option.maturity,
+                         factor_state(cfg.model, state), quad)
+        slow = european_price(cfg.model, cfg.cir, option, 0.0, state, quad)
+        assert slow == pytest.approx(fast, rel=quad.rel_tol)
+        assert futures_price(cfg.model, cfg.cir, option.maturity, state, quad) > 0.0
+
     def test_fast_route_raises_on_a_nan_density(self, monkeypatch):
         # -inf is zero density, NaN is a failed evaluation
         def log_density(df, lam, scale, y):

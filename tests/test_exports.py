@@ -18,8 +18,9 @@ def test_every_export_resolves(module):
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda mod: mod.__name__)
-def test_no_root_finder_from_scipy(module):
-    # every bracketed root goes through vixpricer.numerics
+def test_no_scipy_root_finder_or_stats_import(module):
+    # every bracketed root goes through vixpricer.numerics; and importing
+    # scipy.stats, even lazily, more than doubles the package's start-up
     tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -29,4 +30,4 @@ def test_no_root_finder_from_scipy(module):
             imported.add(node.module)
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert not [name for name in imported
-                if f"{name}.".startswith("scipy.optimize.")]
+                if f"{name}.".startswith(("scipy.optimize.", "scipy.stats."))]
