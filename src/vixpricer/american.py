@@ -126,7 +126,8 @@ class Boundary:
 
     def check_covers(self, option: OptionSpec, t: float):
         """Raise ValueError unless this boundary can price ``option`` at ``t``:
-        same kind, ending at its maturity, and starting no later than ``t``."""
+        same kind, ending at its maturity, and starting no later than ``t``,
+        with ``t`` no later than that maturity."""
         if self.kind != option.kind:
             raise ValueError(f"a {self.kind} boundary cannot price a "
                              f"{option.kind}")
@@ -136,6 +137,8 @@ class Boundary:
         if t < self.times[0]:
             raise ValueError(f"valuation time {t:g} lies before the "
                              f"boundary's first time {self.times[0]:g}")
+        if t > option.maturity:
+            raise ValueError("valuation time lies beyond maturity")
 
 
 def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
@@ -161,55 +164,41 @@ def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):
 _MAX_INNER_ITERS = 100  # secant steps before the bracketed fallback
 
 
-@dataclass
-class _InnerCarry:
-    """What one curve's inner solves pass on from one grid time to the next:
-    the last secant slope of ``update`` (None before any is known) and the
-    error estimate of the last solve."""
-
-    slope: float | None = None
-    error: float = 0.0
-
-
-def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
+def _solve_step(update, x0, tol, slope=None):
     """Solve x = update(x) near x0, to an estimated error of ``tol``.
 
     Secant steps on the residual ``r = update(x) - x``: with ``s`` the slope
     of ``update`` through the last two evaluations, the next point is
     ``x + r / (1 - s)``. Before a solve's second evaluation ``s`` is
-    ``carry.slope``, the previous solve's last slope; with none known the
-    step is the plain fixed-point step. A residual bracket is tracked along
-    the way.
+    ``slope``, the previous solve's last slope; with none known the step is
+    the plain fixed-point step. A residual bracket is tracked along the way.
 
     ``update(x)`` lies about ``|r s / (1 - s)|`` from the fixed point, and
     the solve returns it once that estimate is at most ``tol``. With no
     slope known only a zero residual stops, and ``s == 1`` never does. If a
-    step would leave the bracket, or the iteration stalls, the bracket's
-    ends and residuals go to :func:`~vixpricer.numerics.newton_bisect`,
-    whose final bracket width is the error. ``carry`` (an
-    :class:`_InnerCarry`) receives the last slope and the error estimate of
-    the returned value.
+    step would leave the bracket, or ``_MAX_INNER_ITERS`` steps pass, the
+    bracket's ends and residuals go to
+    :func:`~vixpricer.numerics.newton_bisect`, whose final bracket width is
+    the error. Returns ``(level, slope, error)``: the solved level, the last
+    secant slope (``slope`` if none was formed) and the level's error
+    estimate.
     """
-    carry = _InnerCarry() if carry is None else carry
     lo = hi = None  # bracket ends (x, resid): resid > 0 at lo, < 0 at hi
     x = x0
     prev = None  # (x, resid)
-    for _ in range(max_iters):
+    for _ in range(_MAX_INNER_ITERS):
         fx = update(x)
         resid = fx - x
         if resid == 0.0:
-            carry.error = 0.0
-            return x
+            return x, slope, 0.0
         if prev is not None and prev[0] != x:
-            carry.slope = 1.0 + (resid - prev[1]) / (x - prev[0])
-        s = carry.slope
+            slope = 1.0 + (resid - prev[1]) / (x - prev[0])
         cand = x + resid
-        if s is not None and s != 1.0:
-            error = abs(resid * s / (1.0 - s))
+        if slope is not None and slope != 1.0:
+            error = abs(resid * slope / (1.0 - slope))
             if error <= tol:
-                carry.error = error
-                return fx
-            sec = x + resid / (1.0 - s)  # the secant's (or chord's) root
+                return fx, slope, error
+            sec = x + resid / (1.0 - slope)  # the secant's (or chord's) root
             if np.isfinite(sec) and sec > 0.0:
                 cand = sec
         point = (x, resid)
@@ -240,9 +229,9 @@ def _solve_step(update, x0, tol, max_iters=_MAX_INNER_ITERS, carry=None):
         raise SolverError(f"inner iteration did not converge (last residual "
                           f"{resid:.3e})") from None
     # the other end of the final bracket is the nearest point of opposite sign
-    carry.error = min((abs(v - x) for v, r in seen.items()
-                       if r * seen[x] < 0.0), default=0.0)
-    return x
+    error = min((abs(v - x) for v, r in seen.items() if r * seen[x] < 0.0),
+                default=0.0)
+    return x, slope, error
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +253,11 @@ def solve_boundary(m: ModelSpec, p: CirParams, option: OptionSpec,
     times = np.linspace(0.0, option.maturity, n + 1)
     levels = terminal_levels(m, p, option)
     terminal = np.array(levels) if m.is_mixture else _stop_pair(m, option, levels)
-    cuts = np.repeat(terminal[:, None], n + 1, axis=1)
-    updates = np.zeros(cuts.shape, dtype=int)
-    errors = np.zeros(cuts.shape)
-    _sweep(m, p, option, times, cuts, cfg, quad, updates, errors)
+    raw, updates, errors = _sweep(m, p, option, times, terminal, cfg, quad)
 
     # isotonic projection: the lower cut rises towards expiry, the upper falls
-    raw = cuts.copy()
-    cuts[0] = np.minimum.accumulate(raw[0, ::-1])[::-1]
-    cuts[1] = np.maximum.accumulate(raw[1, ::-1])[::-1]
+    cuts = np.array([np.minimum.accumulate(raw[0, ::-1])[::-1],
+                     np.maximum.accumulate(raw[1, ::-1])[::-1]])
     clips = [(float(times[i]), float(raw[k, i] - cuts[k, i]))
              for k, i in zip(*np.nonzero(raw != cuts))
              if abs(raw[k, i] - cuts[k, i]) > cfg.inner_tol * 1e3]
@@ -306,11 +291,12 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-def _sweep(m, p, option, times, cuts, cfg, quad, updates, errors):
-    """Solve the stop pair ``cuts`` at every grid time before expiry, in place.
+def _sweep(m, p, option, times, terminal, cfg, quad):
+    """Solve the stop pair at every grid time before expiry, backwards from
+    the ``terminal`` pair at the last time: ``(cuts, updates, errors)``.
 
-    ``cuts`` is ``(2, n+1)``, filled with the terminal pair; a side is
-    active where that is finite and above 0. There, the premium formula at
+    A side is active where ``terminal`` is finite and above 0; an inactive
+    side keeps its terminal value. On an active side the premium formula at
     level ``y``, against the paying stop pairs of the later steps, gives the
     exercise level ``K +- (euro + prem)``, which the map's inverse on that
     side takes back to ``update(y)``. The zero-time node reads the later
@@ -318,24 +304,29 @@ def _sweep(m, p, option, times, cuts, cfg, quad, updates, errors):
     Each solve starts from the linear extrapolation of the side's two later
     levels once both were solved here (and the guess is positive), from the
     later level otherwise, and inherits the side's last secant slope. Its
-    tolerance is ``inner_tol / |f'|`` at the later level. ``updates`` and
-    ``errors``, shaped like ``cuts``, receive the ``update`` calls and the
-    final error estimate in VIX units.
+    tolerance is ``inner_tol / |f'|`` at the later level. The three
+    ``(2, n+1)`` arrays returned are the raw (unprojected) cuts, the
+    ``update`` calls and each solved level's final error estimate in VIX
+    units, the last two 0 where nothing was solved.
     """
     strike = option.strike
     sign = 1.0 if option.kind == "call" else -1.0
     n_last = len(times) - 1
     dt = times[1] - times[0]
-    active = []  # (row, name, the map's inverse on that side, carry)
+    cuts = np.repeat(terminal[:, None], n_last + 1, axis=1)
+    updates = np.zeros(cuts.shape, dtype=int)
+    errors = np.zeros(cuts.shape)
+    slopes = [None, None]  # each side's last secant slope
+    active = []  # (row, name, the map's inverse on that side)
     for k, name in enumerate(("lower", "upper")):
-        if _is_active(cuts[k, n_last]):
+        if _is_active(terminal[k]):
             inverse = (partial(mixture_inverse, m, branch=name) if m.is_mixture
                        else partial(g_eval, m))
-            active.append((k, name, inverse, _InnerCarry()))
+            active.append((k, name, inverse))
     for i in range(n_last - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
-        for k, name, inverse, carry in active:
+        for k, name, inverse in active:
 
             def update(y):
                 updates[k, i] += 1
@@ -356,16 +347,17 @@ def _sweep(m, p, option, times, cuts, cfg, quad, updates, errors):
             if i + 2 < n_last and 2.0 * y0 - cuts[k, i + 2] > 0.0:
                 y0 = 2.0 * y0 - cuts[k, i + 2]
             try:
-                cuts[k, i] = _solve_step(update, y0, cfg.inner_tol / map_slope,
-                                         carry=carry)
+                cuts[k, i], slopes[k], error = _solve_step(
+                    update, y0, cfg.inner_tol / map_slope, slopes[k])
             except SolverError as exc:
                 raise SolverError(f"{name} boundary step at t={times[i]:.6g} "
                                   f"failed: {exc}") from exc
-            errors[k, i] = carry.error * map_slope
+            errors[k, i] = error * map_slope
         if cuts[0, i] >= cuts[1, i]:
             raise SolverError(
                 f"boundaries crossed at t={times[i]:.6g}: "
                 f"{cuts[0, i]:.6g} >= {cuts[1, i]:.6g}")
+    return cuts, updates, errors
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +439,11 @@ def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     limit weighted by the local Gaussian mass past the stop pair at ``t``,
     which keeps the premium accurate deep in the stopping region and smooth
     across the boundary. The boundary must be the contract's and start no
-    later than ``t`` (:meth:`Boundary.check_covers`).
+    later than ``t``, and ``t`` must not pass maturity
+    (:meth:`Boundary.check_covers`).
     """
     boundary.check_covers(option, t)
     tau = option.maturity - t
-    if tau < 0.0:
-        raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
         return float(option.payoff_vix(vix_level(m, state)))
     grid_step = boundary.times[1] - boundary.times[0]

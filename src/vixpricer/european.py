@@ -230,10 +230,10 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
 
 def _european_on(m, option, tau, law, box, config) -> float:
     """:func:`european_price` ``tau`` before maturity, on the law at maturity."""
-    needs_probe = bool(m.decreasing_terms) and option.kind == "call"
     val = _integrate(law, box, _payoff_integrand(m, option),
                      _euro_regions(m, option), config,
-                     check_origin=needs_probe, scale_floor=option.strike)
+                     check_origin=bool(m.decreasing_terms),
+                     scale_floor=option.strike)
     return math.exp(-option.rate * tau) * max(val, 0.0)
 
 

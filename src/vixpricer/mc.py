@@ -103,8 +103,6 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
         raise ValueError("need at least one time step")
     boundary.check_covers(option, t)
     tau = option.maturity - t
-    if tau < 0.0:
-        raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
         return mc_european(m, p, option, t, state, n, seed)
     rng = np.random.default_rng(seed)

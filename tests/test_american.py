@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from vixpricer import american
-from vixpricer.american import (SolverConfig, SolverError, _InnerCarry,
-                                _solve_step, _stop_pair, american_price,
+from vixpricer.american import (SolverConfig, SolverError, _solve_step,
+                                _stop_pair, american_price,
                                 convexity_witness, smooth_fit_check,
                                 solve_boundary, terminal_levels)
 from vixpricer.cir import CirParams
@@ -187,15 +187,16 @@ class TestSolveStep:
     # fixed point 2 without reaching it in two iterations
     UPDATE = staticmethod(lambda x: 2.0 - 3.0 * math.atan(5.0 * (x - 2.0)))
 
-    def test_bracketed_fallback_reaches_the_fixed_point(self):
-        got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2)
+    def test_bracketed_fallback_reaches_the_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(american, "_MAX_INNER_ITERS", 2)
+        got, _, _ = _solve_step(self.UPDATE, 1.0, 1e-9)
         assert abs(got - 2.0) <= 1e-9
 
-    def test_fallback_reports_its_bracket_width(self):
-        carry = _InnerCarry()
-        got = _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=2, carry=carry)
-        assert 0.0 < carry.error <= 1e-9
-        assert abs(got - 2.0) <= carry.error
+    def test_fallback_reports_its_bracket_width(self, monkeypatch):
+        monkeypatch.setattr(american, "_MAX_INNER_ITERS", 2)
+        got, _, error = _solve_step(self.UPDATE, 1.0, 1e-9)
+        assert 0.0 < error <= 1e-9
+        assert abs(got - 2.0) <= error
 
     def test_overshooting_secant_hands_its_bracket_over(self, monkeypatch):
         # from 1.0 a secant step of UPDATE leaves the residual bracket long
@@ -214,26 +215,24 @@ class TestSolveStep:
             calls.append(x)
             return self.UPDATE(x)
 
-        carry = _InnerCarry()
-        got = _solve_step(update, 1.0, 1e-9, carry=carry)
+        got, _, error = _solve_step(update, 1.0, 1e-9)
         assert len(handed) == 1 and len(calls) < 20
         (a, r_a), (b, r_b) = handed[0]
         assert a < b and r_a * r_b < 0.0
         # the error is the final bracket's width, which holds the fixed point
-        assert 0.0 < carry.error <= 1e-9
-        assert abs(got - 2.0) <= carry.error
+        assert 0.0 < error <= 1e-9
+        assert abs(got - 2.0) <= error
 
     def test_stops_on_the_error_estimate_not_the_residual(self):
         # slope 0.95: the first residual, 5e-10, is inside the tolerance
         # while update(x0) is 9.5e-9 from the fixed point 2
-        got = _solve_step(lambda x: 0.95 * x + 0.1, 2.0 - 1e-8, 1e-9)
+        got, _, _ = _solve_step(lambda x: 0.95 * x + 0.1, 2.0 - 1e-8, 1e-9)
         assert abs(got - 2.0) <= 1e-9
 
     def test_carry_receives_the_slope_and_the_error(self):
-        carry = _InnerCarry()
-        got = _solve_step(lambda x: 0.95 * x + 0.1, 1.0, 1e-9, carry=carry)
-        assert carry.slope == pytest.approx(0.95, rel=1e-6)
-        assert abs(got - 2.0) <= carry.error <= 1e-9
+        got, slope, error = _solve_step(lambda x: 0.95 * x + 0.1, 1.0, 1e-9)
+        assert slope == pytest.approx(0.95, rel=1e-6)
+        assert abs(got - 2.0) <= error <= 1e-9
 
     def test_carried_slope_stops_after_one_call(self):
         calls = []
@@ -242,19 +241,20 @@ class TestSolveStep:
             calls.append(x)
             return 0.95 * x + 0.1
 
-        carry = _InnerCarry(slope=0.95)
-        got = _solve_step(update, 2.0 - 1e-12, 1e-9, carry=carry)
+        got, _, error = _solve_step(update, 2.0 - 1e-12, 1e-9, slope=0.95)
         assert len(calls) == 1
-        assert abs(got - 2.0) == pytest.approx(carry.error, rel=1e-3)
+        assert abs(got - 2.0) == pytest.approx(error, rel=1e-3)
 
-    def test_no_bracket_is_a_solver_error(self):
+    def test_no_bracket_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(american, "_MAX_INNER_ITERS", 1)
         with pytest.raises(SolverError):
-            _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
+            _solve_step(self.UPDATE, 1.0, 1e-9)
 
-    def test_no_bracket_names_the_sign_kept(self):
+    def test_no_bracket_names_the_sign_kept(self, monkeypatch):
+        monkeypatch.setattr(american, "_MAX_INNER_ITERS", 1)
         with pytest.raises(SolverError,
                            match="no bracket: the residual stayed positive"):
-            _solve_step(self.UPDATE, 1.0, 1e-9, max_iters=1)
+            _solve_step(self.UPDATE, 1.0, 1e-9)
 
     @pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
     def test_coarse_a2_puts_solve(self, n):
@@ -285,11 +285,12 @@ class TestDiagnostics:
     def test_monotonicity_clips_report_planted_violations(self, monkeypatch):
         sweep = american._sweep
 
-        def planted(m, p, option, times, cuts, *rest):
-            sweep(m, p, option, times, cuts, *rest)
+        def planted(*args):
+            cuts, updates, errors = sweep(*args)
             # an a1 call stops below its lower cut, which rises in t
             cuts[0, 3] = cuts[0, 4] + 1e-3
             cuts[0, 5] = cuts[0, 6] + 1e-8  # below the clip tolerance
+            return cuts, updates, errors
 
         monkeypatch.setattr(american, "_sweep", planted)
         cfg = SolverConfig(n_steps=12)
@@ -373,8 +374,10 @@ class TestBoundaryCoverage:
     @pytest.mark.parametrize("option,t,reason", [
         (CALL, -0.5, "lies before"),
         (dataclasses.replace(CALL, maturity=2.0), 0.0, "matures at 2"),
-        (PUT, 0.0, "call boundary cannot price a put")],
-        ids=["before-the-grid", "other-maturity", "other-kind"])
+        (PUT, 0.0, "call boundary cannot price a put"),
+        (CALL, 1.5, "beyond maturity")],
+        ids=["before-the-grid", "other-maturity", "other-kind",
+             "beyond-maturity"])
     def test_uncovered_valuation_is_rejected(self, fig1_boundary_coarse,
                                              option, t, reason):
         b = fig1_boundary_coarse

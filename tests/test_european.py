@@ -330,6 +330,17 @@ class TestMassBox:
             assert hi[0] <= law.mean() + 10.0 * law.std()
         assert lo[0] >= law.mean() - 10.0 * law.std()
 
+    @pytest.mark.xfail(strict=True, reason="the first-term lower edge is not "
+                       "a bound near lam 54 (ROADMAP item 3)")
+    @pytest.mark.parametrize("df", BOX_DFS)
+    def test_lower_edge_cuts_the_requested_mass_near_lam_54(self, df):
+        # where the bundled laws' lower edges cut the most mass
+        from vixpricer.cir import ChiSquareLaw
+        scale = 0.21
+        lo, _ = _approx_mass_box(df, np.array([54.0]), np.array([scale]), 1e-12)
+        law = ChiSquareLaw(df=df, noncentrality=54.0, scale=scale)
+        assert law.cdf(lo[0]) <= 1e-12
+
 
 def _feller_variants(name, m, p):
     """``p`` with ``kappa`` scaled 0.5-4x and ``beta`` 0.25-4x, df >= 2 kept."""
