@@ -217,10 +217,10 @@ class ChiSquareLaw:
     # -- sampling -------------------------------------------------------------
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` i.i.d. levels; exact, via the Poisson-gamma mixture.
+        """Draw ``n`` i.i.d. levels; exact, via :func:`_sample_std`.
 
         ``rng`` is an integer seed or a ``numpy.random.Generator``. The same
-        seed reproduces the same draws bit for bit.
+        seed reproduces the same draws bit for bit under one NumPy version.
         """
         if n < 1:
             raise ValueError("sample size must be at least 1")
@@ -229,10 +229,11 @@ class ChiSquareLaw:
 
 
 def _sample_std(gen, df, noncentrality, size=None):
-    """Exact ``ncx2(df, lam)`` draws, ``2 * Gamma(df / 2 + Poisson(lam / 2))``:
-    one per entry of an array ``noncentrality``, or ``size`` sharing a scalar."""
-    mix = gen.poisson(0.5 * noncentrality, size)
-    return 2.0 * gen.standard_gamma(0.5 * df + mix)
+    """Exact ``ncx2(df, lam)`` draws, one per entry of an array ``noncentrality``
+    or ``size`` sharing a scalar: ``(Z + sqrt(lam))**2 + chi2(df - 1)`` for
+    df > 1 (every Feller law), the Poisson-gamma mixture for df <= 1. A seeded
+    stream depends on NumPy's generator algorithms."""
+    return gen.noncentral_chisquare(df, noncentrality, size)
 
 
 def _as_positive_array(y):

@@ -1,11 +1,11 @@
 """Monte Carlo verification layer built on exact factor sampling.
 
-The factor is drawn from its exact transition law (Poisson-gamma mixture),
-so estimates carry no time-discretization bias in the state; only the
+The factor is drawn from its exact transition law (``cir._sample_std``), so
+estimates carry no time-discretization bias in the state; only the
 American stopping rule is restricted to a time grid, which makes the policy
 estimator a lower bound up to that grid bias. Fixed seeds reproduce every
 estimate bit for bit, which also gives common random numbers across
-parameter bumps.
+parameter bumps, under the same NumPy generator algorithms.
 """
 
 from __future__ import annotations
@@ -111,24 +111,22 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
     lo_cut, hi_cut = boundary.cuts_at(times)
 
     payoff = np.zeros(n)
-    y = np.full(n, y0)
-    alive = np.ones(n, dtype=bool)
+    # the live paths' levels and indices, compact and in path order
+    y, live = np.full(n, y0), np.arange(n)
     for i, s in enumerate(times):
         last = i == len(times) - 1
-        stopped = alive & ((y <= lo_cut[i]) | (y >= hi_cut[i])) if not last \
-            else alive.copy()
+        stopped = (y <= lo_cut[i]) | (y >= hi_cut[i]) | last  # all at maturity
         if stopped.any():
             disc = math.exp(-option.rate * (s - t))
-            payoff[stopped] = disc * option.payoff_vix(f_eval(m, y[stopped]))
-            alive &= ~stopped
-        if last or not alive.any():
+            payoff[live[stopped]] = disc * option.payoff_vix(f_eval(m, y[stopped]))
+            y, live = y[~stopped], live[~stopped]
+        if last or not len(y):
             break
         step = times[i + 1] - times[i]
         if step == 0.0:  # rounded away near maturity: no time elapses
             continue
         lam_unit, scale = law_params(p, step, 1.0)
-        idx = np.nonzero(alive)[0]
-        y[idx] = scale * _sample_std(rng, p.df, lam_unit * y[idx])
+        y = scale * _sample_std(rng, p.df, lam_unit * y)
     return _summarize(payoff, seed)
 
 

@@ -455,15 +455,36 @@ class TestSampling:
         critical_1pct = 1.6276 / math.sqrt(n)
         assert d_stat < critical_1pct
 
+    # NumPy draws (Z + sqrt(lam))**2 + chi2(df - 1) for df > 1 and the
+    # Poisson-gamma mixture for df <= 1: fig5's df takes the second branch,
+    # df 2.72 a chi2(df - 1) of gamma shape below 1, (8, 398) and (16.3, 469)
+    # are fig7 and fig1 policy steps
+    @pytest.mark.parametrize("df, noncentrality", [
+        (0.816, 5.72), (1.3, 0.7), (2.72, 0.126), (2.72, 78.8), (8.0, 398.0),
+        (16.3, 469.0), (16.3, 0.0)])
+    def test_draws_follow_the_law_on_both_branches(self, df, noncentrality):
+        # Kolmogorov-Smirnov distance on 256 sample quantiles: a supremum
+        # over a grid is at most the full statistic, so the 0.1 % critical
+        # value still holds
+        law = ChiSquareLaw(df=df, noncentrality=noncentrality, scale=0.2)
+        n = 10**5
+        draws = np.sort(law.sample(n, 2024))
+        levels = np.quantile(draws, (np.arange(256) + 0.5) / 256)
+        empirical = np.searchsorted(draws, levels, side="right") / n
+        d_stat = np.max(np.abs(empirical - law.cdf(levels)))
+        assert d_stat < 1.9495 / math.sqrt(n)
+
     @pytest.mark.parametrize("noncentrality", [0.0, 0.7, 45.0])
     def test_per_draw_noncentrality_reproduces_the_law(self, noncentrality):
-        law = ChiSquareLaw(df=1.3, noncentrality=noncentrality, scale=0.2)
-        gen_law, gen_std = np.random.default_rng(17), np.random.default_rng(17)
-        want = law.sample(500, gen_law)
-        got = _sample_std(gen_std, law.df, np.full(500, noncentrality)) * law.scale
-        np.testing.assert_array_equal(got, want)
-        # both generators stand at the same state afterwards
-        assert gen_law.random() == gen_std.random()
+        # df 0.8 takes NumPy's Poisson-gamma branch, 1.3 and 16.3 the other
+        for df in (0.8, 1.3, 16.3):
+            law = ChiSquareLaw(df=df, noncentrality=noncentrality, scale=0.2)
+            gen_law, gen_std = np.random.default_rng(17), np.random.default_rng(17)
+            want = law.sample(500, gen_law)
+            got = _sample_std(gen_std, law.df, np.full(500, noncentrality)) * law.scale
+            np.testing.assert_array_equal(got, want)
+            # both generators stand at the same state afterwards
+            assert gen_law.random() == gen_std.random()
 
     def test_rejects_empty_sample(self):
         law = ChiSquareLaw(df=4.0, noncentrality=1.0, scale=0.5)

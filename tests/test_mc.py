@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vixpricer.american import SolverConfig, solve_boundary
-from vixpricer.cir import CirParams, transition_law
-from vixpricer.european import OptionSpec
-from vixpricer.mc import (McEstimate, mc_american_policy, mc_european,
-                          mc_futures, policy_bias_indicator)
+from vixpricer.cir import CirParams, _sample_std, law_params, transition_law
+from vixpricer.european import OptionSpec, factor_state
+from vixpricer.mc import (McEstimate, _summarize, mc_american_policy,
+                          mc_european, mc_futures, policy_bias_indicator)
 from vixpricer.models import ModelSpec, f_eval
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
@@ -133,3 +133,45 @@ class TestPolicyEstimates:
         eu = mc_european(mix, p7, CALL, 0.0, 1.0, 50_000, 29)
         assert est.mean >= eu.mean - 3 * math.hypot(est.std_error, eu.std_error)
         assert est.mean > 0.0
+
+
+def _alive_mask_policy(m, p, option, boundary, t, state, n, n_time_steps, seed):
+    """The policy estimator as a loop over every path with an alive mask,
+    drawing the live paths' next levels in path order; also each path's stop
+    date."""
+    rng = np.random.default_rng(seed)
+    times = t + np.linspace(0.0, option.maturity - t, n_time_steps + 1)
+    lo_cut, hi_cut = boundary.cuts_at(times)
+    payoff, y = np.zeros(n), np.full(n, factor_state(m, state))
+    alive, stop_date = np.ones(n, dtype=bool), np.full(n, -1)
+    for i, s in enumerate(times):
+        last = i == n_time_steps
+        stopped = alive & ((y <= lo_cut[i]) | (y >= hi_cut[i]) | last)
+        disc = math.exp(-option.rate * (s - t))
+        payoff[stopped] = disc * option.payoff_vix(f_eval(m, y[stopped]))
+        stop_date[stopped] = i
+        alive &= ~stopped
+        if last:
+            break
+        lam_unit, scale = law_params(p, times[i + 1] - s, 1.0)
+        idx = np.nonzero(alive)[0]
+        y[idx] = scale * _sample_std(rng, p.df, lam_unit * y[idx])
+    return _summarize(payoff, seed), stop_date
+
+
+class TestPolicyDrawOrder:
+    # the estimator carries only its live paths; it must draw exactly what
+    # the alive-mask loop draws, in the same order
+    @pytest.mark.parametrize("case", ["fig1", "fig7"])
+    def test_matches_the_alive_mask_loop_bit_for_bit(
+            self, case, request, model_32, params_fig1, model_mix7,
+            params_fig7, call_contract):
+        m, p, state = {"fig1": (model_32, params_fig1, 0.25),
+                       "fig7": (model_mix7, params_fig7, 3.0)}[case]
+        b = request.getfixturevalue(f"{case}_boundary_coarse")
+        want, stop_date = _alive_mask_policy(m, p, call_contract, b, 0.0,
+                                             state, 5000, 40, 5)
+        # paths stop on most dates, and some live until maturity
+        assert len(np.unique(stop_date)) >= 35 and (stop_date == 40).any()
+        got = mc_american_policy(m, p, call_contract, b, 0.0, state, 5000, 40, 5)
+        assert got == want
