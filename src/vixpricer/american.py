@@ -17,7 +17,8 @@ per grid time, a state stopping when ``y <= lower`` or ``y >= upper``; a
 monotone family's pair lacks one side (0 below, inf above), a mixture's may.
 Each scalar equation is a fixed point ``y = update(y)`` of value matching on
 one side, solved by secant steps (:func:`_solve_step`) that start from the
-linear extrapolation of the two later solved levels and carry the slope of
+polynomial in ``sqrt(T - t)``, the variable the boundary moves in near
+expiry, through up to four later solved levels, and carry the slope of
 ``update`` from one grid time to the next. A step stops on an estimate of
 its distance from the fixed point, not on the residual; scaled by the map's
 slope, ``inner_tol`` bounds each solved level's error in VIX units.
@@ -291,6 +292,23 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
+# later solved levels through which each sweep step's start is extrapolated
+_PREDICTOR_POINTS = 4
+
+
+def _extrapolate(x, xs, ys):
+    """Value at ``x`` of the polynomial through the points ``(xs, ys)``
+    (Lagrange form); ``nan`` when there are none."""
+    total = math.nan if len(xs) == 0 else 0.0
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        weight = 1.0
+        for ell, xl in enumerate(xs):
+            if ell != j:
+                weight *= (x - xl) / (xj - xl)
+        total += weight * yj
+    return total
+
+
 def _sweep(m, p, option, times, terminal, cfg, quad):
     """Solve the stop pair at every grid time before expiry, backwards from
     the ``terminal`` pair at the last time: ``(cuts, updates, errors)``.
@@ -301,9 +319,10 @@ def _sweep(m, p, option, times, terminal, cfg, quad):
     exercise level ``K +- (euro + prem)``, which the map's inverse on that
     side takes back to ``update(y)``. The zero-time node reads the later
     step's pair with the side moved to ``y``, where it weighs exactly 1/2.
-    Each solve starts from the linear extrapolation of the side's two later
-    levels once both were solved here (and the guess is positive), from the
-    later level otherwise, and inherits the side's last secant slope. Its
+    Each solve starts from the polynomial in ``sqrt(T - t)`` through the
+    side's later levels solved here, up to ``_PREDICTOR_POINTS`` of them and
+    never the terminal value, from the later level when none was solved or
+    the guess is not positive, and inherits the side's last secant slope. Its
     tolerance is ``inner_tol / |f'|`` at the later level. The three
     ``(2, n+1)`` arrays returned are the raw (unprojected) cuts, the
     ``update`` calls and each solved level's final error estimate in VIX
@@ -323,6 +342,7 @@ def _sweep(m, p, option, times, terminal, cfg, quad):
             inverse = (partial(mixture_inverse, m, branch=name) if m.is_mixture
                        else partial(g_eval, m))
             active.append((k, name, inverse))
+    root_tau = np.sqrt(times[n_last] - times)
     for i in range(n_last - 1, -1, -1):
         tau = times[n_last] - times[i]
         u = dt * np.arange(1, n_last - i + 1)
@@ -342,10 +362,12 @@ def _sweep(m, p, option, times, terminal, cfg, quad):
                         f"value matching gave VIX level {level:.6g} outside "
                         f"the map's range") from None
 
-            y0 = cuts[k, i + 1]
-            map_slope = abs(float(f_deriv(m, y0, 1)))
-            if i + 2 < n_last and 2.0 * y0 - cuts[k, i + 2] > 0.0:
-                y0 = 2.0 * y0 - cuts[k, i + 2]
+            later = cuts[k, i + 1]
+            map_slope = abs(float(f_deriv(m, later, 1)))
+            solved = slice(i + 1, min(i + 1 + _PREDICTOR_POINTS, n_last))
+            y0 = _extrapolate(root_tau[i], root_tau[solved], cuts[k, solved])
+            if not y0 > 0.0:
+                y0 = later
             try:
                 cuts[k, i], slopes[k], error = _solve_step(
                     update, y0, cfg.inner_tol / map_slope, slopes[k])

@@ -35,6 +35,8 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .american import (Boundary, SolverConfig, SolverError, american_price,
                        convexity_witness, solve_boundary)
 from .black import skew_curve
@@ -159,6 +161,15 @@ def _futures_row(cfg, horizon, state):
 def cmd_boundary(cfg: RunConfig) -> Boundary:
     return solve_boundary(cfg.model, cfg.cir, cfg.contract, cfg.solver,
                           cfg.quadrature)
+
+
+def _inner_solve_summary(boundary: Boundary):
+    """Mean ``update`` calls per solved side-step and the largest final
+    error estimate (VIX units) of a solve's value-matching steps."""
+    updates = np.array(boundary.diagnostics["inner_updates"])
+    return {"inner_updates_per_step":
+                float(updates.sum() / np.count_nonzero(updates)),
+            "max_inner_error": float(np.max(boundary.diagnostics["inner_error"]))}
 
 
 def cmd_price(cfg: RunConfig, t: float, state_grid,
@@ -350,7 +361,7 @@ def main(argv=None) -> int:
             else:
                 header, curves = ["t", "b"], (boundary.values,)
             rows = [[float(v) for v in r] for r in zip(boundary.times, *curves)]
-            meta = {}
+            meta = _inner_solve_summary(boundary)
         elif args.command == "price":
             header, rows, meta = cmd_price(cfg, args.t, args.state_grid)
         else:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from vixpricer.american import (SolverConfig, SolverError, _solve_step,
                                 convexity_witness, smooth_fit_check,
                                 solve_boundary, terminal_levels)
 from vixpricer.cir import CirParams
-from vixpricer.cli import load_config
+from vixpricer.cli import bundled_config_names, load_config
 from vixpricer.european import OptionSpec, european_price, factor_state
 from vixpricer.mc import mc_american_policy
-from vixpricer.models import ModelSpec, f_eval, g_eval, x_star
+from vixpricer.models import AssumptionError, ModelSpec, f_eval, g_eval, x_star
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
 M12 = ModelSpec("a2", terms=((1.0, 1.0),))
@@ -104,37 +105,43 @@ class TestBoundaryShape:
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
     @pytest.mark.parametrize("m,p,option,want", [
-        (M32, P1, CALL, (0.3686610939933642, 0.33207198693560896)),
-        (M32, P1, PUT, (0.10913912184057246, 0.11393404262518331)),
-        (M12, P2, CALL, (0.5665809136555968, 0.4942217889423923)),
-        (MIX7, P7, CALL, (0.2773432719713195, 0.3177123527151298,
-                          3.2163318911525853, 2.961282579411542)),
+        (M32, P1, CALL, (0.36866109383928347, 0.3320719869429516)),
+        (M32, P1, PUT, (0.10913912181214853, 0.11393404260726897)),
+        (M12, P2, CALL, (0.5665809144729562, 0.49422178893663615)),
+        (MIX7, P7, CALL, (0.27734327200750386, 0.3177123527100375,
+                          3.216331892206299, 2.9612825794747106)),
     ])
     def test_pinned_values(self, m, p, option, want):
         # b(0) and b(T/2) at 30 steps (VIX levels of a monotone curve, factor
-        # levels of the pair), each within 4.8e-10 of the solve at
-        # inner_tol=1e-12 and within 4.4e-11 in VIX; guards refactors of the
-        # sweep against drift far below the discretization error
+        # levels of the pair), each within 8.0e-10 of the solve at
+        # inner_tol=1e-12 (fig2; fig1 1.6e-10, the put 2.5e-11, the pair
+        # 5.8e-10 in factor levels and 3.7e-11 in VIX); guards refactors of
+        # the sweep against drift far below the discretization error
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
         got = [b.values[0], b.values[15]]
         if b.is_pair:
             got += [b.upper[0], b.upper[15]]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("m,p", [(M32, P1), (M12, P2), (MIX7, P7)],
-                             ids=["fig1", "fig2", "fig7-pair"])
-    def test_whole_curve_within_inner_tol_of_a_tight_solve(self, m, p):
-        # inner_tol is a VIX-level accuracy for every family
-        cfg = SolverConfig(n_steps=30)
-        b = solve_boundary(m, p, CALL, cfg)
-        tight = solve_boundary(m, p, CALL,
-                               dataclasses.replace(cfg, inner_tol=1e-12))
-        for got, want in ((b.values, tight.values), (b.upper, tight.upper)):
-            if got is not None:
-                if m.is_mixture:
-                    got, want = f_eval(m, got), f_eval(m, want)
-                np.testing.assert_allclose(got, want, rtol=0.0,
-                                           atol=2 * cfg.inner_tol)
+    @pytest.mark.parametrize("m,p,option", [
+        (M32, P1, CALL), (M32, P1, PUT), (M12, P2, CALL), (MIX7, P7, CALL)],
+        ids=["fig1", "fig1-put", "fig2", "fig7-pair"])
+    def test_whole_curve_within_inner_tol_of_a_tight_solve(self, m, p, option):
+        # inner_tol is a VIX-level accuracy for every family, also on the
+        # coarse grids where each step's start extrapolates the fewest
+        # later levels
+        for n_steps in (8, 12, 30):
+            cfg = SolverConfig(n_steps=n_steps)
+            b = solve_boundary(m, p, option, cfg)
+            tight = solve_boundary(m, p, option,
+                                   dataclasses.replace(cfg, inner_tol=1e-12))
+            for got, want in ((b.values, tight.values), (b.upper, tight.upper)):
+                if got is not None:
+                    if m.is_mixture:
+                        got, want = f_eval(m, got), f_eval(m, want)
+                    np.testing.assert_allclose(got, want, rtol=0.0,
+                                               atol=2 * cfg.inner_tol,
+                                               err_msg=f"{n_steps} steps")
 
     @pytest.mark.parametrize("m,p,option", [
         (M32, P1, CALL), (M32, P1, PUT), (M12, P2, CALL), (M1MIX, P1MIX, CALL),
@@ -256,6 +263,38 @@ class TestSolveStep:
                            match="no bracket: the residual stayed positive"):
             _solve_step(self.UPDATE, 1.0, 1e-9)
 
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_bundled_sweeps_hand_no_bracket_over(self, name, monkeypatch):
+        # every bundled step reaches its error estimate by secant steps, so
+        # the pinned boundaries are the secant iterates'; the contracts that
+        # have no boundary fail as they always have, without a bracket either
+        handed = []
+        newton_bisect = american.newton_bisect
+
+        def spy(*args, **kwargs):
+            handed.append(args[1:3])
+            return newton_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(american, "newton_bisect", spy)
+        cfg = load_config(name)
+        expected = {("fig5", "call"): (AssumptionError, "must exceed"),
+                    ("fig5", "put"): (SolverError, "calls only"),
+                    ("fig7", "put"): (SolverError, "calls only"),
+                    ("fig4", "put", 12): (SolverError, "outside the map's range")}
+        for kind in ("call", "put"):
+            option = dataclasses.replace(cfg.contract, kind=kind)
+            for n_steps in (12, 30):
+                failure = (expected.get((name, kind))
+                           or expected.get((name, kind, n_steps)))
+                solve = partial(solve_boundary, cfg.model, cfg.cir, option,
+                                SolverConfig(n_steps=n_steps), cfg.quadrature)
+                if failure:
+                    with pytest.raises(failure[0], match=failure[1]):
+                        solve()
+                else:
+                    assert np.all(np.isfinite(solve().values))
+                assert handed == [], (kind, n_steps)
+
     @pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
     def test_coarse_a2_puts_solve(self, n):
         cfg = load_config("fig2")
@@ -279,6 +318,19 @@ class TestSolveStep:
         b = solve_boundary(cfg.model, cfg.cir, put, SolverConfig(n_steps=30),
                            cfg.quadrature)
         assert np.all(np.isfinite(b.values)) and b.values[0] > 0.0
+
+
+class TestExtrapolate:
+    def test_polynomial_through_the_points_is_exact(self):
+        cubic = lambda s: 0.3 - 0.2 * s + 0.05 * s**2 - 0.01 * s**3
+        xs = np.sqrt([0.1, 0.2, 0.3, 0.4])
+        got = american._extrapolate(0.0, xs, cubic(xs))
+        assert got == pytest.approx(cubic(0.0), rel=1e-12)
+
+    def test_fewer_points_lower_the_degree(self):
+        assert american._extrapolate(0.5, [1.0], [2.0]) == 2.0
+        assert american._extrapolate(0.5, [1.0, 2.0], [2.0, 4.0]) == 1.0
+        assert math.isnan(american._extrapolate(0.5, [], []))
 
 
 class TestDiagnostics:
@@ -327,6 +379,32 @@ class TestDiagnostics:
                 assert (row[:n] >= 1).all()
             else:
                 assert not row.any()
+
+
+    @pytest.mark.parametrize("name,kind", [
+        ("fig1", "call"), ("fig2", "call"), ("fig1", "put"), ("fig7", "call")])
+    def test_root_tau_start_keeps_fine_steps_cheap(self, name, kind):
+        # each step starts from the polynomial in sqrt(T - t) through its
+        # side's later solved levels; at 100 steps that takes at most 2.5
+        # updates per solved side-step (2.82-3.36 from the linear start in
+        # t, 2.08-2.34 from this one)
+        cfg = load_config(name)
+        option = dataclasses.replace(cfg.contract, kind=kind)
+        b = solve_boundary(cfg.model, cfg.cir, option,
+                           SolverConfig(n_steps=100), cfg.quadrature)
+        updates = np.array(b.diagnostics["inner_updates"])
+        assert updates.sum() / np.count_nonzero(updates) <= 2.5
+
+    @pytest.mark.parametrize("name,most", [
+        ("fig1", 39), ("fig2", 39), ("fig3", 39), ("fig7", 79)])
+    def test_root_tau_start_costs_coarse_calls_no_more(self, name, most):
+        # at 8 steps most starts extrapolate fewer than four levels; the
+        # calls re-solved there still take no more updates in total than
+        # from the linear start in t (39, 39, 39 and 79)
+        cfg = load_config(name)
+        b = solve_boundary(cfg.model, cfg.cir, cfg.contract,
+                           SolverConfig(n_steps=8), cfg.quadrature)
+        assert np.sum(b.diagnostics["inner_updates"]) <= most
 
 
 class TestAmericanPrice:

@@ -210,7 +210,8 @@ class TestMainEntry:
         path.write_text(json.dumps(doc))
         out = tmp_path / "bdry.csv"
         assert main(["boundary", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().strip().splitlines()
+        lines = [l for l in out.read_text().strip().splitlines()
+                 if not l.startswith("#")]  # metadata lines
         assert lines[0] == "t,b"
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -221,7 +222,8 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "cmd_boundary", lambda cfg: fig1_boundary_coarse)
         path = tmp_path / "b.csv"
         assert main(["boundary", "--config", "fig1", "--out", str(path)]) == EXIT_OK
-        lines = path.read_text().strip().splitlines()
+        lines = [l for l in path.read_text().strip().splitlines()
+                 if not l.startswith("#")]  # metadata lines
         assert lines[0] == "t,b"
         assert len(lines) == len(fig1_boundary_coarse.times) + 1
         t0, b0 = lines[1].split(",")
@@ -235,7 +237,14 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "cmd_boundary", lambda cfg: fig7_boundary_coarse)
         path = tmp_path / "pair.csv"
         assert main(["boundary", "--config", "fig7", "--out", str(path)]) == EXIT_OK
-        assert path.read_text().splitlines()[0] == "t,b_lower,b_upper"
+        lines = path.read_text().splitlines()
+        assert lines[2] == "t,b_lower,b_upper"
+        # the inner solve's summary heads the table as metadata lines
+        updates = np.array(fig7_boundary_coarse.diagnostics["inner_updates"])
+        per_step = updates.sum() / np.count_nonzero(updates)
+        max_error = max(map(max, fig7_boundary_coarse.diagnostics["inner_error"]))
+        assert lines[:2] == [f"# inner_updates_per_step = {per_step:.12g}",
+                             f"# max_inner_error = {max_error:.12g}"]
 
     def test_boundary_json_out(self, tmp_path, monkeypatch, fig7_boundary_coarse):
         import vixpricer.cli as cli
@@ -248,6 +257,10 @@ class TestMainEntry:
         assert len(payload["rows"]) == len(fig7_boundary_coarse.times)
         assert payload["rows"][0] == [0.0, fig7_boundary_coarse.values[0],
                                       fig7_boundary_coarse.upper[0]]
+        meta = payload["metadata"]
+        assert sorted(meta) == ["inner_updates_per_step", "max_inner_error"]
+        assert 1.0 <= meta["inner_updates_per_step"] <= 5.0
+        assert 0.0 <= meta["max_inner_error"] <= SolverConfig().inner_tol
 
     @pytest.mark.parametrize("argv", [
         ["boundary", "--config", "fig1", "--seed", "3"],
