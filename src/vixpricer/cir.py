@@ -392,14 +392,14 @@ def log_density(df, lam, scale, y):
     """Log-density of ``scale * ncx2(df, lam)``, laws (rows) against levels.
 
     ``lam`` and ``scale`` hold one law per row and ``y`` broadcasts against
-    them to ``(rows, levels)``. Rows with ``lam < 1e-12`` take the central
-    density times the first-order non-centrality factor
+    them to ``(rows, levels)``. Every row takes the exponentially scaled
+    Bessel form; rows with ``lam < 1e-12`` are then overwritten with the
+    central density times the first-order non-centrality factor
     ``exp(-lam / 2) (1 + lam x / (2 df))``, as the next order is below double
-    precision there; the other rows go through the exponentially scaled
-    Bessel function. Its logarithm comes from a table built once per order
-    ``nu = df / 2 - 1`` (:func:`_log_ive`): 16 panels per octave of
-    ``z = sqrt(lam x)`` from 2^-10 to 2^24, each holding a degree-7 Chebyshev
-    interpolant of ``log ive(nu, z)``, within 1e-13 of
+    precision there. The Bessel function's logarithm comes from a table
+    built once per order ``nu = df / 2 - 1`` (:func:`_log_ive`): 16 panels
+    per octave of ``z = sqrt(lam x)`` from 2^-10 to 2^24, each holding a
+    degree-7 Chebyshev interpolant of ``log ive(nu, z)``, within 1e-13 of
     ``log(special.ive(nu, z))`` relative to ``max(1, |log ive|)``. From
     ``z = 2^29`` on, Hankel's large-argument expansion takes over, as
     ``special.ive`` returns NaN from about 2^30; elsewhere outside the table,
@@ -429,14 +429,9 @@ def log_density(df, lam, scale, y):
     flat = lam[:, 0] < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         log_x = np.log(x)
-        if not flat.any():  # the usual case, kept free of row copies
-            logp = bessel(x, log_x, lam)
-        elif flat.all():
-            logp = central(x, log_x, lam)
-        else:
-            logp = np.empty(x.shape)
-            logp[flat] = central(x[flat], log_x[flat], lam[flat])
-            logp[~flat] = bessel(x[~flat], log_x[~flat], lam[~flat])
+        logp = bessel(x, log_x, lam)
+        if flat.any():
+            logp = np.where(flat[:, None], central(x, log_x, lam), logp)
         return logp - np.log(scale)
 
 

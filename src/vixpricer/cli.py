@@ -179,6 +179,8 @@ def cmd_price(cfg: RunConfig, t: float, state_grid,
     Metadata carries the first non-convexity witness triple found on the
     American values (``None`` when the sampled curve is convex).
     """
+    if not np.all(np.diff(state_grid) > 0.0):
+        raise ValueError("state grid must be strictly increasing")
     if boundary is None:
         boundary = cmd_boundary(cfg)
     m, p, option = cfg.model, cfg.cir, cfg.contract

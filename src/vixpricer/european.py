@@ -27,14 +27,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .cir import CirParams, ChiSquareLaw, law_params, log_density, transition_law
-from .models import (ModelSpec, f_eval, f_deriv, g_eval, minimum_location,
-                     payoff_levels, waiting_benefit)
+from .models import (ModelSpec, f_eval, f_deriv, g_eval, payoff_levels,
+                     waiting_benefit)
 from .numerics import adaptive_gauss_kronrod, panel_nodes
 
 __all__ = [
@@ -56,9 +55,8 @@ class DivergentIntegralError(RuntimeError):
     """The integrand's mass near the origin does not settle under refinement."""
 
 
-# absolute tolerance and panel budget of every adaptive integral
+# absolute tolerance of every adaptive integral
 _ABS_TOL = 1e-12
-_MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class OptionSpec:
 
 
 # ---------------------------------------------------------------------------
-# state handling and cached strike thresholds
+# state handling and integration regions
 # ---------------------------------------------------------------------------
 
 def _checked_state(state: float) -> float:
@@ -125,26 +123,6 @@ def vix_level(m: ModelSpec, state: float) -> float:
     return float(f_eval(m, state)) if m.is_mixture else state
 
 
-@lru_cache(maxsize=512)
-def _strike_cuts(m: ModelSpec, strike: float):
-    """Factor levels where the map crosses the strike.
-
-    Returns ``(lo, hi)``: the in-the-money set of a call is
-    ``[0, lo] U [hi, inf)`` in factor coordinates, with ``lo = 0`` or
-    ``hi = inf`` on the side a monotone map lacks (:func:`payoff_levels`). A
-    strike at or below a mixture map's minimum leaves the call in the money
-    everywhere; both cuts then collapse onto the minimizer.
-    """
-    try:
-        k_lo, k_hi, _ = payoff_levels(m, strike)
-    except ValueError:
-        y_min = minimum_location(m)
-        if 0.0 < y_min < math.inf and float(f_eval(m, y_min)) >= strike > 0.0:
-            return y_min, y_min
-        raise
-    return k_lo, k_hi
-
-
 def _stop_regions(cuts):
     """Factor regions ``[(0, lower), (upper, inf)]`` of a ``(lower, upper)`` pair."""
     lower, upper = cuts
@@ -152,8 +130,9 @@ def _stop_regions(cuts):
 
 
 def _euro_regions(m: ModelSpec, option: OptionSpec):
-    """Factor regions where the contract's payoff is positive."""
-    cuts = _strike_cuts(m, option.strike)
+    """Factor regions where the contract's payoff is positive, between the
+    strike crossings of :func:`~vixpricer.models.payoff_levels`."""
+    cuts = payoff_levels(m, option.strike)[:2]
     return _stop_regions(cuts) if option.kind == "call" else [cuts]
 
 
@@ -174,15 +153,15 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
 # adaptive integration against a transition law
 # ---------------------------------------------------------------------------
 
-def _integrate(law: ChiSquareLaw, box, integrand, regions, config: QuadratureConfig,
-               check_origin: bool = False, scale_floor: float = 0.0):
+def _integrate(m: ModelSpec, law: ChiSquareLaw, box, integrand, regions,
+               config: QuadratureConfig, scale_floor: float = 0.0):
     """Sum of integrals of ``integrand`` times the density over the regions,
     within the law's support ``box`` (its ``mass_bounds``).
 
-    When ``check_origin`` is set, regions starting at 0 get a
-    truncation-sensitivity probe: the result must not move materially
-    (relative to the larger of the result and ``scale_floor``) when the
-    lower cutoff is halved.
+    On a map with falling terms, whose integrands can blow up at the origin,
+    regions starting at 0 get a truncation-sensitivity probe: the result
+    must not move materially (relative to the larger of the result and
+    ``scale_floor``) when the lower cutoff is halved.
     """
 
     def fn(y):
@@ -194,16 +173,14 @@ def _integrate(law: ChiSquareLaw, box, integrand, regions, config: QuadratureCon
         aa, bb = max(a, box[0]), min(b, box[1])
         if not bb > aa:
             continue
-        val, _ = adaptive_gauss_kronrod(
-            fn, aa, bb, rel_tol=config.rel_tol, abs_tol=_ABS_TOL,
-            max_subdivisions=_MAX_SUBDIVISIONS)
+        val, _ = adaptive_gauss_kronrod(fn, aa, bb, rel_tol=config.rel_tol,
+                                        abs_tol=_ABS_TOL)
         total += val
-        if check_origin and a == 0.0 and aa > 0.0:
+        if m.decreasing_terms and a == 0.0 and aa > 0.0:
             probes.append(aa)
     for aa in probes:
-        piece, _ = adaptive_gauss_kronrod(
-            fn, 0.5 * aa, aa, rel_tol=1e-6, abs_tol=_ABS_TOL,
-            max_subdivisions=_MAX_SUBDIVISIONS)
+        piece, _ = adaptive_gauss_kronrod(fn, 0.5 * aa, aa, rel_tol=1e-6,
+                                          abs_tol=_ABS_TOL)
         rel = abs(piece) / max(abs(total), scale_floor, _ABS_TOL)
         if rel > 1e-2:
             raise DivergentIntegralError(
@@ -230,10 +207,8 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
 
 def _european_on(m, option, tau, law, box, config) -> float:
     """:func:`european_price` ``tau`` before maturity, on the law at maturity."""
-    val = _integrate(law, box, _payoff_integrand(m, option),
-                     _euro_regions(m, option), config,
-                     check_origin=bool(m.decreasing_terms),
-                     scale_floor=option.strike)
+    val = _integrate(m, law, box, _payoff_integrand(m, option),
+                     _euro_regions(m, option), config, scale_floor=option.strike)
     return math.exp(-option.rate * tau) * max(val, 0.0)
 
 
@@ -250,8 +225,8 @@ def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
 
 def _futures_on(m, law, box, config) -> float:
     """:func:`futures_price` on the law at the horizon."""
-    return _integrate(law, box, lambda y: f_eval(m, y), [(0.0, math.inf)], config,
-                      check_origin=bool(m.decreasing_terms))
+    return _integrate(m, law, box, lambda y: f_eval(m, y), [(0.0, math.inf)],
+                      config)
 
 
 def futures_taylor(m: ModelSpec, p: CirParams, horizon: float,
@@ -293,9 +268,8 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     if u == 0.0:
         return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
     law = transition_law(p, u, y0)
-    val = _integrate(law, law.mass_bounds(config.tail_mass_cut), benefit,
-                     _stop_regions((lower, upper)), config,
-                     check_origin=bool(m.decreasing_terms))
+    val = _integrate(m, law, law.mass_bounds(config.tail_mass_cut), benefit,
+                     _stop_regions((lower, upper)), config)
     return math.exp(-option.rate * u) * val
 
 
@@ -303,9 +277,8 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
 # fast fixed-rule path (vectorized across horizons)
 # ---------------------------------------------------------------------------
 
-# composite Gauss-Legendre rules, (base panel count, nodes per panel)
-_KERNEL_RULE = (5, 16)
-_EURO_RULE = (6, 16)
+# the composite Gauss-Legendre rule, (base panel count, nodes per panel)
+_RULE = (5, 16)
 
 
 def _approx_mass_box(df, lam, scale, tail_mass):
@@ -329,18 +302,18 @@ def _approx_mass_box(df, lam, scale, tail_mass):
     return np.maximum(lo, 1e-18 * hi), hi
 
 
-def _row_values(p, y0, u, regions, config, integrand, rule):
+def _row_values(p, y0, u, regions, config, integrand):
     """Integrate ``integrand(y)`` times the density over ``regions``, per horizon.
 
     ``u`` is an array of horizons; ``regions`` lists ``(lo, hi)`` factor
-    bounds, scalars or arrays matching ``u``; ``rule`` is the
-    ``(n_panels, n_nodes)`` composite Gauss-Legendre rule laid over each
-    live region's part of the cheap support box, or one panel per decade
-    of a wider part, at most ``2 n_panels``, batched by panel count.
+    bounds, scalars or arrays matching ``u``. Each live region's part of the
+    cheap support box gets the ``_RULE = (n_panels, n_nodes)`` composite
+    Gauss-Legendre rule, or one panel per decade of a wider part, at most
+    ``2 n_panels``, batched by panel count; kernel and European rows alike.
     """
     lam, scale = law_params(p, u, y0)
     box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
-    base, n_nodes = rule
+    base, n_nodes = _RULE
     total = np.zeros_like(u)
     for lo, hi in regions:
         lo, hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
@@ -371,7 +344,7 @@ def kernel_row(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     """
     u = np.asarray(u, dtype=float)
     vals = _row_values(p, y0, u, _stop_regions(cuts), config,
-                       _benefit_integrand(m, p, option), _KERNEL_RULE)
+                       _benefit_integrand(m, p, option))
     return np.exp(-option.rate * u) * vals
 
 
@@ -381,5 +354,5 @@ def euro_fast(m: ModelSpec, p: CirParams, option: OptionSpec, tau: float,
     if tau <= 0.0:
         return float(option.payoff_vix(float(f_eval(m, y0))))
     val = _row_values(p, y0, np.array([tau]), _euro_regions(m, option), config,
-                      _payoff_integrand(m, option), _EURO_RULE)
+                      _payoff_integrand(m, option))
     return math.exp(-option.rate * tau) * max(float(val[0]), 0.0)

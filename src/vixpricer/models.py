@@ -336,24 +336,22 @@ def x_star(m: ModelSpec, p: CirParams, r: float, strike: float) -> float:
     return float(f_eval(m, y_root))
 
 
+@lru_cache(maxsize=512)
 def payoff_levels(m: ModelSpec, strike: float):
     """Factor levels bounding the in-the-money set of a call.
 
     Returns ``(k_lower, k_upper, y_min)``: the call pays for ``y <= k_lower``
     or ``y >= k_upper``. A map without rising terms (``a1``) reports
     ``k_upper = y_min = inf``, one without falling terms (``a2``)
-    ``k_lower = y_min = 0``. Contracts with ``f(y_min) >= K`` have no
-    out-of-the-money band and are rejected.
+    ``k_lower = y_min = 0``. A strike at or below a mixture map's minimum
+    ``f(y_min)`` leaves the call in the money at every level, and all three
+    levels are the minimizer.
     """
     if strike <= 0.0:
         raise ValueError("strike must be strictly positive")
     y_min = minimum_location(m)
-    if 0.0 < y_min < math.inf:
-        f_min = float(f_eval(m, y_min))
-        if f_min >= strike:
-            raise ValueError(
-                f"strike {strike} does not exceed the map minimum {f_min}; the "
-                "mixture payoff region would cover every factor level")
+    if 0.0 < y_min < math.inf and float(f_eval(m, y_min)) >= strike:
+        return y_min, y_min, y_min
     k_lo = _side_inverse(m, strike, "lower") if m.decreasing_terms else 0.0
     k_hi = _side_inverse(m, strike, "upper") if m.increasing_terms else math.inf
     return k_lo, k_hi, y_min
@@ -364,7 +362,8 @@ def critical_levels(m: ModelSpec, p: CirParams, r: float, strike: float) -> Crit
 
     Raises :class:`AssumptionError` if the waiting benefit changes sign more
     than once on the scanned range (disconnected exercise regions are out of
-    scope) or in the wrong direction.
+    scope) or in the wrong direction; ``ValueError`` if a mixture strike
+    leaves no out-of-the-money band (:func:`payoff_levels`).
     """
     if strike <= 0.0:
         raise ValueError("strike must be strictly positive")
@@ -373,6 +372,9 @@ def critical_levels(m: ModelSpec, p: CirParams, r: float, strike: float) -> Crit
         return CriticalLevels(x_star=x_star(m, p, r, strike))
 
     k_lo, k_hi, y_min = payoff_levels(m, strike)
+    if k_lo == k_hi:
+        raise ValueError(f"strike {strike} does not exceed the map minimum "
+                         f"{float(f_eval(m, y_min))}")
     y_lower = y_upper = None
     if k_lo > 0.0:
         y_lower = _sign_change(m, p, r, strike,

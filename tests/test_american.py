@@ -33,6 +33,12 @@ PUT25 = OptionSpec(0.25, 1.0, 0.05, "put")
 
 
 class TestTerminalLevels:
+    def test_strike_below_mixture_minimum_rejected(self):
+        # fig7's map bottoms out at 0.14: no out-of-the-money band, no boundary
+        low = OptionSpec(0.12, 1.0, 0.05, "call")
+        with pytest.raises(ValueError, match="does not exceed the map minimum"):
+            solve_boundary(MIX7, P7, low, SolverConfig(n_steps=8))
+
     def test_reciprocal_call(self):
         got = terminal_levels(M32, P1, CALL)
         assert got == pytest.approx(0.226638, abs=1e-4)
@@ -341,17 +347,16 @@ class TestDiagnostics:
             cuts, updates, errors = sweep(*args)
             # an a1 call stops below its lower cut, which rises in t
             cuts[0, 3] = cuts[0, 4] + 1e-3
-            cuts[0, 5] = cuts[0, 6] + 1e-8  # below the clip tolerance
+            cuts[0, 5] = cuts[0, 6] + 1e-8
             return cuts, updates, errors
 
         monkeypatch.setattr(american, "_sweep", planted)
-        cfg = SolverConfig(n_steps=12)
-        b = solve_boundary(M32, P1, CALL, cfg)
-        tol = cfg.inner_tol * 1e3
-        assert 1e-8 < tol < 1e-3
-        (clip,) = b.diagnostics["monotonicity_clips"]
-        assert clip[0] == b.times[3]
-        assert clip[1] == pytest.approx(1e-3, rel=1e-9)  # a factor level
+        b = solve_boundary(M32, P1, CALL, SolverConfig(n_steps=12))
+        # every isotonic adjustment is reported, in factor levels
+        clips = b.diagnostics["monotonicity_clips"]
+        assert [c[0] for c in clips] == [b.times[3], b.times[5]]
+        assert clips[0][1] == pytest.approx(1e-3, rel=1e-9)
+        assert clips[1][1] == pytest.approx(1e-8, rel=1e-6)
         assert b.values[3] == b.values[4] and b.values[5] == b.values[6]
 
     @pytest.mark.parametrize("m,p", [(M32, P1), (MIX7, P7),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ class TestDensity:
         for r in range(len(lam)):
             law = ChiSquareLaw(df=6.1, noncentrality=lam[r], scale=scale[r])
             assert np.array_equal(rows[r], law.log_pdf(ys[r]))
+
+    def test_all_central_rows_match_single_laws(self):
+        # a batch of central rows only goes through the Bessel form too,
+        # whose NaNs at lam = 0 the central form overwrites, silently
+        lam = np.array([0.0, 1e-13])
+        scale = np.array([0.2, 1.3])
+        ys = np.geomspace(1e-4, 40.0, 25)[None, :] * scale[:, None] * 6.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = log_density(6.1, lam, scale, ys)
+            for r in range(len(lam)):
+                alone = log_density(6.1, lam[r:r + 1], scale[r:r + 1], ys[r])
+                assert np.array_equal(rows[r], alone[0])
+        assert np.isfinite(rows).all()
 
     def test_finite_at_bessel_arguments_past_2_30(self):
         # lam 2e9: z = sqrt(lam x) is about 2e9 within 5 sd of the mean,

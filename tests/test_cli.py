@@ -364,3 +364,13 @@ class TestMainEntry:
                      "0.1,0.2,0.3", "--out", str(out)]) == EXIT_OK
         first = out.read_text().splitlines()[0]
         assert first.startswith("# nonconvexity_witness")
+
+    @pytest.mark.parametrize("grid", ["0.2,0.3,0.2", "0.2,0.2,0.3"])
+    def test_price_rejects_a_state_grid_that_does_not_increase(
+            self, tmp_path, capsys, grid):
+        # the convexity witness reads chords between neighbouring states
+        doc = dict(FIG1_DOC, solver={"n_steps": 12})
+        path = tmp_path / "fig1_12.json"
+        path.write_text(json.dumps(doc))
+        assert main(["price", "--config", str(path), "--state-grid", grid]) == EXIT_CONFIG
+        assert "strictly increasing" in json.loads(capsys.readouterr().err)["error"]

@@ -85,6 +85,14 @@ class TestEuropeanPrice:
         want = math.exp(-0.05) * (fut - 0.15)
         assert call - put == pytest.approx(want, abs=2e-9)
 
+    def test_strike_below_mixture_minimum_prices_at_intrinsic(self):
+        # fig7's map never falls below 0.14, so a call struck at 0.12 is in
+        # the money at every level and worth its discounted forward payoff
+        low = OptionSpec(0.12, 1.0, 0.05, "call")
+        want = math.exp(-0.05) * (futures_price(MIX7, P7, 1.0, 1.2) - 0.12)
+        got = european_price(MIX7, P7, low, 0.0, 1.2)
+        assert got == pytest.approx(want, rel=QuadratureConfig().rel_tol)
+
     def test_monotone_in_strike(self):
         prices = [european_price(M32, P1, OptionSpec(k, 1.0, 0.05), 0.0, 0.2)
                   for k in (0.10, 0.15, 0.20, 0.30)]
@@ -361,7 +369,7 @@ RULE_LAWS = [case for law in [("fig1", M32, P1), ("fig2", M12, P2),
 
 
 class TestFixedRule:
-    """The fast route's rules against the same rows at twice the panels."""
+    """The fast route's rule against the same rows at twice the panels."""
 
     @pytest.mark.parametrize("m,p", RULE_LAWS)
     def test_rows_within_1e8_of_their_l1_scale(self, m, p, monkeypatch):
@@ -369,7 +377,7 @@ class TestFixedRule:
         # 0.3-3x the state on the stop side, strikes 0.8 and 1.25x the level
         u = np.geomspace(1e-3, 2.0, 12)
         disc = np.exp(-0.05 * u)
-        cases = []  # (discounted row's route, integrand, y0, regions, rule)
+        cases = []  # (discounted row's route, integrand, y0, regions)
         for y0 in p.long_run_mean * np.array([0.2, 1.0, 5.0]):
             x = float(f_eval(m, y0))
             for kind in ("call",) if m.is_mixture else ("call", "put"):
@@ -384,20 +392,20 @@ class TestFixedRule:
                     cases.append((
                         lambda o=option, y=y0, cc=cuts: kernel_row(m, p, o, y, u, cc),
                         european._benefit_integrand(m, p, option), y0,
-                        european._stop_regions(cuts), european._KERNEL_RULE))
+                        european._stop_regions(cuts)))
                 for k in (0.8, 1.25):
                     option = OptionSpec(k * x, 1.0, 0.05, kind)
                     cases.append((
                         lambda o=option, y=y0: np.array([euro_fast(m, p, o, t, y) for t in u]),
                         european._payoff_integrand(m, option), y0,
-                        european._euro_regions(m, option), european._EURO_RULE))
+                        european._euro_regions(m, option)))
         rows = [route() for route, *_ in cases]
         monkeypatch.setattr(european, "panel_nodes",
                             lambda lo, hi, n, k: panel_nodes(lo, hi, 2 * n, k))
-        for (route, integrand, y0, regions, rule), row in zip(cases, rows):
+        for (route, integrand, y0, regions), row in zip(cases, rows):
             l1 = disc * european._row_values(
                 p, y0, u, regions, QuadratureConfig(),
-                lambda y, f=integrand: np.abs(f(y)), rule)
+                lambda y, f=integrand: np.abs(f(y)))
             err = np.abs(row - route())
             assert np.all(err <= 1e-8 * l1), (y0, regions, np.max(err / l1))
 

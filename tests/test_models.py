@@ -199,6 +199,12 @@ class TestInverse:
         assert payoff_levels(M32, 0.15) == (g_eval(M32, 0.15), math.inf, math.inf)
         assert payoff_levels(M12, 0.15) == (0.0, g_eval(M12, 0.15), 0.0)
 
+    def test_strike_below_mixture_minimum_collapses_onto_the_minimizer(self):
+        # fig7's map bottoms out at 0.14: a call struck at 0.12 is in the
+        # money at every factor level
+        y_min = minimum_location(MIX7)
+        assert payoff_levels(MIX7, 0.12) == (y_min, y_min, y_min)
+
 
 class TestWaitingBenefit:
     def test_reciprocal_closed_form_value(self):
@@ -312,8 +318,8 @@ class TestCriticalLevels:
             assert abs(waiting_benefit(MIX7, P7, 0.05, 0.15, y)) < 1e-10
 
     def test_strike_below_mixture_minimum_rejected(self):
-        with pytest.raises(ValueError):
-            payoff_levels(MIX7, 0.12)
+        with pytest.raises(ValueError, match="does not exceed the map minimum"):
+            critical_levels(MIX7, P7, 0.05, 0.12)
 
     def test_nonpositive_strike_rejected(self):
         with pytest.raises(ValueError):
