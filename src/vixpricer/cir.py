@@ -32,6 +32,10 @@ _TERM_EPS = 1e-16
 _BLOCK = 32
 # ppf: bracket width on the log-quantile
 _PPF_TOL = 1e-12
+# ppf's bracket from the chndtrix seed: its step count and each step's
+# multiple of the seed's estimated distance from the quantile
+_SEED_STEPS = 4
+_SEED_REACH = 3.0
 
 # Table of log ive(nu, z): the octaves 2^(e-1) <= z < 2^e of np.frexp's
 # exponents _OCTAVES[0] <= e < _OCTAVES[1], split into _PANELS equal panels
@@ -173,29 +177,35 @@ class ChiSquareLaw:
 
     def ppf(self, p: float) -> float:
         """Quantile: :meth:`_tail_quantile` of ``cdf`` at ``p`` below the
-        median, of ``sf`` at ``1 - p`` above it."""
+        median, of ``sf`` at ``1 - p`` above it, seeded at ``p`` either way."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
         if p <= 0.5:
-            return self._tail_quantile(self.cdf, 1.0, p)
-        return self._tail_quantile(self.sf, -1.0, 1.0 - p)
+            return self._tail_quantile(self.cdf, 1.0, p, p)
+        return self._tail_quantile(self.sf, -1.0, 1.0 - p, p)
 
     def mass_bounds(self, tail_mass: float):
-        """Interval holding all but ``tail_mass`` of probability per side; the
-        upper edge solves ``sf = tail_mass``, as ``1 - tail_mass`` rounds."""
-        return self.ppf(tail_mass), self._tail_quantile(self.sf, -1.0, tail_mass)
+        """Interval holding all but ``tail_mass`` of probability per side: the
+        lower edge is ``ppf(tail_mass)``; the upper edge solves ``sf =
+        tail_mass`` itself, as ``1 - tail_mass`` rounds, and reads that
+        rounded probability only for its seed."""
+        return (self.ppf(tail_mass),
+                self._tail_quantile(self.sf, -1.0, tail_mass, 1.0 - tail_mass))
 
-    def _tail_quantile(self, prob, sign, tail):
+    def _tail_quantile(self, prob, sign, tail, p):
         """Level where the tail probability ``prob`` (``cdf`` with ``sign``
         1, ``sf`` with -1) equals ``tail``: the root in ``s = log v`` of
         ``sign (log tail - log prob(e^s))``, where each series keeps full
         relative accuracy in its own tail.
 
-        :func:`bracket_downcrossing` brackets it in steps of 10 from the
-        mean, so an upper quantile is never sought where ``sf`` rounds to 1;
-        below 1e-300 the quantile is 0. :func:`newton_bisect` then takes
-        false-position steps in ``s`` until the bracket is ``_PPF_TOL``
-        wide, the same relative width in the quantile.
+        The root is bracketed from a seed, the quantile of the lower-tail
+        probability ``p`` by :meth:`_seeded_bracket`. Where that finds no
+        bracket, :func:`bracket_downcrossing` brackets it in steps of 10
+        from the mean, so an upper quantile is never sought where ``sf``
+        rounds to 1; below 1e-300 the quantile is 0. Either way
+        :func:`newton_bisect` then takes false-position steps in ``s`` until
+        the bracket is ``_PPF_TOL`` wide, the same relative width in the
+        quantile; the seed moves the result only within that width.
         """
         log_target = math.log(tail)
 
@@ -203,16 +213,54 @@ class ChiSquareLaw:
             q = prob(math.exp(s))
             return sign * (log_target - (math.log(q) if q > 0.0 else -math.inf))
 
-        mean = self.mean()
-        start = (mean, target(math.log(mean)))
-        try:
-            ends = bracket_downcrossing(lambda v: target(math.log(v)), start, 10.0)
-        except ConvergenceError:
-            if start[1] > 0.0:
-                raise ValueError("quantile bracket expansion failed") from None
-            return 0.0
+        fn = lambda v: target(math.log(v))
+        ends = self._seeded_bracket(fn, sign, p)
+        if ends is None:
+            mean = self.mean()
+            start = (mean, fn(mean))
+            try:
+                ends = bracket_downcrossing(fn, start, 10.0)
+            except ConvergenceError:
+                if start[1] > 0.0:
+                    raise ValueError("quantile bracket expansion failed") from None
+                return 0.0
         return math.exp(newton_bisect(target, *((math.log(v), f) for v, f in ends),
                                       rel_tol=0.0, abs_tol=_PPF_TOL))
+
+    def _seeded_bracket(self, fn, sign, p):
+        """Bracket of the quantile objective ``fn`` (of the level) from the
+        seed ``scale * special.chndtrix(p, df, nc)``, or None.
+
+        On the bundled laws the seed is within about 1e-13 of a lower
+        quantile in ``log v`` (4e-8 at nc 4.8e6); an upper one is off by the
+        rounding of ``1 - tail`` to ``p`` and by chndtrix's own error, up to
+        2e-5.
+        :func:`bracket_downcrossing` takes at most ``_SEED_STEPS`` equal
+        steps in ``log v`` from it, each ``_SEED_REACH`` times the seed's
+        error in log probability, ``|fn(seed)|``, over a rough slope of the
+        log tail probability: that of the log density, ``nu + (sqrt(nc x)
+        - x) / 2`` (``nu = df / 2 - 1``, ``x`` the seed over the scale, the
+        Bessel factor at large argument), plus 1 in the lower tail, at
+        least 1 in size. The steps stay within ``[_PPF_TOL / 10, 0.1]``.
+        None where the seed or its objective is not finite (chndtrix is
+        ``inf`` at ``p`` within about 1.1e-16 of 1) or the steps find no
+        sign change.
+        """
+        seed = self.scale * special.chndtrix(p, self.df, self.noncentrality)
+        if not 0.0 < seed < math.inf:
+            return None
+        start = (seed, fn(seed))
+        if not math.isfinite(start[1]):
+            return None
+        x = seed / self.scale
+        slope = (0.5 * self.df - 1.0 + 0.5 * (math.sqrt(self.noncentrality * x) - x)
+                 + (1.0 if sign > 0 else 0.0))
+        step = _SEED_REACH * abs(start[1]) / max(abs(slope), 1.0)
+        step = min(max(step, 0.1 * _PPF_TOL), 0.1)
+        try:
+            return bracket_downcrossing(fn, start, math.exp(step), max_steps=_SEED_STEPS)
+        except ConvergenceError:
+            return None
 
     # -- sampling -------------------------------------------------------------
 
@@ -251,8 +299,9 @@ def _gamma_pdf(a, u):
 @lru_cache(maxsize=64)
 def _poisson_block(half_df, half_nc, k_lo, k_hi):
     """Gamma shapes (a column) and Poisson(``half_nc``) weights of the indices
-    ``k_lo <= k < k_hi``; cached, as the hundred-odd series calls of one
-    law's ``mass_bounds`` read the same few blocks."""
+    ``k_lo <= k < k_hi``; cached, as the series calls on one law (the eight
+    or so of its ``mass_bounds``, again for each quote on that law) read
+    the same few blocks."""
     ks = np.arange(k_lo, k_hi, dtype=float)
     w = np.exp(ks * math.log(half_nc) - half_nc - special.gammaln(ks + 1.0))
     shapes = half_df + ks[:, None]

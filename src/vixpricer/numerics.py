@@ -40,32 +40,34 @@ class ConvergenceError(RuntimeError):
 _SEARCH_RANGE = (1e-300, 1e300)  # bracket_downcrossing's, for every caller
 
 
-def bracket_downcrossing(fn, start, grow=2.0):
+def bracket_downcrossing(fn, start, grow=2.0, max_steps=None):
     """Bracket the sign change of a function that goes from + to - as x grows.
 
     From the evaluated point ``start = (x0, fn(x0))`` the bracket is expanded
     geometrically by the factor ``grow``: upward while the function is
     still positive, downward while it is still negative, within
-    [1e-300, 1e300]. Returns the evaluated ends ``(lo, fn(lo)),
-    (hi, fn(hi))``, ``fn(lo) > 0 >= fn(hi)``; ``fn`` runs once per new point.
+    [1e-300, 1e300] and, when given, ``max_steps`` new points. Returns the
+    evaluated ends ``(lo, fn(lo)), (hi, fn(hi))``, ``fn(lo) > 0 >=
+    fn(hi)``; ``fn`` runs once per new point.
     """
     x0, f0 = start
     if not np.isfinite(f0) and not np.isneginf(f0):
         raise ValueError(f"objective not evaluable at starting point {x0}")
+    steps = 0
     if f0 > 0.0:
         lo, x = start, x0 * grow
-        while x <= _SEARCH_RANGE[1]:
+        while x <= _SEARCH_RANGE[1] and steps != max_steps:
             hi = (x, fn(x))
             if hi[1] <= 0.0:
                 return lo, hi
-            lo, x = hi, x * grow
+            lo, x, steps = hi, x * grow, steps + 1
         raise ConvergenceError("no sign change found while expanding upward")
     hi, x = start, x0 / grow
-    while x >= _SEARCH_RANGE[0]:
+    while x >= _SEARCH_RANGE[0] and steps != max_steps:
         lo = (x, fn(x))
         if lo[1] > 0.0:
             return lo, hi
-        hi, x = lo, x / grow
+        hi, x, steps = lo, x / grow, steps + 1
     raise ConvergenceError("no sign change found while expanding downward")
 
 

@@ -282,14 +282,24 @@ class TestQuantile:
         self.assert_hits(law, 1.0 - 1e-12)
         assert min(levels) >= law.mean() * (1.0 - 1e-15)
 
-    @pytest.mark.parametrize("name", ["fig1", "fig5", "fig7"])
-    def test_series_calls_per_quantile(self, name, monkeypatch):
-        # the support box of the adaptive route: both tails of the
-        # configured tail mass, from a few hours to the maturity
+    def test_upper_quantile_from_the_mean_reads_no_level_below_it(self, monkeypatch):
+        # the same without a seed, on the search from the mean
+        monkeypatch.setattr(special, "chndtrix", lambda *args: math.nan)
+        self.test_upper_quantile_reads_no_level_below_the_mean(monkeypatch)
+
+    @staticmethod
+    def count_series_calls(monkeypatch):
         calls = []
         series = cir._poisson_gamma_sum
         monkeypatch.setattr(cir, "_poisson_gamma_sum",
                             lambda *args: calls.append(1) or series(*args))
+        return calls
+
+    @pytest.mark.parametrize("name", ["fig1", "fig5", "fig7"])
+    def test_series_calls_per_quantile(self, name, monkeypatch):
+        # the support box of the adaptive route: both tails of the
+        # configured tail mass, from a few hours to the maturity
+        calls = self.count_series_calls(monkeypatch)
         cfg = load_config(name)
         tail = cfg.quadrature.tail_mass_cut
         for t in (1e-3, 0.01, 0.1, 0.5, cfg.contract.maturity):
@@ -297,7 +307,60 @@ class TestQuantile:
             for p in (tail, 1.0 - tail):
                 calls.clear()
                 law.ppf(p)
-                assert 0 < len(calls) <= 20, f"t={t} p={p}: {len(calls)} calls"
+                assert 0 < len(calls) <= 6, f"t={t} p={p}: {len(calls)} calls"
+
+    def test_deep_lower_quantile(self, monkeypatch):
+        # the seed sits on the quantile, where a search from the mean spent
+        # one series call per decade
+        calls = self.count_series_calls(monkeypatch)
+        cfg = load_config("fig5")
+        law = transition_law(cfg.cir, 0.5, cfg.initial_factor())
+        v = law.ppf(1e-14)
+        assert len(calls) <= 4
+        assert abs(law.cdf(v) - 1e-14) <= 1e-10 * 1e-14
+
+    def test_near_expiry_box(self, monkeypatch):
+        # noncentrality 4.8e6, where each series call sums thousands of terms
+        calls = self.count_series_calls(monkeypatch)
+        cfg = load_config("fig1")
+        law = transition_law(cfg.cir, 1e-6, cfg.initial_factor())
+        assert law.noncentrality > 4e6
+        lo, hi = law.mass_bounds(cfg.quadrature.tail_mass_cut)
+        assert len(calls) <= 16
+        assert lo < law.mean() < hi
+
+    LAWS = ((0.3, 5.0), (2.0, 0.3), (6.1, 80.0), (16.3, 2e4))
+
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 2.0])
+    def test_fallback_from_the_mean(self, seed, monkeypatch):
+        # a seed that is not finite, or twice the quantile (beyond the seed's
+        # few steps), leaves the search from the mean: the same quantiles
+        want = [(law.ppf(1e-9), law.ppf(0.7), law.mass_bounds(1e-12))
+                for law in (ChiSquareLaw(df, lam, 0.7) for df, lam in self.LAWS)]
+        chndtrix = special.chndtrix
+        monkeypatch.setattr(special, "chndtrix", (lambda *args: seed * chndtrix(*args))
+                            if math.isfinite(seed) else (lambda *args: seed))
+        levels = []
+        mean = ChiSquareLaw.mean
+        monkeypatch.setattr(ChiSquareLaw, "mean",
+                            lambda law: levels.append(1) or mean(law))
+        for (df, lam), (lower, upper, box) in zip(self.LAWS, want):
+            law = ChiSquareLaw(df, lam, 0.7)
+            levels.clear()
+            got = (law.ppf(1e-9), law.ppf(0.7), law.mass_bounds(1e-12))
+            assert len(levels) == 4  # every solve fell back to the mean
+            for a, b in zip((lower, upper, *box), (got[0], got[1], *got[2])):
+                assert abs(math.log(a / b)) <= cir._PPF_TOL, (df, lam, a, b)
+
+    @pytest.mark.parametrize("df, lam", LAWS)
+    def test_box_at_a_tail_beyond_the_seed(self, df, lam):
+        # chndtrix(1 - 1e-17) is inf, as 1 - 1e-17 rounds to 1: the upper
+        # edge is sought from the mean, the lower one from its seed
+        assert special.chndtrix(1.0 - 1e-17, df, lam) == math.inf
+        law = ChiSquareLaw(df, lam, 0.7)
+        lo, hi = law.mass_bounds(1e-17)
+        assert abs(law.cdf(lo) - 1e-17) <= 1e-10 * 1e-17
+        assert abs(law.sf(hi) - 1e-17) <= 1e-10 * 1e-17
 
 
 def _mpmath_log_density(df, lam, scale, y):

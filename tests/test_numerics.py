@@ -24,6 +24,19 @@ def test_bracket_failure():
         bracket_downcrossing(lambda x: 1.0, (1.0, 1.0))
 
 
+def test_bracket_step_limit():
+    # max_steps bounds the new points in either direction
+    for f0 in (1.0, -1.0):
+        points = []
+        with pytest.raises(ConvergenceError):
+            bracket_downcrossing(lambda x: points.append(x) or f0, (1.0, f0), 1.5,
+                                 max_steps=3)
+        assert len(points) == 3
+    fn = lambda x: 2.0 - x
+    lo, hi = bracket_downcrossing(fn, (1.0, fn(1.0)), 1.5, max_steps=2)
+    assert (lo[0], hi[0]) == (1.5, 2.25)
+
+
 @pytest.mark.parametrize("root", [0.3, 1.0, 17.5])
 def test_newton_bisect_with_and_without_derivative(root):
     # no slope is given: the steps are false position
