@@ -137,11 +137,10 @@ class Boundary:
         if self.times[-1] != option.maturity:
             raise ValueError(f"the boundary ends at {self.times[-1]:g}, the "
                              f"contract matures at {option.maturity:g}")
-        if t < self.times[0]:
+        if not self.times[0] <= t <= option.maturity:  # NaN included
             raise ValueError(f"valuation time {t:g} lies before the "
-                             f"boundary's first time {self.times[0]:g}")
-        if t > option.maturity:
-            raise ValueError("valuation time lies beyond maturity")
+                             f"boundary's first time {self.times[0]:g} or "
+                             f"beyond maturity {option.maturity:g}")
 
 
 def terminal_levels(m: ModelSpec, p: CirParams, option: OptionSpec):

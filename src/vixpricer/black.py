@@ -12,12 +12,9 @@ from .cir import CirParams, transition_law
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        _european_on, _futures_on, factor_state)
 from .models import ModelSpec
-from .numerics import newton_bisect
+from .numerics import ConvergenceError, bracket_downcrossing, newton_bisect
 
 __all__ = ["SkewPoint", "black_call", "implied_vol", "skew_curve"]
-
-_VOL_LO = 1e-6
-_VOL_HI = 10.0
 
 
 def _norm_cdf(x):
@@ -39,8 +36,10 @@ class SkewPoint:
 
 def black_call(F: float, K: float, T: float, r: float, sigma: float) -> float:
     """Discounted Black call on a futures level."""
-    if min(F, K, T, sigma) <= 0.0:
-        raise ValueError("F, K, T and sigma must be strictly positive")
+    if not (all(map(math.isfinite, (F, K, T, r, sigma)))
+            and min(F, K, T, sigma) > 0.0):
+        raise ValueError("F, K, T, r and sigma must be finite, and F, K, T "
+                         "and sigma strictly positive")
     vol = sigma * math.sqrt(T)
     d1 = (math.log(F / K) + 0.5 * vol * vol) / vol
     d2 = d1 - vol
@@ -51,10 +50,12 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     """Volatility solving ``black_call(F, K, T, r, sigma) = price``.
 
     The price must lie strictly inside the static no-arbitrage band
-    ``(e^{-rT} (F - K)^+, e^{-rT} F)``. The vol is found by
-    :func:`~vixpricer.numerics.newton_bisect`'s false position on the
-    bracket [1e-6, 10], to 1e-14 relative. Each end is priced once; a price
-    past an end returns the floor or the cap, read off the ends' signs.
+    ``(e^{-rT} (F - K)^+, e^{-rT} F)``. The vol is bracketed by
+    :func:`~vixpricer.numerics.bracket_downcrossing` in steps of 2 from
+    ``sigma = 1``, within [1e-300, 1e300], and found by
+    :func:`~vixpricer.numerics.newton_bisect`'s false position to 1e-14
+    relative; no vol is priced twice. A price whose vol the search cannot
+    bracket raises :class:`~vixpricer.numerics.ConvergenceError`.
     """
     disc = math.exp(-r * T)
     lo_band = disc * max(F - K, 0.0)
@@ -62,11 +63,9 @@ def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
     if not lo_band < price < hi_band:
         raise ValueError(
             f"price {price} outside the invertible band ({lo_band}, {hi_band})")
-    gap = lambda sigma: black_call(F, K, T, r, sigma) - price
-    lo, hi = (_VOL_LO, gap(_VOL_LO)), (_VOL_HI, gap(_VOL_HI))
-    if lo[1] > 0.0 or hi[1] < 0.0:  # the price lies past an end
-        return _VOL_LO if lo[1] > 0.0 else _VOL_HI
-    return newton_bisect(gap, lo, hi, rel_tol=1e-14)
+    gap = lambda sigma: price - black_call(F, K, T, r, sigma)  # + below the vol
+    return newton_bisect(gap, *bracket_downcrossing(gap, (1.0, gap(1.0))),
+                         rel_tol=1e-14)
 
 
 def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
@@ -75,10 +74,11 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
 
     For each moneyness the strike is ``F_T * exp(moneyness)``; the model
     call price is inverted through the Black formula. A point gets NaN vol
-    instead of raising where the price is outside the invertible band, or
-    where its time value ``price - e^{-rT} (F_T - K)^+`` is at most
-    ``config.rel_tol * price``, within the quadrature's own error. The
-    futures level and every strike share one law and its box.
+    instead of raising where the price is outside the invertible band, where
+    :func:`implied_vol` cannot bracket its vol, or where its time value
+    ``price - e^{-rT} (F_T - K)^+`` is at most ``config.rel_tol * price``,
+    within the quadrature's own error. The futures level and every strike
+    share one law and its box.
     """
     law = transition_law(p, T, factor_state(m, state))
     box = law.mass_bounds(config.tail_mass_cut)
@@ -92,7 +92,7 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
         try:
             vol = (implied_vol(price, fut, strike, T, r)
                    if time_value > config.rel_tol * price else math.nan)
-        except ValueError:
+        except (ValueError, ConvergenceError):
             vol = math.nan
         points.append(SkewPoint(moneyness=float(mny), implied_vol=vol))
     return points

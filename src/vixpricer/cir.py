@@ -176,37 +176,38 @@ class ChiSquareLaw:
         return float(out[0]) if scalar else out
 
     def ppf(self, p: float) -> float:
-        """Quantile: :meth:`_tail_quantile` of ``cdf`` at ``p`` below the
-        median, of ``sf`` at ``1 - p`` above it, seeded at ``p`` either way."""
+        """Quantile: :meth:`_tail_quantile` of the lower tail ``p`` below the
+        median, of the upper tail ``1 - p`` above it, seeded at ``p``."""
         if not 0.0 < p < 1.0:
             raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
         if p <= 0.5:
-            return self._tail_quantile(self.cdf, 1.0, p, p)
-        return self._tail_quantile(self.sf, -1.0, 1.0 - p, p)
+            return self._tail_quantile(1.0, p)
+        return self._tail_quantile(-1.0, 1.0 - p)
 
     def mass_bounds(self, tail_mass: float):
         """Interval holding all but ``tail_mass`` of probability per side: the
-        lower edge is ``ppf(tail_mass)``; the upper edge solves ``sf =
-        tail_mass`` itself, as ``1 - tail_mass`` rounds, and reads that
-        rounded probability only for its seed."""
-        return (self.ppf(tail_mass),
-                self._tail_quantile(self.sf, -1.0, tail_mass, 1.0 - tail_mass))
+        lower edge is ``ppf(tail_mass)``; the upper edge is the upper-tail
+        :meth:`_tail_quantile` at ``tail_mass`` itself, which reads ``1 -
+        tail_mass``, as it rounds, only for its seed."""
+        return self.ppf(tail_mass), self._tail_quantile(-1.0, tail_mass)
 
-    def _tail_quantile(self, prob, sign, tail, p):
-        """Level where the tail probability ``prob`` (``cdf`` with ``sign``
-        1, ``sf`` with -1) equals ``tail``: the root in ``s = log v`` of
+    def _tail_quantile(self, sign, tail):
+        """Level where a tail probability equals ``tail``: ``cdf`` with
+        ``sign`` 1, ``sf`` with -1. It is the root in ``s = log v`` of
         ``sign (log tail - log prob(e^s))``, where each series keeps full
         relative accuracy in its own tail.
 
         The root is bracketed from a seed, the quantile of the lower-tail
-        probability ``p`` by :meth:`_seeded_bracket`. Where that finds no
-        bracket, :func:`bracket_downcrossing` brackets it in steps of 10
-        from the mean, so an upper quantile is never sought where ``sf``
-        rounds to 1; below 1e-300 the quantile is 0. Either way
+        probability ``p`` (``tail`` for ``cdf``, ``1 - tail`` as it rounds
+        for ``sf``), by :meth:`_seeded_bracket`. Where that finds no
+        bracket, :func:`bracket_downcrossing` brackets it in steps of 10 from
+        the mean, so an upper quantile is never sought where ``sf`` rounds
+        to 1; below 1e-300 the quantile is 0. Either way
         :func:`newton_bisect` then takes false-position steps in ``s`` until
         the bracket is ``_PPF_TOL`` wide, the same relative width in the
         quantile; the seed moves the result only within that width.
         """
+        prob, p = (self.cdf, tail) if sign > 0 else (self.sf, 1.0 - tail)
         log_target = math.log(tail)
 
         def target(s):  # positive below the quantile, negative above it
@@ -265,7 +266,10 @@ class ChiSquareLaw:
     # -- sampling -------------------------------------------------------------
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` i.i.d. levels; exact, via :func:`_sample_std`.
+        """Draw ``n`` i.i.d. levels, exactly, by one NumPy
+        ``Generator.noncentral_chisquare`` call: ``(Z + sqrt(lam))**2 +
+        chi2(df - 1)`` for df > 1 (every Feller law), the Poisson-gamma
+        mixture for df <= 1.
 
         ``rng`` is an integer seed or a ``numpy.random.Generator``. The same
         seed reproduces the same draws bit for bit under one NumPy version.
@@ -273,15 +277,7 @@ class ChiSquareLaw:
         if n < 1:
             raise ValueError("sample size must be at least 1")
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        return _sample_std(gen, self.df, self.noncentrality, n) * self.scale
-
-
-def _sample_std(gen, df, noncentrality, size=None):
-    """Exact ``ncx2(df, lam)`` draws, one per entry of an array ``noncentrality``
-    or ``size`` sharing a scalar: ``(Z + sqrt(lam))**2 + chi2(df - 1)`` for
-    df > 1 (every Feller law), the Poisson-gamma mixture for df <= 1. A seeded
-    stream depends on NumPy's generator algorithms."""
-    return gen.noncentral_chisquare(df, noncentrality, size)
+        return gen.noncentral_chisquare(self.df, self.noncentrality, n) * self.scale
 
 
 def _as_positive_array(y):

@@ -73,13 +73,16 @@ class RunConfig:
 
         An explicit ``branch`` inverts the configured VIX level on that side
         of a mixture map; otherwise a configured factor level wins and a VIX
-        level falls back to the lower branch.
+        level falls back to the lower branch. A config without a state
+        raises ``ValueError``.
         """
         if "x0" in self.state and (branch is not None or "y0" not in self.state):
             x0 = float(self.state["x0"])
             if self.model.is_mixture:
                 return mixture_inverse(self.model, x0, branch or "lower")
             return g_eval(self.model, x0)
+        if "y0" not in self.state:
+            raise ValueError("this command needs a state: x0 or y0")
         return float(self.state["y0"])
 
     def initial_state(self, branch: str | None = None) -> float:
@@ -88,7 +91,7 @@ class RunConfig:
             return self.initial_factor(branch)
         if "x0" in self.state:
             return float(self.state["x0"])
-        return float(f_eval(self.model, float(self.state["y0"])))
+        return float(f_eval(self.model, self.initial_factor()))
 
 
 def bundled_config_names():

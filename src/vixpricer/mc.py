@@ -1,6 +1,6 @@
 """Monte Carlo verification layer built on exact factor sampling.
 
-The factor is drawn from its exact transition law (``cir._sample_std``), so
+The factor is drawn from its exact law (``Generator.noncentral_chisquare``), so
 estimates carry no time-discretization bias in the state; only the
 American stopping rule is restricted to a time grid, which makes the policy
 estimator a lower bound up to that grid bias. Fixed seeds reproduce every
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cir import CirParams, _sample_std, law_params, transition_law
+from .cir import CirParams, law_params, transition_law
 from .european import OptionSpec, factor_state, vix_level
 from .models import ModelSpec, f_eval
 
@@ -126,7 +126,7 @@ def mc_american_policy(m: ModelSpec, p: CirParams, option: OptionSpec,
         if step == 0.0:  # rounded away near maturity: no time elapses
             continue
         lam_unit, scale = law_params(p, step, 1.0)
-        y = scale * _sample_std(rng, p.df, lam_unit * y)
+        y = scale * rng.noncentral_chisquare(p.df, lam_unit * y)
     return _summarize(payoff, seed)
 
 

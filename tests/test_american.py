@@ -458,9 +458,10 @@ class TestBoundaryCoverage:
         (CALL, -0.5, "lies before"),
         (dataclasses.replace(CALL, maturity=2.0), 0.0, "matures at 2"),
         (PUT, 0.0, "call boundary cannot price a put"),
-        (CALL, 1.5, "beyond maturity")],
+        (CALL, 1.5, "beyond maturity"),
+        (CALL, math.nan, "valuation time nan")],
         ids=["before-the-grid", "other-maturity", "other-kind",
-             "beyond-maturity"])
+             "beyond-maturity", "nan"])
     def test_uncovered_valuation_is_rejected(self, fig1_boundary_coarse,
                                              option, t, reason):
         b = fig1_boundary_coarse

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vixpricer.black import (_VOL_HI, _VOL_LO, SkewPoint, black_call,
-                             implied_vol, skew_curve)
+from vixpricer.black import SkewPoint, black_call, implied_vol, skew_curve
 from vixpricer.cir import ChiSquareLaw, CirParams
 from vixpricer.cli import load_config
 from vixpricer.european import (DEFAULT_CONFIG, OptionSpec, european_price,
                                 futures_price)
 from vixpricer.models import ModelSpec
+from vixpricer.numerics import ConvergenceError
 
 
 class TestBlackCall:
@@ -42,6 +42,19 @@ class TestBlackCall:
             black_call(0.0, 0.2, 1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             black_call(0.2, 0.2, 1.0, 0.0, 0.0)
+        # non-finite inputs raise instead of pricing NaN
+        good = (0.2, 0.2, 1.0, 0.05, 0.5)
+        for i in range(5):
+            with pytest.raises(ValueError):
+                black_call(*good[:i], math.nan, *good[i + 1:])
+        with pytest.raises(ValueError):
+            black_call(0.2, 0.2, math.inf, 0.05, 0.5)
+
+
+# at-the-money prices (F = K, T = 1) whose vols lie far from 1: the price,
+# F, r and the vol to 1e-3
+FAR_VOLS = [(math.exp(-0.05) * 0.2 * (1.0 - 1e-8), 0.2, 0.05, 11.46),
+            (1e-7, 1.0, 0.0, 2.5066e-7)]
 
 
 class TestImpliedVol:
@@ -66,13 +79,14 @@ class TestImpliedVol:
             redone = black_call(F, K, T, r, back)
             assert abs(redone - price) <= 1e-10
 
-    def test_prices_beyond_the_vol_bracket_return_its_ends(self):
-        disc = math.exp(-0.05)
-        assert black_call(0.2, 0.2, 1.0, 0.05, _VOL_LO) > 1e-9
-        assert implied_vol(1e-9, 0.2, 0.2, 1.0, 0.05) == _VOL_LO
-        price = disc * 0.2 * (1.0 - 1e-8)
-        assert black_call(0.2, 0.2, 1.0, 0.05, _VOL_HI) < price
-        assert implied_vol(price, 0.2, 0.2, 1.0, 0.05) == _VOL_HI
+    @pytest.mark.parametrize("price,F,r,want", FAR_VOLS,
+                             ids=["above-10", "below-1e-6"])
+    def test_vols_far_from_one_reprice(self, price, F, r, want):
+        # at the money, T = 1: no floor or cap stands between a price
+        # inside the band and the vol that reprices it
+        vol = implied_vol(price, F, F, 1.0, r)
+        assert vol == pytest.approx(want, rel=1e-3)
+        assert black_call(F, F, 1.0, r, vol) == pytest.approx(price, rel=1e-9)
 
     def test_numpy_scalar_inputs_raise_no_warning(self):
         F, K, T, r, sigma = map(np.float64, (
@@ -94,7 +108,11 @@ class TestImpliedVol:
         assert price < 1e-88
         assert implied_vol(price, F, K, T, r) == pytest.approx(sigma, rel=1e-12)
 
-    def test_each_bracket_end_is_priced_once(self, monkeypatch):
+    @pytest.mark.parametrize("price,F,r,want", [
+        (black_call(1.0, 1.0, 1.0, 0.0, 0.8), 1.0, 0.0, 0.8), *FAR_VOLS],
+        ids=["near-one", "above-10", "below-1e-6"])
+    def test_search_starts_at_one_and_prices_no_vol_twice(
+            self, monkeypatch, price, F, r, want):
         from vixpricer import black
         sigmas = []
 
@@ -103,27 +121,9 @@ class TestImpliedVol:
             return black_call(F, K, T, r, sigma)
 
         monkeypatch.setattr(black, "black_call", counted)
-        price = black_call(0.22, 0.25, 0.75, 0.04, 0.8)
-        assert implied_vol(price, 0.22, 0.25, 0.75, 0.04) == \
-            pytest.approx(0.8, abs=1e-8)
-        assert sigmas.count(_VOL_LO) == 1
-        assert sigmas.count(_VOL_HI) == 1
-
-    @pytest.mark.parametrize("price,want", [(1e-7, _VOL_LO),
-                                            (1.0 - 1e-8, _VOL_HI)],
-                             ids=["floor", "cap"])
-    def test_price_past_an_end_prices_each_end_once(self, monkeypatch, price,
-                                                    want):
-        from vixpricer import black
-        sigmas = []
-
-        def counted(F, K, T, r, sigma):
-            sigmas.append(sigma)
-            return black_call(F, K, T, r, sigma)
-
-        monkeypatch.setattr(black, "black_call", counted)
-        assert implied_vol(price, 1.0, 1.0, 1.0, 0.0) == want
-        assert sorted(sigmas) == [_VOL_LO, _VOL_HI]
+        assert implied_vol(price, F, F, 1.0, r) == pytest.approx(want, rel=1e-3)
+        assert sigmas[0] == 1.0
+        assert len(set(sigmas)) == len(sigmas)
 
     def test_band_edges_rejected(self):
         disc = math.exp(-0.05)
@@ -193,6 +193,17 @@ class TestSkewCurve:
             except ValueError:
                 want = math.nan
             assert pt.implied_vol == want or math.isnan(pt.implied_vol) and math.isnan(want)
+
+    def test_unbracketed_vol_is_nan(self, curve_inputs, monkeypatch):
+        from vixpricer import black
+
+        def unbracketed(*args):
+            raise ConvergenceError("no sign change found")
+
+        monkeypatch.setattr(black, "implied_vol", unbracketed)
+        m, p, grid = curve_inputs
+        pts = skew_curve(m, p, 0.5, 0.05, 0.2, grid)
+        assert all(math.isnan(q.implied_vol) for q in pts)
 
     def test_rounding_level_time_value_has_no_vol(self):
         # fig7's strike at log-moneyness -0.2, 0.124, lies below the map

@@ -331,6 +331,28 @@ class TestMainEntry:
         assert error["exit_code"] == EXIT_CONFIG
         assert "n_steps must be an integer" in error["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["futures", "--t-grid", "0.5"],
+        ["skew", "--moneyness-grid", "0"],
+        ["mc-check", "--target", "european", "--n", "10"],
+    ], ids=["futures", "skew", "mc-check"])
+    def test_stateless_config_is_a_config_error(self, tmp_path, capsys, argv):
+        doc = {k: v for k, v in FIG1_DOC.items() if k != "state"}
+        path = tmp_path / "stateless.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "x0" in error and "y0" in error
+
+    def test_stateless_config_prices_a_state_grid(self, tmp_path, capsys):
+        # boundary and price take no state from the config
+        doc = {k: v for k, v in FIG1_DOC.items() if k != "state"}
+        doc["solver"] = {"n_steps": 8}
+        path = tmp_path / "stateless.json"
+        path.write_text(json.dumps(doc))
+        assert main(["boundary", "--config", str(path)]) == EXIT_OK
+        assert main(["price", "--config", str(path), "--state-grid", "0.2"]) == EXIT_OK
+
     def test_mc_check_writes_an_infinite_z_as_null(self, monkeypatch, capsys):
         import vixpricer.cli as cli
         report = {"target": "european", "z": float("inf"), "analytic": 1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vixpricer.american import SolverConfig, solve_boundary
-from vixpricer.cir import CirParams, _sample_std, law_params, transition_law
+from vixpricer.cir import CirParams, law_params, transition_law
 from vixpricer.european import OptionSpec, factor_state
 from vixpricer.mc import (McEstimate, _summarize, mc_american_policy,
                           mc_european, mc_futures, policy_bias_indicator)
@@ -155,7 +155,7 @@ def _alive_mask_policy(m, p, option, boundary, t, state, n, n_time_steps, seed):
             break
         lam_unit, scale = law_params(p, times[i + 1] - s, 1.0)
         idx = np.nonzero(alive)[0]
-        y[idx] = scale * _sample_std(rng, p.df, lam_unit * y[idx])
+        y[idx] = scale * rng.noncentral_chisquare(p.df, lam_unit * y[idx])
     return _summarize(payoff, seed), stop_date
 
 
