@@ -35,7 +35,14 @@ class SkewPoint:
 
 
 def black_call(F: float, K: float, T: float, r: float, sigma: float) -> float:
-    """Discounted Black call on a futures level."""
+    """Discounted Black call on a futures level.
+
+    It is the intrinsic value ``(F - K)^+`` plus the time value, the price of
+    the out-of-the-money side, formed as ``min(F, K) P(d2 < Z < d1) - |F - K|
+    Phi(-max(|d1|, |d2|))``. So no ``F Phi(d1) - K Phi(d2)`` of two near
+    halves cancels at the money, where the time value is ``F erf(sigma
+    sqrt(T) / sqrt(8))`` to the last bits at any vol.
+    """
     if not (all(map(math.isfinite, (F, K, T, r, sigma)))
             and min(F, K, T, sigma) > 0.0):
         raise ValueError("F, K, T, r and sigma must be finite, and F, K, T "
@@ -43,7 +50,21 @@ def black_call(F: float, K: float, T: float, r: float, sigma: float) -> float:
     vol = sigma * math.sqrt(T)
     d1 = (math.log(F / K) + 0.5 * vol * vol) / vol
     d2 = d1 - vol
-    return math.exp(-r * T) * (F * _norm_cdf(d1) - K * _norm_cdf(d2))
+    time_value = (min(F, K) * _norm_between(d2, d1)
+                  - abs(F - K) * _norm_cdf(-max(abs(d1), abs(d2))))
+    return math.exp(-r * T) * (max(F - K, 0.0) + time_value)
+
+
+def _norm_between(lo, hi):
+    """``P(lo < Z < hi)`` for a standard normal ``Z``, from the tail on the
+    interval's side of 0 (``erf`` where it holds 0), so the difference
+    keeps its relative accuracy."""
+    root2 = math.sqrt(2.0)
+    if lo >= 0.0:
+        return 0.5 * (special.erfc(lo / root2) - special.erfc(hi / root2))
+    if hi <= 0.0:
+        return 0.5 * (special.erfc(-hi / root2) - special.erfc(-lo / root2))
+    return 0.5 * (special.erf(hi / root2) - special.erf(lo / root2))
 
 
 def implied_vol(price: float, F: float, K: float, T: float, r: float) -> float:
@@ -82,7 +103,7 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
     """
     law = transition_law(p, T, factor_state(m, state))
     box = law.mass_bounds(config.tail_mass_cut)
-    fut = _futures_on(m, law, box, config)
+    fut = _futures_on(m, law, config, box)
     points = []
     for mny in np.asarray(moneyness_grid, dtype=float):
         strike = fut * math.exp(mny)

@@ -137,7 +137,8 @@ def load_config(name_or_path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_futures(cfg: RunConfig, t_grid, branch: str | None = None):
-    """Futures term structure: quadrature level, moment expansion, gap."""
+    """Futures term structure: the exact series level (column ``F_quadrature``),
+    the moment expansion and their gap."""
     rows = []
     if cfg.model.is_mixture and "x0" in cfg.state:
         branches = [branch] if branch else ["lower", "upper"]

@@ -1,12 +1,19 @@
-"""Quadrature pricing of European VIX options, futures, and premium kernels.
+"""Pricing of European VIX options, futures, and premium kernels.
 
-Every expectation is an integral of a signed integrand against the factor's
-transition density over a list of ``(lo, hi)`` factor regions. Each contract
-has two integrands: the signed payoff, integrated over the payoff regions of
-:func:`_euro_regions`, and the signed waiting benefit, integrated over the
-stopping regions of :func:`_stop_regions`. Regions are split exactly at
-payoff kinks, so no rule straddles a discontinuity, and are truncated at a
-support box holding all but ``tail_mass_cut`` of the probability mass.
+The futures level ``E[f(Y_T)]`` is exact: the map ``f`` is a power sum, and
+each power's moment is a Poisson-gamma series of the transition law
+(:meth:`~vixpricer.cir.ChiSquareLaw.power_moments`), with no support box
+and no quadrature where it converges (:func:`_futures_on`).
+
+Every other expectation is an integral of a signed integrand against the
+factor's transition density over a list of ``(lo, hi)`` factor regions. Each
+contract has two integrands: the signed payoff, integrated over the payoff
+regions of :func:`_euro_regions`, and the signed waiting benefit, integrated
+over the stopping regions of :func:`_stop_regions`. Regions are split
+exactly at payoff kinks, so no rule straddles a discontinuity, and are
+truncated at a support box holding all but ``tail_mass_cut`` of the
+probability mass. A call struck at or below a mixture map's minimum pays at
+every level and is priced from the futures series instead.
 
 Two integrators take the same regions and integrands:
 
@@ -61,6 +68,16 @@ _ABS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances of the quadrature routes.
+
+    ``rel_tol`` is the adaptive route's relative tolerance. ``tail_mass_cut``
+    is the probability mass each side of the support box leaves out, for
+    European prices, premium kernels and skews. Futures are exact and read
+    it only where the level diverges at the origin (a falling power ``p``
+    with ``df / 2 - p <= 0``, as on fig5): there the box is what makes the
+    level finite, a regularization rather than a truncation error.
+    """
+
     rel_tol: float = 1e-9
     tail_mass_cut: float = 1e-12
 
@@ -181,15 +198,22 @@ def _integrate(m: ModelSpec, law: ChiSquareLaw, box, integrand, regions,
     for aa in probes:
         piece, _ = adaptive_gauss_kronrod(fn, 0.5 * aa, aa, rel_tol=1e-6,
                                           abs_tol=_ABS_TOL)
-        rel = abs(piece) / max(abs(total), scale_floor, _ABS_TOL)
-        if rel > 1e-2:
-            raise DivergentIntegralError(
-                f"integrand mass below the truncation point moves the result "
-                f"by {rel:.2e} relative; the expectation looks divergent at 0")
-        if rel > 10.0 * config.rel_tol:
-            log.debug("origin truncation sensitivity %.3e relative at cutoff %.3e",
-                      rel, aa)
+        _check_origin(piece, total, scale_floor, aa, config)
     return total
+
+
+def _check_origin(piece, total, scale_floor, cutoff, config):
+    """Raise :class:`DivergentIntegralError` where ``piece``, the integral
+    over ``[cutoff / 2, cutoff]``, is above 1e-2 of the larger of the result
+    ``total`` and ``scale_floor``."""
+    rel = abs(piece) / max(abs(total), scale_floor, _ABS_TOL)
+    if rel > 1e-2:
+        raise DivergentIntegralError(
+            f"integrand mass below the truncation point moves the result "
+            f"by {rel:.2e} relative; the expectation looks divergent at 0")
+    if rel > 10.0 * config.rel_tol:
+        log.debug("origin truncation sensitivity %.3e relative at cutoff %.3e",
+                  rel, cutoff)
 
 
 def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
@@ -206,27 +230,58 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
 
 
 def _european_on(m, option, tau, law, box, config) -> float:
-    """:func:`european_price` ``tau`` before maturity, on the law at maturity."""
+    """:func:`european_price` ``tau`` before maturity, on the law at maturity.
+
+    A call struck at or below a mixture map's minimum is in the money at
+    every level (:func:`~vixpricer.models.payoff_levels`): it is worth its
+    discounted forward payoff ``e^{-r tau} (F - K)``, from the futures series.
+    """
+    disc = math.exp(-option.rate * tau)
+    k_lower, k_upper, _ = payoff_levels(m, option.strike)
+    if option.kind == "call" and k_lower == k_upper:
+        return disc * (_futures_on(m, law, config, box) - option.strike)
     val = _integrate(m, law, box, _payoff_integrand(m, option),
                      _euro_regions(m, option), config, scale_floor=option.strike)
-    return math.exp(-option.rate * tau) * max(val, 0.0)
+    return disc * max(val, 0.0)
 
 
 def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
                   config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Futures level E[X_T] for the given horizon and current state."""
+    """Futures level E[X_T] for the given horizon and current state.
+
+    It is the exact Poisson-gamma moment series of the map's power terms
+    (:func:`_futures_on`), with no support box and no quadrature, within
+    3e-14 of 40-digit arithmetic on the bundled configs. ``config`` matters
+    only where the level diverges at the origin: the series is then taken
+    on its ``tail_mass_cut`` box, and :class:`DivergentIntegralError` is
+    raised where even that box does not settle it.
+    """
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
     if horizon == 0.0:
         return vix_level(m, state)
-    law = transition_law(p, horizon, factor_state(m, state))
-    return _futures_on(m, law, law.mass_bounds(config.tail_mass_cut), config)
+    return _futures_on(m, transition_law(p, horizon, factor_state(m, state)), config)
 
 
-def _futures_on(m, law, box, config) -> float:
-    """:func:`futures_price` on the law at the horizon."""
-    return _integrate(m, law, box, lambda y: f_eval(m, y), [(0.0, math.inf)],
-                      config)
+def _futures_on(m, law, config, box=None) -> float:
+    """:func:`futures_price` on the law at the horizon: ``sum c E[Y^e]`` over
+    the map's terms ``c y^e``, from :meth:`~vixpricer.cir.ChiSquareLaw.
+    power_moments`.
+
+    Where every power has ``df / 2 + e > 0`` the moments are exact on the
+    whole line, and nothing is truncated. Otherwise the level diverges at the
+    origin, and ``tail_mass_cut`` regularizes it: the moments are taken on
+    the law's ``mass_bounds(tail_mass_cut)`` (``box``, where the caller has
+    it), and the exact piece on ``[lo / 2, lo]`` is the origin probe, which
+    raises :class:`DivergentIntegralError` above 1e-2 of the result.
+    """
+    coefs, powers = np.array(m._power_terms[0]).T
+    if 0.5 * law.df + powers.min() > 0.0:
+        return float(law.power_moments(powers)[0] @ coefs)
+    lo, hi = law.mass_bounds(config.tail_mass_cut) if box is None else box
+    piece, total = map(float, law.power_moments(powers, (0.5 * lo, lo, hi)) @ coefs)
+    _check_origin(piece, total, 0.0, lo, config)
+    return total
 
 
 def futures_taylor(m: ModelSpec, p: CirParams, horizon: float,

@@ -22,6 +22,27 @@ class TestBlackCall:
         assert price == pytest.approx(want, rel=1e-12)
         assert price == pytest.approx(0.0797, abs=5e-5)
 
+    @pytest.mark.parametrize("sigma", [1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_at_the_money_small_vols_match_mpmath(self, sigma):
+        # F N(d1) - K N(d2) at F = K cancels two halves: 4.1e-5 off at 1e-12
+        import mpmath as mp
+        with mp.workdps(50):
+            vol = mp.mpf(sigma) * mp.sqrt(mp.mpf(0.5))
+            want = mp.exp(-mp.mpf(0.05) * mp.mpf(0.5)) * mp.mpf(0.2) * (
+                mp.ncdf(vol / 2) - mp.ncdf(-vol / 2))
+        got = black_call(0.2, 0.2, 0.5, 0.05, sigma)
+        assert abs(got / float(want) - 1.0) <= 1e-14
+
+    def test_time_value_on_both_sides_matches_mpmath(self):
+        import mpmath as mp
+        for F, K, sigma in ((0.25, 0.2, 0.3), (0.2, 0.25, 0.3), (0.2, 0.2001, 0.01),
+                            (0.2001, 0.2, 0.01), (0.2, 0.298, 0.5)):
+            with mp.workdps(50):
+                Fm, Km, v = mp.mpf(F), mp.mpf(K), mp.mpf(sigma)
+                d1 = (mp.log(Fm / Km) + v * v / 2) / v
+                want = mp.exp(-mp.mpf(0.05)) * (Fm * mp.ncdf(d1) - Km * mp.ncdf(d1 - v))
+            assert black_call(F, K, 1.0, 0.05, sigma) == pytest.approx(float(want), rel=1e-14)
+
     def test_vanishing_vol_limit(self):
         intrinsic = math.exp(-0.03) * 0.05
         assert black_call(0.25, 0.20, 1.0, 0.03, 1e-8) == \
@@ -207,11 +228,22 @@ class TestSkewCurve:
 
     def test_rounding_level_time_value_has_no_vol(self):
         # fig7's strike at log-moneyness -0.2, 0.124, lies below the map
-        # minimum 0.14: the call's time value, 2.5e-13 on a price of 0.027,
-        # is within the quadrature's own error, so it has no vol
+        # minimum 0.14: the call is in the money at every level and priced
+        # at its discounted forward payoff, so its time value is 0 and it
+        # has no vol
         cfg = load_config("fig7")
         pts = skew_curve(cfg.model, cfg.cir, 0.2, cfg.contract.rate,
                          cfg.initial_state(), (-0.2, 0.1), cfg.quadrature)
+        assert math.isnan(pts[0].implied_vol)
+        assert math.isfinite(pts[1].implied_vol)
+
+    def test_forward_priced_point_has_no_vol(self):
+        # the CLI's skew check: -0.6 on fig7 at 0.5 y strikes below 0.14
+        cfg = load_config("fig7")
+        fut = futures_price(cfg.model, cfg.cir, 0.5, cfg.initial_state())
+        assert fut * math.exp(-0.6) < 0.14
+        pts = skew_curve(cfg.model, cfg.cir, 0.5, cfg.contract.rate,
+                         cfg.initial_state(), (-0.6, 0.0), cfg.quadrature)
         assert math.isnan(pts[0].implied_vol)
         assert math.isfinite(pts[1].implied_vol)
 

@@ -8,8 +8,8 @@ from scipy import special, stats
 
 from vixpricer import cir
 from vixpricer.cir import (_OCTAVES, _PANELS, _Z_HANKEL, _Z_MAX, ChiSquareLaw,
-                           CirParams, _ive_table, _log_ive, _log_ive_hankel,
-                           log_density, transition_law)
+                           CirParams, _gamma_ratio, _ive_table, _log_ive,
+                           _log_ive_hankel, log_density, transition_law)
 from vixpricer.cli import load_config
 from vixpricer.numerics import adaptive_gauss_kronrod
 
@@ -115,12 +115,10 @@ class TestDensity:
             fast = np.exp(law.log_pdf(ys))
             np.testing.assert_allclose(fast, dens, rtol=1e-11, atol=1e-300)
 
-    @pytest.mark.xfail(strict=True, reason="special.ive underflows at large "
-                       "orders and small z, and the central form covers only "
-                       "lam < 1e-12")
     @pytest.mark.parametrize("lam", [1e-11, 1e-6])
     def test_large_order_small_noncentrality(self, lam):
-        # df 300 at its mean: the series gives log-density -4.118
+        # df 300 at its mean: the series gives log-density -4.118; ive(149,
+        # z) underflows there, so the regularized small-z form takes over
         law = ChiSquareLaw(df=300.0, noncentrality=lam, scale=1.0)
         want = math.log(law.pdf(300.0))
         assert law.log_pdf(300.0) == pytest.approx(want, rel=1e-11)
@@ -484,6 +482,77 @@ class TestLogIve:
         np.testing.assert_array_equal(block, batch)
         for i in range(0, z.size, 2_503):
             np.testing.assert_array_equal(_log_ive(3.3, z[i:i + 1]), batch[i:i + 1])
+
+
+def _mpmath_moment(law, power):
+    """``E[Y^power]`` in 40-digit arithmetic, from Kummer's function:
+    ``(2 scale)^e Gamma(df/2 + e) / Gamma(df/2) M(-e, df/2, -lam/2)``."""
+    import mpmath as mp
+    with mp.workdps(40):
+        hd, e = mp.mpf(law.df) / 2, mp.mpf(power)
+        return float((2 * mp.mpf(law.scale)) ** e * mp.gamma(hd + e) / mp.gamma(hd)
+                     * mp.hyp1f1(-e, hd, -mp.mpf(law.noncentrality) / 2))
+
+
+class TestPowerMoments:
+    POWERS = (-2.7, -1.2, -0.75, 0.3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("first", [0.05, 0.408, 8.14, 15.5, 3200.4, 2.4e6])
+    def test_gamma_ratio_block(self, first):
+        # a block of 32 shapes one apart, from its last row upwards
+        import mpmath as mp
+        shapes = (first + np.arange(32.0))[:, None]
+        got = _gamma_ratio(shapes, np.array(self.POWERS))
+        with mp.workdps(40):
+            for j in (0, 7, 31):
+                for i, e in enumerate(self.POWERS):
+                    a = mp.mpf(shapes[j, 0])
+                    if a + e > 0:
+                        want = mp.gamma(a + e) / mp.gamma(a)
+                        assert abs(got[j, i] / want - 1) <= 1e-14, (j, e)
+
+    @pytest.mark.parametrize("df, lam", [(8.0, 0.0), (2.72, 0.3), (16.3, 54.0),
+                                         (0.816, 37.0), (6.1, 4.8e4)])
+    def test_whole_line_matches_kummer(self, df, lam):
+        law = ChiSquareLaw(df, lam, 0.07)
+        powers = [e for e in self.POWERS if df / 2 + e > 0] + [0.0]
+        got = law.power_moments(powers)[0]
+        assert got[-1] == pytest.approx(1.0, rel=1e-15)
+        for e, v in zip(powers, got):
+            assert v == pytest.approx(_mpmath_moment(law, e), rel=1e-13, abs=0.0)
+
+    def test_intervals_add_up_to_the_whole_line(self):
+        law = ChiSquareLaw(6.1, 12.0, 0.2)
+        cuts = (0.0, 0.5, 1.5, 2.0, 4.0, math.inf)
+        parts = law.power_moments([-1.0, 0.0, 1.0], cuts)
+        assert parts.shape == (5, 3)
+        np.testing.assert_allclose(parts.sum(axis=0), law.power_moments([-1.0, 0.0, 1.0])[0],
+                                   rtol=1e-14)
+        # the zeroth moment between cuts is the probability there
+        np.testing.assert_allclose(parts[1:-1, 1], np.diff(law.cdf(np.array(cuts[1:-1]))),
+                                   rtol=1e-13)
+
+    def test_divergent_power_from_the_origin_raises(self):
+        law = ChiSquareLaw(0.816, 37.0, 0.02)  # df/2 - 0.75 < 0
+        with pytest.raises(ValueError, match="diverges"):
+            law.power_moments([-0.75, 1.0])
+        with pytest.raises(ValueError, match="diverges"):
+            law.power_moments([-0.75], (0.0, 1.0))
+
+    @pytest.mark.parametrize("df, power", [(0.816, -0.75), (0.5, -2.3), (1.5, -0.75)])
+    def test_divergent_power_away_from_the_origin(self, df, power):
+        # the first shapes have a + e <= 0 (a pole, a + e = 0, at df 1.5):
+        # the upper incomplete gamma function stepped down from (0, 1]
+        import mpmath as mp
+        law = ChiSquareLaw(df, 3.0, 0.5)
+        lo, hi = 1e-3, 4.0
+        got = law.power_moments([power], (lo, hi))[0, 0]
+        with mp.workdps(40):
+            hd, hn, two = mp.mpf(df) / 2, mp.mpf(1.5), mp.mpf(1)
+            want = sum(mp.exp(-hn) * hn ** k / mp.factorial(k)
+                       * mp.gammainc(hd + k + power, lo / two, hi / two) / mp.gamma(hd + k)
+                       for k in range(80))
+        assert got == pytest.approx(float(want), rel=1e-13)
 
 
 MOMENT_LAW = ChiSquareLaw(df=6.5, noncentrality=4.2, scale=0.3)

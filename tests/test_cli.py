@@ -189,6 +189,21 @@ class TestMainEntry:
         assert payload["columns"][0] == "T"
         assert len(payload["rows"]) == 1
 
+    def test_fig5_futures_regularized_then_divergent(self, capsys):
+        # fig5's level diverges at the origin: its tail-mass box makes it
+        # finite out to 0.2 y on both branches, and the origin probe refuses
+        # it at 0.45 y on the lower one
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main(["futures", "--config", "fig5", "--t-grid", "0.02,0.1,0.2",
+                     "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [row[0] for row in payload["rows"]] == ["lower"] * 3 + ["upper"] * 3
+        assert all(row[2] > 0.0 for row in payload["rows"])
+        assert main(["futures", "--config", "fig5", "--t-grid", "0.45"]) == EXIT_SOLVER
+        assert "divergent" in json.loads(capsys.readouterr().err)["error"]
+
     def test_json_output_is_strict(self, capsys):
         # an implied vol that does not exist is written as null, not NaN
         def reject(token):

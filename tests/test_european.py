@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vixpricer import european
 from vixpricer.american import (SolverConfig, _stop_pair, american_price,
                                 solve_boundary)
-from vixpricer.cir import CirParams, transition_law
+from vixpricer.cir import ChiSquareLaw, CirParams, transition_law
 from vixpricer.cli import cmd_price, load_config
 from vixpricer.european import (DivergentIntegralError,
                                 OptionSpec, QuadratureConfig,
@@ -87,11 +88,14 @@ class TestEuropeanPrice:
 
     def test_strike_below_mixture_minimum_prices_at_intrinsic(self):
         # fig7's map never falls below 0.14, so a call struck at 0.12 is in
-        # the money at every level and worth its discounted forward payoff
-        low = OptionSpec(0.12, 1.0, 0.05, "call")
-        want = math.exp(-0.05) * (futures_price(MIX7, P7, 1.0, 1.2) - 0.12)
-        got = european_price(MIX7, P7, low, 0.0, 1.2)
-        assert got == pytest.approx(want, rel=QuadratureConfig().rel_tol)
+        # the money at every level and worth its discounted forward payoff,
+        # priced from the same futures series; the put is worthless
+        for strike in (0.12, 0.14):
+            low = OptionSpec(strike, 1.0, 0.05, "call")
+            want = math.exp(-0.05) * (futures_price(MIX7, P7, 1.0, 1.2) - strike)
+            assert european_price(MIX7, P7, low, 0.0, 1.2) == want
+            put = OptionSpec(strike, 1.0, 0.05, "put")
+            assert european_price(MIX7, P7, put, 0.0, 1.2) == 0.0
 
     def test_monotone_in_strike(self):
         prices = [european_price(M32, P1, OptionSpec(k, 1.0, 0.05), 0.0, 0.2)
@@ -187,6 +191,121 @@ class TestFutures:
         quad_val = futures_price(m, p, 2.0 / 12.0, 0.776, cfg)
         est = mc_futures(m, p, 2.0 / 12.0, 0.776, 10**6, 5)
         assert abs(est.z_score(quad_val)) < 3.0
+
+
+def _mpmath_futures(m, law, box=None):
+    """``E[f(Y)]`` in 40-digit arithmetic: on the whole line from Kummer's
+    function, ``(2 scale)^e Gamma(a + e) / Gamma(a) M(-e, a, -lam/2)`` with
+    ``a = df / 2``; on a ``box`` the Poisson sum of ``gammainc(a_k + e,
+    lo, hi) / Gamma(a_k)`` over 12 standard deviations of the index and its
+    first terms."""
+    import mpmath as mp
+    with mp.workdps(40):
+        hd, hn = mp.mpf(law.df) / 2, mp.mpf(law.noncentrality) / 2
+        two = 2 * mp.mpf(law.scale)
+        total = mp.mpf(0)
+        for c, e in m._power_terms[0]:
+            e = mp.mpf(e)
+            if box is None:
+                mom = mp.gamma(hd + e) / mp.gamma(hd) * mp.hyp1f1(-e, hd, -hn)
+            else:
+                lo, hi = mp.mpf(box[0]) / two, mp.mpf(box[1]) / two
+                spread = 12 * mp.sqrt(hn) + 12
+                ks = sorted(set(range(4)) | set(range(max(0, int(hn - spread)),
+                                                      int(hn + spread) + 1)))
+                mom = mp.fsum(mp.exp(k * mp.log(hn) - hn - mp.loggamma(k + 1))
+                              * mp.gammainc(hd + k + e, lo, hi) / mp.gamma(hd + k)
+                              for k in ks)
+            total += c * two ** e * mom
+        return float(total)
+
+
+FIG5_MAP = ModelSpec("mixture", terms=((0.1, 0.75),), terms_a2=((0.02, 1.0),))
+FIG5_PARAMS = CirParams(0.2, 0.1, 0.7, allow_non_feller=True)
+
+
+class TestFuturesSeries:
+    """Futures from the exact Poisson-gamma moment series."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig1_mix", "fig1_nu12", "fig2",
+                                      "fig3", "fig4", "fig7"])
+    def test_matches_mpmath(self, name):
+        cfg = load_config(name)
+        m, p = cfg.model, cfg.cir
+        cases = [(T, k) for T in (1e-4, 1e-2, 0.3, 2.0) for k in (0.5, 1.0, 2.0)]
+        if name == "fig1":
+            cases.append((1e-6, 1.0))  # noncentrality 4.8e6
+        for T, k in cases:
+            state = k * cfg.initial_state()
+            law = transition_law(p, T, factor_state(m, state))
+            got = futures_price(m, p, T, state, cfg.quadrature)
+            assert got == pytest.approx(_mpmath_futures(m, law), rel=1e-13, abs=0.0), (T, k)
+
+    @pytest.mark.parametrize("branch, horizon", [("lower", 5e-3), ("lower", 0.02),
+                                                 ("lower", 0.3), ("upper", 0.1),
+                                                 ("upper", 2.0)])
+    def test_fig5_box_matches_mpmath(self, branch, horizon):
+        # df/2 - 0.75 < 0: the level diverges at the origin, so it is the
+        # moment series on the tail_mass_cut box; its first shape has
+        # a + e < 0
+        cfg = load_config("fig5")
+        y0 = cfg.initial_factor(branch)
+        law = transition_law(cfg.cir, horizon, y0)
+        box = law.mass_bounds(cfg.quadrature.tail_mass_cut)
+        got = futures_price(cfg.model, cfg.cir, horizon, y0, cfg.quadrature)
+        assert got == pytest.approx(_mpmath_futures(cfg.model, law, box), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("branch, first_divergent", [("lower", 0.4), ("upper", None)])
+    def test_fig5_diverges_where_the_adaptive_route_did(self, branch, first_divergent):
+        # the origin probe, the exact piece on [lo / 2, lo], raises on the
+        # same horizons of 0.02-0.5 y as the adaptive probe did
+        cfg = load_config("fig5")
+        y0 = cfg.initial_factor(branch)
+        for horizon in np.round(np.arange(1, 26) * 0.02, 2):
+            diverges = first_divergent is not None and horizon >= first_divergent
+            if diverges:
+                with pytest.raises(DivergentIntegralError):
+                    futures_price(cfg.model, cfg.cir, horizon, y0, cfg.quadrature)
+            else:
+                assert futures_price(cfg.model, cfg.cir, horizon, y0, cfg.quadrature) > 0.0
+
+    @pytest.mark.parametrize("m, p, state, boxes", [(M32, P1, 0.2, 0), (MIX7, P7, 1.2, 0),
+                                                    (FIG5_MAP, FIG5_PARAMS, 0.776, 1)])
+    def test_one_walk_and_a_box_only_where_divergent(self, m, p, state, boxes, monkeypatch):
+        from vixpricer import cir
+        from vixpricer.cir import ChiSquareLaw
+        moments, quads, box_calls = [], [], []
+        for owner, name, calls in ((ChiSquareLaw, "power_moments", moments),
+                                   (ChiSquareLaw, "mass_bounds", box_calls),
+                                   (european, "adaptive_gauss_kronrod", quads)):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, fn=fn, calls=calls, **k: calls.append(1) or fn(*a, **k))
+        walks = []
+        series = cir._poisson_gamma_sum
+        monkeypatch.setattr(cir, "_poisson_gamma_sum",
+                            lambda *a, **k: walks.append(k) or series(*a, **k))
+        futures_price(m, p, 0.1, state, QuadratureConfig(tail_mass_cut=1e-5))
+        assert (len(moments), len(box_calls), len(quads)) == (1, boxes, 0)
+        assert sum(1 for k in walks if k.get("normalized")) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(df=st.floats(0.3, 40.0),
+           lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+           scale=st.floats(1e-3, 1.0),
+           family=st.sampled_from(["a1", "a2", "mixture"]),
+           falls=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.02, 0.98)),
+                          min_size=1, max_size=2),
+           rises=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 1.0)),
+                          min_size=1, max_size=2))
+    def test_random_convergent_laws_and_maps(self, df, lam, scale, family, falls, rises):
+        # every falling power p is below df/2, so the level is finite
+        falling = tuple((w, frac * df / 2) for w, frac in falls)
+        m = ModelSpec(family, terms=rises if family == "a2" else falling,
+                      terms_a2=rises if family == "mixture" else ())
+        law = ChiSquareLaw(df, lam, scale)
+        got = european._futures_on(m, law, QuadratureConfig())
+        assert got == pytest.approx(_mpmath_futures(m, law), rel=1e-13, abs=0.0)
 
 
 class TestZeroHorizonState:
