@@ -45,8 +45,8 @@ from .cir import CirParams
 from .european import (DEFAULT_CONFIG, OptionSpec, QuadratureConfig,
                        _benefit_integrand, euro_fast, factor_state, kernel_row,
                        vix_level)
-from .models import (ModelSpec, critical_levels, f_deriv, f_eval, g_eval,
-                     mixture_inverse)
+from .models import (ModelSpec, _power_sum, critical_levels, f_deriv, f_eval,
+                     g_eval, mixture_inverse)
 from .numerics import ConvergenceError, newton_bisect
 
 __all__ = [
@@ -446,8 +446,8 @@ def _premium_formula(m, p, option, tau, y0, stop, u, cuts, quad):
     weights = np.full(len(u), du)
     weights[-1] = 0.5 * du
     mass = _crossing_mass(p, y0, stop, du)
-    benefit = float(_benefit_integrand(m, p, option)(y0))
-    return euro, 0.5 * du * mass * benefit + float(row @ weights)
+    terms, const = _benefit_integrand(m, p, option)
+    return euro, 0.5 * du * mass * _power_sum(terms, y0, const) + float(row @ weights)
 
 
 def american_price(m: ModelSpec, p: CirParams, option: OptionSpec,

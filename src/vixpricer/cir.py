@@ -196,7 +196,8 @@ class ChiSquareLaw:
         ratio ``Gamma(a_k + e) / Gamma(a_k)`` (:func:`_gamma_ratio`), and a
         moment over an interval from 0 is finite iff ``df / 2 + e > 0``
         (``ValueError`` otherwise); an interval from ``c > 0`` has no such
-        bound (:func:`_truncated_moment_kernel`).
+        bound (:func:`_truncated_moment_kernel`). The powers must be finite
+        and the cuts rise strictly from 0 or above, ``inf`` only last.
 
         The walk's terms fall above the larger root ``j`` of ``j (j + df/2 -
         1) = half_nc (j + df/2 - 1 + e)`` for the largest rising power (the
@@ -207,6 +208,8 @@ class ChiSquareLaw:
         """
         powers = np.asarray(powers, dtype=float)
         cuts = np.asarray(cuts, dtype=float)
+        if not (np.isfinite(powers).all() and cuts[0] >= 0.0 and (np.diff(cuts) > 0.0).all()):
+            raise ValueError("powers must be finite and cuts must rise from 0 or above")
         half_df, half_nc = 0.5 * self.df, 0.5 * self.noncentrality
         if cuts[0] == 0.0 and not half_df + powers.min() > 0.0:
             raise ValueError("the moment diverges at the origin: df/2 + power <= 0")
@@ -362,10 +365,10 @@ def _poisson_gamma_sum(half_df, half_nc, u, kernel, falls, normalized=False):
     going down from any index at most ``r_lo``, and going up from any index
     at least ``r_hi``. The index is walked from the Poisson mode upwards,
     then downwards, in blocks of ``_BLOCK`` terms, each summed as one
-    matrix-vector product. Each direction stops by one rule: the walk is
-    past its turning index, and its edge term is at most ``_TERM_EPS`` of
-    the running sum; past an underflowed weight all terms are below the
-    double range. No Poisson-mass cut truncates the tails.
+    matrix-vector product. Each direction stops where the walk is past its
+    turning index and its edge term is at most ``_TERM_EPS`` of the running
+    sum, or at an underflowed weight, whatever the sum: past it all terms
+    are below the double range. No Poisson-mass cut truncates the tails.
 
     ``normalized`` divides the sum by the walked weights' own sum. Each
     weight is off by up to about ``half_nc`` ulps (1e-9 at ``half_nc``
@@ -387,8 +390,8 @@ def _poisson_gamma_sum(half_df, half_nc, u, kernel, falls, normalized=False):
             if normalized:
                 mass += w.sum()
             k, edge = (k_hi, -1) if up else (k_lo, 0)
-            past = (k >= r_hi if up else 0 < k <= r_lo) or w[edge] == 0.0
-            if past and (w[edge] * terms[edge] <= _TERM_EPS * total).all():
+            past = k >= r_hi if up else 0 < k <= r_lo
+            if w[edge] == 0.0 or past and (w[edge] * terms[edge] <= _TERM_EPS * total).all():
                 break
     return total / mass if normalized else total
 

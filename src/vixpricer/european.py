@@ -5,23 +5,24 @@ each power's moment is a Poisson-gamma series of the transition law
 (:meth:`~vixpricer.cir.ChiSquareLaw.power_moments`), with no support box
 and no quadrature where it converges (:func:`_futures_on`).
 
-Every other expectation is an integral of a signed integrand against the
-factor's transition density over a list of ``(lo, hi)`` factor regions. Each
-contract has two integrands: the signed payoff, integrated over the payoff
-regions of :func:`_euro_regions`, and the signed waiting benefit, integrated
-over the stopping regions of :func:`_stop_regions`. Regions are split
-exactly at payoff kinks, so no rule straddles a discontinuity, and are
-truncated at a support box holding all but ``tail_mass_cut`` of the
+Every other expectation integrates a signed power sum ``(terms, const)``
+against the factor's transition density over a list of ``(lo, hi)`` factor
+regions: the payoff over the payoff regions of :func:`_euro_regions`, the
+waiting benefit over the stopping regions of :func:`_stop_regions`. Regions
+are split exactly at payoff kinks, so no rule straddles a discontinuity,
+and are truncated at a support box holding all but ``tail_mass_cut`` of the
 probability mass. A call struck at or below a mixture map's minimum pays at
 every level and is priced from the futures series instead.
 
 Two integrators take the same regions and integrands:
 
 * the public functions use adaptive Gauss-Kronrod subdivision to the
-  configured tolerance, on the exact quantile box;
+  configured tolerance, on the exact quantile box, and check a region from
+  0 by its exact moment piece below the box (:func:`_check_origin`);
 * :func:`kernel_row` and :func:`euro_fast` use a composite Gauss-Legendre
   rule (:func:`_row_values`) on a cheap box with a tail-bound upper edge,
-  one row per horizon, panels set by each row's span. The boundary solver
+  one row per horizon, panels set by each row's span, and refuse a region
+  from 0 with a power ``df/2 + e <= 0``, which diverges. The boundary solver
   runs on this route, which the tests check against the adaptive one.
 
 State conventions: monotone families quote the state as a VIX level,
@@ -39,8 +40,8 @@ import numpy as np
 from scipy import special
 
 from .cir import CirParams, ChiSquareLaw, law_params, log_density, transition_law
-from .models import (ModelSpec, f_eval, f_deriv, g_eval, payoff_levels,
-                     waiting_benefit)
+from .models import (ModelSpec, _benefit_terms, _power_sum, f_eval, f_deriv,
+                     g_eval, payoff_levels)
 from .numerics import adaptive_gauss_kronrod, panel_nodes
 
 __all__ = [
@@ -73,9 +74,9 @@ class QuadratureConfig:
     ``rel_tol`` is the adaptive route's relative tolerance. ``tail_mass_cut``
     is the probability mass each side of the support box leaves out, for
     European prices, premium kernels and skews. Futures are exact and read
-    it only where the level diverges at the origin (a falling power ``p``
-    with ``df / 2 - p <= 0``, as on fig5): there the box is what makes the
-    level finite, a regularization rather than a truncation error.
+    it only where the level diverges at the origin (a power ``e`` with
+    ``df / 2 + e <= 0``, as on fig5): there the box, as for fig5's adaptive
+    calls, makes the expectation finite, a regularization, not an error.
     """
 
     rel_tol: float = 1e-9
@@ -156,36 +157,34 @@ def _euro_regions(m: ModelSpec, option: OptionSpec):
 def _payoff_integrand(m: ModelSpec, option: OptionSpec):
     """Signed payoff ``+-(f(y) - K)``, positive on the payoff regions."""
     sign = 1.0 if option.kind == "call" else -1.0
-    strike = option.strike
-    return lambda y: sign * (f_eval(m, y) - strike)
+    return tuple((sign * c, e) for c, e in m._power_terms[0]), -sign * option.strike
 
 
 def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
     """Signed waiting benefit: the premium kernel's integrand when stopped."""
-    sign = 1.0 if option.kind == "call" else -1.0
-    return lambda y: -sign * waiting_benefit(m, p, option.rate, option.strike, y)
+    sign, r = (-1.0 if option.kind == "call" else 1.0), option.rate
+    return tuple((sign * c, e) for c, e in _benefit_terms(m, p, r)), sign * r * option.strike
 
 
 # ---------------------------------------------------------------------------
 # adaptive integration against a transition law
 # ---------------------------------------------------------------------------
 
-def _integrate(m: ModelSpec, law: ChiSquareLaw, box, integrand, regions,
+def _integrate(law: ChiSquareLaw, box, integrand, regions,
                config: QuadratureConfig, scale_floor: float = 0.0):
     """Sum of integrals of ``integrand`` times the density over the regions,
     within the law's support ``box`` (its ``mass_bounds``).
 
-    On a map with falling terms, whose integrands can blow up at the origin,
-    regions starting at 0 get a truncation-sensitivity probe: the result
-    must not move materially (relative to the larger of the result and
-    ``scale_floor``) when the lower cutoff is halved.
+    A live region from 0 of an integrand with a negative power has its exact
+    piece on ``[lo / 2, lo]`` below the box edge ``lo`` checked by
+    :func:`_check_origin`, against the larger of the result and ``scale_floor``.
     """
+    terms, const = integrand
 
     def fn(y):
-        return integrand(y) * np.exp(law.log_pdf(y))
+        return _power_sum(terms, y, const) * np.exp(law.log_pdf(y))
 
-    total = 0.0
-    probes = []
+    total = origin = 0.0
     for a, b in regions:
         aa, bb = max(a, box[0]), min(b, box[1])
         if not bb > aa:
@@ -193,19 +192,19 @@ def _integrate(m: ModelSpec, law: ChiSquareLaw, box, integrand, regions,
         val, _ = adaptive_gauss_kronrod(fn, aa, bb, rel_tol=config.rel_tol,
                                         abs_tol=_ABS_TOL)
         total += val
-        if m.decreasing_terms and a == 0.0 and aa > 0.0:
-            probes.append(aa)
-    for aa in probes:
-        piece, _ = adaptive_gauss_kronrod(fn, 0.5 * aa, aa, rel_tol=1e-6,
-                                          abs_tol=_ABS_TOL)
-        _check_origin(piece, total, scale_floor, aa, config)
+        if a == 0.0:
+            origin = aa
+    if origin > 0.0 and min(e for _, e in terms) < 0.0:
+        coefs, powers = np.array(terms + ((const, 0.0),)).T
+        piece = float(law.power_moments(powers, (0.5 * origin, origin))[0] @ coefs)
+        _check_origin(piece, total, scale_floor, origin, config)
     return total
 
 
 def _check_origin(piece, total, scale_floor, cutoff, config):
-    """Raise :class:`DivergentIntegralError` where ``piece``, the integral
-    over ``[cutoff / 2, cutoff]``, is above 1e-2 of the larger of the result
-    ``total`` and ``scale_floor``."""
+    """Raise :class:`DivergentIntegralError` where ``piece``, the exact
+    integral over ``[cutoff / 2, cutoff]``, is above 1e-2 of the larger of
+    the result ``total`` and ``scale_floor``."""
     rel = abs(piece) / max(abs(total), scale_floor, _ABS_TOL)
     if rel > 1e-2:
         raise DivergentIntegralError(
@@ -240,7 +239,7 @@ def _european_on(m, option, tau, law, box, config) -> float:
     k_lower, k_upper, _ = payoff_levels(m, option.strike)
     if option.kind == "call" and k_lower == k_upper:
         return disc * (_futures_on(m, law, config, box) - option.strike)
-    val = _integrate(m, law, box, _payoff_integrand(m, option),
+    val = _integrate(law, box, _payoff_integrand(m, option),
                      _euro_regions(m, option), config, scale_floor=option.strike)
     return disc * max(val, 0.0)
 
@@ -254,7 +253,7 @@ def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
     3e-14 of 40-digit arithmetic on the bundled configs. ``config`` matters
     only where the level diverges at the origin: the series is then taken
     on its ``tail_mass_cut`` box, and :class:`DivergentIntegralError` is
-    raised where even that box does not settle it.
+    raised where even that box does not settle it (:func:`_check_origin`).
     """
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
@@ -272,8 +271,7 @@ def _futures_on(m, law, config, box=None) -> float:
     whole line, and nothing is truncated. Otherwise the level diverges at the
     origin, and ``tail_mass_cut`` regularizes it: the moments are taken on
     the law's ``mass_bounds(tail_mass_cut)`` (``box``, where the caller has
-    it), and the exact piece on ``[lo / 2, lo]`` is the origin probe, which
-    raises :class:`DivergentIntegralError` above 1e-2 of the result.
+    it), with the exact piece on ``[lo / 2, lo]`` for :func:`_check_origin`.
     """
     coefs, powers = np.array(m._power_terms[0]).T
     if 0.5 * law.df + powers.min() > 0.0:
@@ -318,12 +316,12 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     """
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
-    benefit = _benefit_integrand(m, p, option)
+    terms, const = benefit = _benefit_integrand(m, p, option)
     lower, upper = (float(c) for c in cuts)
     if u == 0.0:
-        return float(benefit(y0)) if y0 <= lower or y0 >= upper else 0.0
+        return _power_sum(terms, y0, const) if y0 <= lower or y0 >= upper else 0.0
     law = transition_law(p, u, y0)
-    val = _integrate(m, law, law.mass_bounds(config.tail_mass_cut), benefit,
+    val = _integrate(law, law.mass_bounds(config.tail_mass_cut), benefit,
                      _stop_regions((lower, upper)), config)
     return math.exp(-option.rate * u) * val
 
@@ -358,23 +356,28 @@ def _approx_mass_box(df, lam, scale, tail_mass):
 
 
 def _row_values(p, y0, u, regions, config, integrand):
-    """Integrate ``integrand(y)`` times the density over ``regions``, per horizon.
+    """Integrate ``integrand`` times the density over ``regions``, per horizon.
 
     ``u`` is an array of horizons; ``regions`` lists ``(lo, hi)`` factor
     bounds, scalars or arrays matching ``u``. Each live region's part of the
     cheap support box gets the ``_RULE = (n_panels, n_nodes)`` composite
     Gauss-Legendre rule, or one panel per decade of a wider part, at most
     ``2 n_panels``, batched by panel count; kernel and European rows alike.
+    A live region from 0 with a power ``df/2 + e <= 0`` raises, never on a validated model.
     """
+    terms, const = integrand
+    reach = 0.5 * p.df + min(e for _, e in terms)
     lam, scale = law_params(p, u, y0)
     box_lo, box_hi = _approx_mass_box(p.df, lam, scale, config.tail_mass_cut)
     base, n_nodes = _RULE
     total = np.zeros_like(u)
-    for lo, hi in regions:
-        lo, hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
+    for a, b in regions:
+        lo, hi = np.maximum(a, box_lo), np.minimum(b, box_hi)
         live = np.flatnonzero(hi > lo)
         if not live.size:  # absent side, or beyond every support box
             continue
+        if reach <= 0.0 and np.any(np.broadcast_to(a, u.shape)[live] == 0.0):
+            raise DivergentIntegralError(f"df/2 + power = {reach:.3g} <= 0: divergent at 0")
         lo, hi = lo[live], hi[live]
         panels = np.minimum(np.maximum(np.ceil(np.log10(hi / lo)), base), 2 * base)
         for n_panels in set(panels.tolist()):
@@ -382,7 +385,7 @@ def _row_values(p, y0, u, regions, config, integrand):
             nodes, weights = panel_nodes(lo[at], hi[at], int(n_panels), n_nodes)
             rows = live[at]
             dens = np.exp(log_density(p.df, lam[rows], scale[rows], nodes))
-            total[rows] += (integrand(nodes) * dens * weights).sum(axis=1)
+            total[rows] += (_power_sum(terms, nodes, const) * dens * weights).sum(axis=1)
     if np.isnan(total).any():
         raise ValueError("NaN in a fixed-rule integral: the log-density or "
                          "the integrand is not a number at some node")

@@ -14,7 +14,8 @@ from vixpricer.american import (SolverConfig, SolverError, _solve_step,
                                 solve_boundary, terminal_levels)
 from vixpricer.cir import CirParams
 from vixpricer.cli import bundled_config_names, load_config
-from vixpricer.european import OptionSpec, european_price, factor_state
+from vixpricer.european import (OptionSpec, QuadratureConfig, european_price,
+                                factor_state)
 from vixpricer.mc import mc_american_policy
 from vixpricer.models import AssumptionError, ModelSpec, f_eval, g_eval, x_star
 
@@ -413,6 +414,20 @@ class TestDiagnostics:
 
 
 class TestAmericanPrice:
+    @pytest.mark.xfail(strict=True, reason="the fixed rule's lower edge bounds "
+                       "mass, not the benefit's y^-2 tail (ROADMAP item 3)")
+    def test_near_edge_model_does_not_depend_on_the_tail_cut(self):
+        # fig1's map at kappa 4.1: df/2 = 2.035 just above p + 1 = 2, so the
+        # model is valid and its kernels converge, slowly; the 30-step call
+        # reads 0.3758 / 0.4490 / 0.5117 at tail cuts 1e-12 / 1e-16 / 1e-20
+        p = CirParams(2.94, 17.1, 4.1)
+        prices = []
+        for cut in (1e-12, 1e-20):
+            quad = QuadratureConfig(tail_mass_cut=cut)
+            b = solve_boundary(M32, p, CALL, SolverConfig(n_steps=30), quad)
+            prices.append(american_price(M32, p, CALL, b, 0.0, 0.2, quad))
+        assert prices[0] == pytest.approx(prices[1], rel=1e-6)
+
     def test_expiry_is_payoff(self, fig1_boundary_coarse):
         got = american_price(M32, P1, CALL, fig1_boundary_coarse, 1.0, 0.4)
         assert got == pytest.approx(0.25)

@@ -554,6 +554,28 @@ class TestPowerMoments:
                        for k in range(80))
         assert got == pytest.approx(float(want), rel=1e-13)
 
+    @pytest.mark.parametrize("powers, cuts", [
+        ([-1.0, 0.0], (2.0, 1.0)),            # falling cuts hung the walk
+        ([-1.0, 0.0], (1.0, 1.0)),
+        ([-1.0, 0.0], (-1.0, 1.0)),
+        ([-1.0, 0.0], (0.0, math.nan)),
+        ([-1.0, 0.0], (math.nan, 1.0)),
+        ([-1.0, 0.0], (0.5, math.inf, 4.0)),
+        ([math.nan, 0.0], (0.5, 1.0)),
+        ([math.inf], (0.5, 1.0)),
+    ])
+    def test_rejects_bad_powers_and_cuts(self, powers, cuts):
+        with pytest.raises(ValueError, match="powers must be finite"):
+            ChiSquareLaw(8.0, 20.0, 0.1).power_moments(powers, cuts)
+
+    def test_walk_stops_at_an_underflowed_weight_whatever_the_sum(self):
+        # a negative column never meets the relative stop test, so the walk
+        # up must end where the Poisson weights underflow
+        got = cir._poisson_gamma_sum(4.0, 10.0, np.zeros(1),
+                                     lambda shapes, u: -np.ones((shapes.shape[0], 1)),
+                                     (0.0, 0.0))
+        assert got[0] == pytest.approx(-1.0, rel=1e-13)
+
 
 MOMENT_LAW = ChiSquareLaw(df=6.5, noncentrality=4.2, scale=0.3)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vixpricer import european
 from vixpricer.american import (SolverConfig, _stop_pair, american_price,
@@ -15,7 +15,8 @@ from vixpricer.european import (DivergentIntegralError,
                                 euro_fast, european_price, factor_state,
                                 futures_price, futures_taylor, kernel_row)
 from vixpricer.mc import mc_european, mc_futures
-from vixpricer.models import (ModelSpec, f_eval, g_eval, waiting_benefit)
+from vixpricer.models import (AssumptionError, ModelSpec, _power_sum, f_eval,
+                              g_eval, validate_model_params, waiting_benefit)
 from vixpricer.numerics import panel_nodes
 
 M32 = ModelSpec("a1", terms=((1.0, 1.0),))
@@ -308,6 +309,95 @@ class TestFuturesSeries:
         assert got == pytest.approx(_mpmath_futures(m, law), rel=1e-13, abs=0.0)
 
 
+class TestOriginCheck:
+    """One origin check: the exact series piece on the adaptive route, the
+    exact divergence condition on the fixed rule."""
+
+    @pytest.mark.parametrize("branch, first_divergent", [("lower", 0.38), ("upper", None)])
+    def test_fig5_calls_raise_where_halving_the_cutoff_moves_them(self, branch,
+                                                                  first_divergent):
+        # the points where halving the cutoff moved the price by more than
+        # 1e-2: from 0.38 y at every strike on the lower branch, none above
+        cfg = load_config("fig5")
+        y0 = cfg.initial_factor(branch)
+        for strike in (0.12, 0.137, 0.16):
+            for horizon in np.round(np.arange(1, 26) * 0.02, 2):
+                option = OptionSpec(strike, horizon, cfg.contract.rate, "call")
+                if first_divergent is not None and horizon >= first_divergent:
+                    with pytest.raises(DivergentIntegralError):
+                        european_price(cfg.model, cfg.cir, option, 0.0, y0, cfg.quadrature)
+                else:
+                    assert european_price(cfg.model, cfg.cir, option, 0.0, y0,
+                                          cfg.quadrature) >= 0.0
+
+    @pytest.mark.parametrize("route", ["eep_kernel", "kernel_row"])
+    def test_non_feller_a2_put_kernel_raises(self, route):
+        # benefit power 0.5 - 1 with df/2 - 0.5 = -0.09: the truncated kernel
+        # reads -3.60 / -28.3 / -224 at tail cuts 1e-12 / 1e-16 / 1e-20
+        m = ModelSpec("a2", terms=((0.2, 0.5),))
+        p = CirParams(2.0, 0.1, 0.7, allow_non_feller=True)
+        put = OptionSpec(0.15, 1.0, 0.05, "put")
+        with pytest.raises(DivergentIntegralError):
+            if route == "eep_kernel":
+                eep_kernel(m, p, put, 0.3, 0.5, (0.4, np.inf))
+            else:
+                kernel_row(m, p, put, 0.3, np.array([0.5]), (0.4, np.inf))
+
+    def test_fixed_rule_raises_on_fig5(self):
+        # unchecked, the rule reads 47.07 and -1.18e7 here, set by the box
+        cfg = load_config("fig5")
+        y0 = 0.5 * cfg.initial_factor("lower")
+        option = OptionSpec(0.169, 0.5, cfg.contract.rate, "call")
+        with pytest.raises(DivergentIntegralError):
+            euro_fast(cfg.model, cfg.cir, option, 0.5, y0, cfg.quadrature)
+        with pytest.raises(DivergentIntegralError):
+            kernel_row(cfg.model, cfg.cir, option, y0, np.array([0.3]), (0.5 * y0, np.inf),
+                       cfg.quadrature)
+
+    @pytest.mark.parametrize("m, p, state, kind, regions, pieces", [
+        (M32, P1, 0.2, "call", 1, 1), (M32, P1, 0.2, "put", 1, 0),
+        (MIX7, P7, 1.2, "call", 2, 1), (MIX7, P7, 1.2, "put", 1, 0)])
+    def test_one_quadrature_per_live_region(self, m, p, state, kind, regions, pieces,
+                                            monkeypatch):
+        # the origin check is one exact moment piece, not a second quadrature
+        from vixpricer.cir import ChiSquareLaw
+        quads, moments = [], []
+        for owner, name, calls in ((european, "adaptive_gauss_kronrod", quads),
+                                   (ChiSquareLaw, "power_moments", moments)):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, fn=fn, calls=calls, **k: calls.append(1) or fn(*a, **k))
+        option = OptionSpec(0.15, 0.5, 0.05, kind)
+        assert european_price(m, p, option, 0.0, state) > 0.0
+        assert (len(quads), len(moments)) == (regions, pieces)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.1, 5.0), beta=st.floats(0.01, 20.0),
+           kappa=st.floats(0.1, 5.0), family=st.sampled_from(["a1", "a2", "mixture"]),
+           falls=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 3.0)),
+                          min_size=1, max_size=2),
+           rises=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.05, 1.0)),
+                          min_size=1, max_size=2))
+    def test_validation_is_convergence_at_the_origin(self, alpha, beta, kappa, family,
+                                                     falls, rises):
+        # beta + kappa^2 (s - 1) / 2 > 0 for every map term is df/2 + e > 0
+        # for every power e of the payoff and of the waiting benefit
+        m = ModelSpec(family, terms=rises if family == "a2" else falls,
+                      terms_a2=rises if family == "mixture" else ())
+        p = CirParams(alpha, beta, kappa, allow_non_feller=True)
+        assume(all(abs(0.5 * p.df + s - 1.0) > 1e-9 for _, s in m._power_terms[0]))
+        option = OptionSpec(0.15, 1.0, 0.05, "call")
+        powers = [e for terms, _ in (european._payoff_integrand(m, option),
+                                     european._benefit_integrand(m, p, option))
+                  for _, e in terms]
+        try:
+            validate_model_params(m, p)
+            valid = True
+        except AssumptionError:
+            valid = False
+        assert valid == (0.5 * p.df + min(powers) > 0.0)
+
+
 class TestZeroHorizonState:
     """At zero horizon every public quote rejects a state that is not finite
     and positive, as it does at any positive horizon."""
@@ -493,7 +583,10 @@ class TestFixedRule:
     @pytest.mark.parametrize("m,p", RULE_LAWS)
     def test_rows_within_1e8_of_their_l1_scale(self, m, p, monkeypatch):
         # horizons 1e-3 to 2 y, states 0.2-5x the long-run mean, kernel cuts
-        # 0.3-3x the state on the stop side, strikes 0.8 and 1.25x the level
+        # 0.3-3x the state on the stop side, strikes 0.8 and 1.25x the level;
+        # a row whose region from 0 meets a power with df/2 + e <= 0 diverges
+        # there and must raise, which happens exactly on the nine laws that
+        # fail validate_model_params (their values depended on the box cut)
         u = np.geomspace(1e-3, 2.0, 12)
         disc = np.exp(-0.05 * u)
         cases = []  # (discounted row's route, integrand, y0, regions)
@@ -518,14 +611,29 @@ class TestFixedRule:
                         lambda o=option, y=y0: np.array([euro_fast(m, p, o, t, y) for t in u]),
                         european._payoff_integrand(m, option), y0,
                         european._euro_regions(m, option)))
+        diverges = [regions[0][0] == 0.0 < regions[0][1]
+                    and 0.5 * p.df + min(e for _, e in terms) <= 0.0
+                    for _, (terms, _), _, regions in cases]
+        try:
+            validate_model_params(m, p)
+            assert not any(diverges)
+        except AssumptionError:
+            assert any(diverges)
+        for (route, *_), bad in zip(cases, diverges):
+            if bad:
+                with pytest.raises(DivergentIntegralError):
+                    route()
+        cases = [case for case, bad in zip(cases, diverges) if not bad]
         rows = [route() for route, *_ in cases]
         monkeypatch.setattr(european, "panel_nodes",
                             lambda lo, hi, n, k: panel_nodes(lo, hi, 2 * n, k))
-        for (route, integrand, y0, regions), row in zip(cases, rows):
-            l1 = disc * european._row_values(
-                p, y0, u, regions, QuadratureConfig(),
-                lambda y, f=integrand: np.abs(f(y)))
-            err = np.abs(row - route())
+        twice = [route() for route, *_ in cases]
+        # the L1 scale: the same rule on the integrand's absolute value
+        monkeypatch.setattr(european, "_power_sum", lambda *a: np.abs(_power_sum(*a)))
+        for (route, integrand, y0, regions), row, row2 in zip(cases, rows, twice):
+            l1 = disc * european._row_values(p, y0, u, regions, QuadratureConfig(),
+                                             integrand)
+            err = np.abs(row - row2)
             assert np.all(err <= 1e-8 * l1), (y0, regions, np.max(err / l1))
 
     @pytest.mark.parametrize("kappa", [0.5, 0.25])  # df 32 and 128
