@@ -473,7 +473,9 @@ def _upper_gamma(s, x):
                        special.exp1(x))
     e_x = np.exp(-x)
     for step in range(1, int(n.max()) + 1):
-        cur = np.where(step <= n, top - step, 1.0)  # 1.0: a row already done
+        # a row already done repeats its first step's power, negative, so
+        # that x^cur e^-x is 0, not inf * 0, at an infinite last cut
+        cur = np.where(step <= n, top - step, top - 1.0)
         val = np.where(step <= n, (val - x ** cur * e_x) / cur, val)
     return val
 

@@ -17,8 +17,10 @@ every level and is priced from the futures series instead.
 Two integrators take the same regions and integrands:
 
 * the public functions use adaptive Gauss-Kronrod subdivision to the
-  configured tolerance, on the exact quantile box, and check a region from
-  0 by its exact moment piece below the box (:func:`_check_origin`);
+  configured tolerance, log-spaced on a region from near 0, on the exact
+  quantile box, of which they compute only the edges that can clip a
+  region (:func:`_clipping_box`), and check a region from 0 by its exact
+  moment piece below the box (:func:`_check_origin`);
 * :func:`kernel_row` and :func:`euro_fast` use a composite Gauss-Legendre
   rule (:func:`_row_values`) on a cheap box with a tail-bound upper edge,
   one row per horizon, panels set by each row's span, and refuse a region
@@ -173,7 +175,9 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
 def _integrate(law: ChiSquareLaw, box, integrand, regions,
                config: QuadratureConfig, scale_floor: float = 0.0):
     """Sum of integrals of ``integrand`` times the density over the regions,
-    within the law's support ``box`` (its ``mass_bounds``).
+    within the law's support ``box`` (its ``mass_bounds``), or, where
+    ``box`` is None, within the edges of that box that can clip a live
+    region (:func:`_clipping_box`).
 
     A live region from 0 of an integrand with a negative power has its exact
     piece on ``[lo / 2, lo]`` below the box edge ``lo`` checked by
@@ -184,6 +188,9 @@ def _integrate(law: ChiSquareLaw, box, integrand, regions,
     def fn(y):
         return _power_sum(terms, y, const) * np.exp(law.log_pdf(y))
 
+    regions = [(a, b) for a, b in regions if b > a]
+    if box is None:
+        box = _clipping_box(law, regions, config.tail_mass_cut)
     total = origin = 0.0
     for a, b in regions:
         aa, bb = max(a, box[0]), min(b, box[1])
@@ -199,6 +206,26 @@ def _integrate(law: ChiSquareLaw, box, integrand, regions,
         piece = float(law.power_moments(powers, (0.5 * origin, origin))[0] @ coefs)
         _check_origin(piece, total, scale_floor, origin, config)
     return total
+
+
+def _clipping_box(law: ChiSquareLaw, regions, tail_mass):
+    """The edges of ``law.mass_bounds(tail_mass)`` that can clip one of the
+    live ``regions``, with 0 and ``inf`` in place of the others.
+
+    The lower edge ``ppf(tail_mass)`` is computed where a region starts at 0
+    or where ``cdf`` at its start is below ``tail_mass``, the upper edge
+    where a region ends at ``inf`` or where ``sf`` at its end is below
+    ``tail_mass``; an edge that is not computed lies outside every region.
+    A monotone quote's one region pays for one tail quantile and one series
+    evaluation at its strike cut, not for both quantiles.
+    """
+    lower = any(a == 0.0 or law.cdf(a) < tail_mass for a, _ in regions)
+    upper = any(b == math.inf or law.sf(b) < tail_mass for _, b in regions)
+    if lower and upper:
+        return law.mass_bounds(tail_mass)
+    # mass_bounds' upper edge is the upper-tail quantile at tail_mass itself
+    return (law.ppf(tail_mass) if lower else 0.0,
+            law._tail_quantile(-1.0, tail_mass) if upper else math.inf)
 
 
 def _check_origin(piece, total, scale_floor, cutoff, config):
@@ -218,22 +245,31 @@ def _check_origin(piece, total, scale_floor, cutoff, config):
 def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
                    t: float, state: float,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Discounted expected payoff at valuation time ``t`` and given state."""
+    """Discounted expected payoff at valuation time ``t`` and given state.
+
+    Only the edges of the law's ``mass_bounds(tail_mass_cut)`` that can
+    clip a payoff region are computed (:func:`_clipping_box`): one for a
+    monotone quote whose strike cut lies inside the box, at the price the
+    whole box gives.
+    """
     tau = option.maturity - t
     if tau < 0.0:
         raise ValueError("valuation time lies beyond maturity")
     if tau == 0.0:
         return float(option.payoff_vix(vix_level(m, state)))
     law = transition_law(p, tau, factor_state(m, state))
-    return _european_on(m, option, tau, law, law.mass_bounds(config.tail_mass_cut), config)
+    return _european_on(m, option, tau, law, None, config)
 
 
 def _european_on(m, option, tau, law, box, config) -> float:
-    """:func:`european_price` ``tau`` before maturity, on the law at maturity.
+    """:func:`european_price` ``tau`` before maturity, on the law at maturity,
+    within the support ``box``, or, for None, the edges of it that clip a
+    payoff region (:func:`_clipping_box`).
 
     A call struck at or below a mixture map's minimum is in the money at
     every level (:func:`~vixpricer.models.payoff_levels`): it is worth its
-    discounted forward payoff ``e^{-r tau} (F - K)``, from the futures series.
+    discounted forward payoff ``e^{-r tau} (F - K)``, from the futures series,
+    which takes the whole box only where the level diverges at the origin.
     """
     disc = math.exp(-option.rate * tau)
     k_lower, k_upper, _ = payoff_levels(m, option.strike)
@@ -312,7 +348,11 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     The arguments are :func:`kernel_row`'s for one elapsed time: ``y0`` is
     the factor level and ``cuts`` the ``(lower, upper)`` factor stop pair.
     ``u = 0`` is the continuity limit: minus the contract's waiting benefit
-    at ``y0``, restricted to the stopping region.
+    at ``y0``, restricted to the stopping region. As in
+    :func:`european_price`, only the box edges that can clip a stopping
+    region are computed: ``(0, lower)`` takes the lower one, ``(upper,
+    inf)`` the upper one, and either takes the other only where its cut
+    lies beyond it.
     """
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
@@ -321,8 +361,7 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     if u == 0.0:
         return _power_sum(terms, y0, const) if y0 <= lower or y0 >= upper else 0.0
     law = transition_law(p, u, y0)
-    val = _integrate(law, law.mass_bounds(config.tail_mass_cut), benefit,
-                     _stop_regions((lower, upper)), config)
+    val = _integrate(law, None, benefit, _stop_regions((lower, upper)), config)
     return math.exp(-option.rate * u) * val
 
 

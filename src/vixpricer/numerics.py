@@ -16,6 +16,7 @@ nodes at once.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -189,25 +190,52 @@ def _gk_batch(fn, a, b):
 # each, in one integrand call)
 _MAX_PASS_INTERVALS = 4096
 
+# an interval [a, b] with b > _WIDE_RATIO * a > 0 is wide: both quadrature
+# routes lay it out on log-spaced pieces. A Gauss rule on a piece converges
+# at a rate set by the piece's distance from a branch point at 0 relative to
+# its width, so a fractional power near a small left end stays resolved.
+_WIDE_RATIO = 20.0
+# the fewest pieces adaptive_gauss_kronrod seeds an interval with, and the
+# widest log-spaced one, half a decade
+_SEED_PIECES = 8
+_LOG_HALF_DECADE = 0.5 * math.log(10.0)
+
 
 def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
                            max_subdivisions=200):
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
 
-    The interval is bisected where the local Kronrod error estimate is
-    largest until the summed error meets ``max(abs_tol, rel_tol * |I|)``.
-    Callers split the domain at kinks (e.g. payoff kinks) beforehand.
+    The interval is seeded with 8 equal pieces or, where it is wide (``b >
+    20 a > 0``, ``_WIDE_RATIO``, the test of :func:`panel_nodes`), with
+    log-spaced ones, one per half decade and at least 8. A log-spaced piece
+    spans a ratio of at most ``sqrt(10)``, so it converges as fast next to a
+    branch point at 0 (a density like ``y^0.36``) as far from it, and no
+    pass bisects towards the branch point. Pieces are bisected where the
+    local Kronrod error estimate is largest until the summed error meets
+    ``max(abs_tol, rel_tol * |I|)``. Callers split the domain at kinks
+    (e.g. payoff kinks) beforehand.
     ``ConvergenceError`` is raised after ``max_subdivisions`` passes, or
     when a pass would evaluate more than ``_MAX_PASS_INTERVALS`` new
     intervals, as the count can double on every pass.
 
-    Returns ``(value, error_estimate)``.
+    Returns ``(value, error_estimate)``; ``ValueError`` for an infinite
+    interval.
     """
     if not b > a:
         return 0.0, 0.0
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval [{a}, {b}] is not finite")
     # seed the interval with several segments so narrow features register in
-    # the error estimate before any refinement decision is taken
-    edges = np.linspace(a, b, 9)
+    # the error estimate before any refinement decision is taken (the edges
+    # of np.linspace and, on a wide interval, np.geomspace, at a fraction of
+    # their call overhead)
+    if a > 0.0 and b > _WIDE_RATIO * a:  # a log-spaced piece per half decade
+        log_a, log_b = math.log(a), math.log(b)
+        n = max(_SEED_PIECES, math.ceil((log_b - log_a) / _LOG_HALF_DECADE))
+        edges = np.exp(np.arange(n + 1.0) * ((log_b - log_a) / n) + log_a)
+    else:
+        edges = np.arange(_SEED_PIECES + 1.0) * ((b - a) / _SEED_PIECES) + a
+    edges[0], edges[-1] = a, b
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_batch(fn, lo, hi)
     for _ in range(max_subdivisions):
@@ -261,17 +289,16 @@ def panel_nodes(lo, hi, n_panels, n_nodes):
     """Composite Gauss-Legendre nodes/weights on each [lo_i, hi_i].
 
     ``lo`` and ``hi`` are arrays of interval endpoints; empty intervals
-    (hi <= lo) produce zero weights. Intervals with ``hi > 20 lo > 0``
-    switch to log-spaced panels: a Gauss panel converges at a rate set by
-    its distance from a branch point at 0, so fractional-power behavior near
-    a small left endpoint stays resolved. Returns ``(nodes, weights)`` with
+    (hi <= lo) produce zero weights. Wide intervals, ``hi > 20 lo > 0``
+    (``_WIDE_RATIO``), switch to log-spaced panels, as
+    :func:`adaptive_gauss_kronrod` seeds them. Returns ``(nodes, weights)`` with
     shape ``(len(lo), n_panels * n_nodes)``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     base, wts = _panel_rule(n_panels, n_nodes)
     # [0, 1] maps onto a wide interval exponentially, onto the others linearly
-    wide = (lo > 0.0) & (hi > 20.0 * lo)
+    wide = (lo > 0.0) & (hi > _WIDE_RATIO * lo)
     ratio = np.log(np.where(wide, hi, 1.0) / np.where(wide, lo, 1.0))[..., None]
     span = np.where(wide, 0.0, np.maximum(hi - lo, 0.0))[..., None]
     nodes = lo[..., None] * np.exp(ratio * base) + span * base

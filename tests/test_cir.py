@@ -554,6 +554,20 @@ class TestPowerMoments:
                        for k in range(80))
         assert got == pytest.approx(float(want), rel=1e-13)
 
+    def test_divergent_power_to_an_infinite_cut_does_not_warn(self):
+        # rows already stepped down were multiplied out as inf * 0 at x = inf
+        import mpmath as mp
+        law = ChiSquareLaw(0.816, 37.0, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = law.power_moments([-2.2], (1e-3, math.inf))[0, 0]
+        with mp.workdps(40):
+            hd, hn, two = mp.mpf(0.816) / 2, mp.mpf(18.5), 2 * mp.mpf(0.02)
+            want = sum(mp.exp(-hn) * hn ** k / mp.factorial(k)
+                       * mp.gammainc(hd + k - 2.2, 1e-3 / two, mp.inf) / mp.gamma(hd + k)
+                       for k in range(120)) * two ** mp.mpf(-2.2)
+        assert got == pytest.approx(float(want), rel=1e-13)
+
     @pytest.mark.parametrize("powers, cuts", [
         ([-1.0, 0.0], (2.0, 1.0)),            # falling cuts hung the walk
         ([-1.0, 0.0], (1.0, 1.0)),

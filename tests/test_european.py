@@ -8,7 +8,7 @@ from vixpricer import european
 from vixpricer.american import (SolverConfig, _stop_pair, american_price,
                                 solve_boundary)
 from vixpricer.cir import ChiSquareLaw, CirParams, transition_law
-from vixpricer.cli import cmd_price, load_config
+from vixpricer.cli import bundled_config_names, cmd_price, load_config
 from vixpricer.european import (DivergentIntegralError,
                                 OptionSpec, QuadratureConfig,
                                 _approx_mass_box, eep_kernel,
@@ -396,6 +396,96 @@ class TestOriginCheck:
         except AssumptionError:
             valid = False
         assert valid == (0.5 * p.df + min(powers) > 0.0)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the DivergentIntegralError it raises."""
+    try:
+        return fn(*args)
+    except DivergentIntegralError as exc:
+        return type(exc)
+
+
+class TestClippingBox:
+    """European prices and premium kernels compute only the edges of the
+    support box that can clip a live region, each the number mass_bounds
+    returns, so they match the whole box bit for bit."""
+
+    MATURITIES = (0.05, 0.25, 1.0)
+
+    @staticmethod
+    def _strikes(cfg, law):
+        # cuts at three quantiles, one below the box's lower edge (its other
+        # region then needs both edges), and a forward-priced fig5 call
+        lo = law.ppf(cfg.quadrature.tail_mass_cut)
+        levels = [law.ppf(q) for q in (0.05, 0.5, 0.95)] + [0.5 * lo]
+        strikes = [float(f_eval(cfg.model, y)) for y in levels]
+        return strikes + [0.09] if cfg.model == FIG5_MAP else strikes
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_european_price_matches_the_whole_box(self, name):
+        cfg = load_config(name)
+        m, p, quad, state = cfg.model, cfg.cir, cfg.quadrature, cfg.initial_state()
+        for T in self.MATURITIES:
+            law = transition_law(p, T, factor_state(m, state))
+            box = law.mass_bounds(quad.tail_mass_cut)
+            for strike in self._strikes(cfg, law):
+                for kind in ("call", "put"):
+                    option = OptionSpec(strike, T, cfg.contract.rate, kind)
+                    got = _outcome(european_price, m, p, option, 0.0, state, quad)
+                    want = _outcome(european._european_on, m, option, T, law, box, quad)
+                    assert got == want, (T, strike, kind)
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_eep_kernel_matches_the_whole_box(self, name):
+        cfg = load_config(name)
+        m, p, quad = cfg.model, cfg.cir, cfg.quadrature
+        y0 = factor_state(m, cfg.initial_state())
+        for kind in ("call", "put"):
+            option = OptionSpec(cfg.contract.strike, 1.0, cfg.contract.rate, kind)
+            benefit = european._benefit_integrand(m, p, option)
+            for u in self.MATURITIES:
+                law = transition_law(p, u, y0)
+                box = law.mass_bounds(quad.tail_mass_cut)
+                q05, q95, below = law.ppf(0.05), law.ppf(0.95), 0.5 * box[0]
+                for cuts in ((q05, np.inf), (0.0, q95), (q05, q95), (below, np.inf),
+                             (0.0, below)):
+                    got = _outcome(eep_kernel, m, p, option, y0, u, cuts, quad)
+                    want = _outcome(lambda: math.exp(-option.rate * u) * european._integrate(
+                        law, box, benefit, european._stop_regions(cuts), quad))
+                    assert got == want, (kind, u, cuts)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig1_nu12", "fig2", "fig3", "fig4"])
+    def test_one_tail_quantile_per_monotone_quote(self, name, monkeypatch):
+        # mass_bounds takes two; a region past the box's lower edge takes both
+        quantiles = []
+        tail_quantile = ChiSquareLaw._tail_quantile
+        monkeypatch.setattr(ChiSquareLaw, "_tail_quantile",
+                            lambda law, *a: quantiles.append(a) or tail_quantile(law, *a))
+        cfg = load_config(name)
+        m, p, quad, state = cfg.model, cfg.cir, cfg.quadrature, cfg.initial_state()
+        law = transition_law(p, 0.25, factor_state(m, state))
+        counts = {}
+        for strike in self._strikes(cfg, law):
+            for kind in ("call", "put"):
+                quantiles.clear()
+                european_price(m, p, OptionSpec(strike, 0.25, 0.05, kind), 0.0, state, quad)
+                counts[strike, kind] = len(quantiles)
+        *inside, beyond = self._strikes(cfg, law)
+        assert all(counts[k, kind] == 1 for k in inside for kind in ("call", "put"))
+        # the region from 0 ends below the box and is empty; the other
+        # starts below it and runs to inf
+        assert sorted(counts[beyond, kind] for kind in ("call", "put")) == [1, 2]
+
+    def test_mixture_put_inside_the_box_takes_no_quantile(self, monkeypatch):
+        quantiles = []
+        tail_quantile = ChiSquareLaw._tail_quantile
+        monkeypatch.setattr(ChiSquareLaw, "_tail_quantile",
+                            lambda law, *a: quantiles.append(a) or tail_quantile(law, *a))
+        for kind, count in (("put", 0), ("call", 2)):
+            quantiles.clear()
+            european_price(MIX7, P7, OptionSpec(0.15, 0.5, 0.05, kind), 0.0, 1.2)
+            assert len(quantiles) == count, kind
 
 
 class TestZeroHorizonState:

@@ -5,6 +5,11 @@ import pytest
 from scipy import integrate
 
 from vixpricer import numerics
+from vixpricer.cir import transition_law
+from vixpricer.cli import load_config
+from vixpricer.european import (OptionSpec, _euro_regions, _payoff_integrand,
+                                factor_state)
+from vixpricer.models import _power_sum
 from vixpricer.numerics import (ConvergenceError, adaptive_gauss_kronrod,
                                 bracket_downcrossing, newton_bisect,
                                 panel_nodes)
@@ -149,6 +154,12 @@ def test_adaptive_empty_interval():
     assert adaptive_gauss_kronrod(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, math.inf), (-math.inf, 0.0)])
+def test_adaptive_rejects_an_infinite_interval(a, b):
+    with pytest.raises(ValueError, match="not finite"):
+        adaptive_gauss_kronrod(lambda x: np.exp(-np.abs(x)), a, b)
+
+
 def test_panel_rule_accuracy_and_empty_intervals():
     nodes, weights = panel_nodes(np.array([0.0]), np.array([2.0]), 8, 12)
     got = float(np.dot(np.cos(nodes[0]), weights[0]))
@@ -157,3 +168,71 @@ def test_panel_rule_accuracy_and_empty_intervals():
                                  4, 6)
     assert weights[1].sum() == 0.0
     assert weights[0].sum() == pytest.approx(1.0)
+
+
+def _recorded_passes(monkeypatch):
+    """List that gets each ``_gk_batch`` pass's pieces ``(lo, hi)``."""
+    passes = []
+    batch = numerics._gk_batch
+    monkeypatch.setattr(numerics, "_gk_batch",
+                        lambda fn, lo, hi: passes.append((lo, hi)) or batch(fn, lo, hi))
+    return passes
+
+
+def test_wide_seed_resolves_a_branch_point_at_zero(monkeypatch):
+    # equal seed pieces bisect towards 0 for 30 passes; log-spaced ones,
+    # one per half decade, converge in 2
+    passes = _recorded_passes(monkeypatch)
+    got, _ = adaptive_gauss_kronrod(lambda x: x ** -0.64, 1e-10, 1.0)
+    want = (1.0 - 1e-10 ** 0.36) / 0.36
+    assert len(passes) <= 3 and passes[0][0].size == 20
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("maturity", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("strike", [0.12, 0.2, 0.3])
+def test_wide_seed_on_a_fig2_put_region(monkeypatch, maturity, strike):
+    # fig2's density behaves like y^0.36 near 0; the put region runs from
+    # the box edge, about 1e-9, to the strike cut and took 17-19 passes on
+    # equal seed pieces. The reference is the exact moment series there.
+    cfg = load_config("fig2")
+    m, option = cfg.model, OptionSpec(strike, maturity, 0.05, "put")
+    law = transition_law(cfg.cir, maturity, factor_state(m, 0.2))
+    lo = law.ppf(cfg.quadrature.tail_mass_cut)
+    (start, end), = _euro_regions(m, option)
+    assert start == 0.0 and end > 20.0 * lo
+    terms, const = _payoff_integrand(m, option)
+    passes = _recorded_passes(monkeypatch)
+    got, _ = adaptive_gauss_kronrod(
+        lambda y: _power_sum(terms, y, const) * np.exp(law.log_pdf(y)), lo, end)
+    coefs, powers = np.array(terms + ((const, 0.0),)).T
+    want = float(law.power_moments(powers, (lo, end))[0] @ coefs)
+    assert len(passes) <= 3
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 12.0), (1.0, 20.0), (-3.0, 5.0), (2.0, 2.5)])
+def test_narrow_intervals_keep_equal_seed_pieces(monkeypatch, a, b):
+    # b <= 20 a or a <= 0: the seed is the 8 equal pieces it always was, and
+    # the passes after it are unchanged, so the result is too
+    passes = _recorded_passes(monkeypatch)
+    fn = lambda x: np.exp(-0.1 * x) * np.sin(7.0 * x) / (1.0 + x ** 2)
+    adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-11)
+    edges = np.linspace(a, b, 9)
+    np.testing.assert_array_equal(passes[0][0], edges[:-1])
+    np.testing.assert_array_equal(passes[0][1], edges[1:])
+
+
+@pytest.mark.parametrize("b, wide", [(20.0, False), (20.000001, True), (1e6, True)])
+def test_wide_threshold_is_shared_with_the_fixed_rule(monkeypatch, b, wide):
+    # panel_nodes lays out log-spaced panels on exactly the intervals that
+    # adaptive_gauss_kronrod seeds with log-spaced pieces, at least 8 of them
+    passes = _recorded_passes(monkeypatch)
+    adaptive_gauss_kronrod(lambda x: 1.0 / x, 1.0, b)
+    lo, hi = passes[0]
+    edges = np.geomspace(1.0, b, max(8, math.ceil(2.0 * math.log10(b))) + 1) if wide \
+        else np.linspace(1.0, b, 9)
+    np.testing.assert_allclose(np.append(lo, hi[-1]), edges, rtol=1e-13)
+    assert (lo[0], hi[-1]) == (1.0, b)
+    nodes, _ = panel_nodes(np.array([1.0]), np.array([b]), 4, 6)
+    assert (nodes[0, 5] < 0.9 * np.linspace(1.0, b, 5)[1]) == wide
