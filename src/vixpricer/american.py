@@ -18,12 +18,16 @@ monotone family's pair lacks one side (0 below, inf above), a mixture's may.
 Each scalar equation is a fixed point ``y = update(y)`` of value matching on
 one side, solved by secant steps (:func:`_solve_step`) that start from the
 polynomial in ``sqrt(T - t)``, the variable the boundary moves in near
-expiry, through up to four later solved levels, and carry the slope of
-``update`` from one grid time to the next. A step stops on an estimate of
-its distance from the fixed point, not on the residual; scaled by the map's
-slope, ``inner_tol`` bounds each level's estimated distance, in VIX units,
-from the fixed point of its own equation; the errors of the later levels it
-reads carry into it, so the tests hold whole curves to ``2 * inner_tol``.
+expiry, through three to six later solved levels, the order that best
+predicted the nearest of them (:func:`_root_tau_start`), and carry the slope
+of ``update`` from one grid time to the next. A step stops on an estimate of
+its distance from the fixed point, not on the residual, and returns the root
+of its secant model, which lies far nearer the fixed point than that
+estimate. Scaled by the map's slope, ``inner_tol`` bounds each level's
+estimated distance, in VIX units, from the fixed point of its own equation;
+the errors of the later levels it reads carry into it, so the tests hold
+whole curves to ``2 * inner_tol`` on any grid, and the benchmark's curves
+at 30 and 100 steps to ``inner_tol / 4``.
 
 A solve reports a monotone family's VIX curve or the mixture's factor pair,
 with the stop pair of those curves (:func:`_stop_pair` maps VIX levels):
@@ -99,9 +103,13 @@ class Boundary:
     ``monotonicity_clips``, the isotonic projection's ``(time, adjustment)``
     pairs, in factor levels; and, as ``(2, n+1)`` rows for the lower and
     upper cut, ``inner_updates``, the value-matching ``update`` calls per
-    grid time, and ``inner_error``, the final error estimate of each solved
-    level in VIX units (at most ``inner_tol``). Both are 0 where no step was
-    solved: the terminal time and an absent side.
+    grid time, and ``inner_error``, the error estimate each solved level
+    stopped on, in VIX units (at most ``inner_tol``): the estimated distance
+    of the last ``update`` value from the fixed point of the level's
+    equation, which bounds the returned secant root's distance too while
+    the secant slope is near the slope at the fixed point
+    (:func:`_solve_step`). Both are 0 where no step was solved: the
+    terminal time and an absent side.
     """
 
     times: np.ndarray
@@ -175,10 +183,14 @@ def _solve_step(update, x0, tol, slope=None):
     ``slope``, the previous solve's last slope; with none known the step is
     the plain fixed-point step. A residual bracket is tracked along the way.
 
-    ``update(x)`` lies about ``|r s / (1 - s)|`` from the fixed point, and
-    the solve returns it once that estimate is at most ``tol``. With no
-    slope known only a zero residual stops, and ``s == 1`` never does. If a
-    step would leave the bracket, or ``_MAX_INNER_ITERS`` steps pass, the
+    ``update(x)`` lies about ``|r s / (1 - s)|`` from the fixed point; once
+    that estimate is at most ``tol`` the solve returns the secant's root
+    ``x + r / (1 - s)`` (``update(x)`` should the root not be positive)
+    with the estimate as its error. With ``s*`` the slope at the fixed point,
+    the root lies ``|s* - s| / |s (1 - s*)|`` times the estimate from it,
+    within the estimate whenever ``|s* - s| < |s| (1 - s*)``. With no slope
+    known only a zero residual stops, and ``s == 1`` never does. If a step
+    would leave the bracket, or ``_MAX_INNER_ITERS`` steps pass, the
     bracket's ends and residuals go to
     :func:`~vixpricer.numerics.newton_bisect`, whose final bracket width is
     the error. Returns ``(level, slope, error)``: the solved level, the last
@@ -198,9 +210,9 @@ def _solve_step(update, x0, tol, slope=None):
         cand = x + resid
         if slope is not None and slope != 1.0:
             error = abs(resid * slope / (1.0 - slope))
-            if error <= tol:
-                return fx, slope, error
             sec = x + resid / (1.0 - slope)  # the secant's (or chord's) root
+            if error <= tol:
+                return (sec if sec > 0.0 else fx), slope, error
             if np.isfinite(sec) and sec > 0.0:
                 cand = sec
         point = (x, resid)
@@ -292,8 +304,10 @@ def _is_active(level):
     return 0.0 < level < math.inf
 
 
-# later solved levels through which each sweep step's start is extrapolated
-_PREDICTOR_POINTS = 4
+# most later solved levels through which a sweep step's start is extrapolated,
+# and the fewest once more than that many are solved (:func:`_root_tau_start`)
+_PREDICTOR_POINTS = 6
+_PREDICTOR_MIN = 3
 
 
 def _extrapolate(x, xs, ys):
@@ -309,6 +323,22 @@ def _extrapolate(x, xs, ys):
     return total
 
 
+def _root_tau_start(x, xs, ys):
+    """Start of a sweep step at ``x``, ``sqrt(T - t)``, from its side's later
+    solved levels ``ys`` at ``xs``, nearest first.
+
+    The polynomial through the nearest ``q`` levels, for the ``q`` from
+    ``_PREDICTOR_MIN`` to ``_PREDICTOR_POINTS`` whose polynomial through the
+    ``q`` levels after the nearest one lands closest to that nearest level
+    (the lowest such ``q`` on a tie); through all of them while three or
+    fewer are solved. ``nan`` with none.
+    """
+    orders = range(_PREDICTOR_MIN, min(_PREDICTOR_POINTS, len(xs) - 1) + 1)
+    q = min(orders, default=len(xs), key=lambda q: abs(
+        _extrapolate(xs[0], xs[1:q + 1], ys[1:q + 1]) - ys[0]))
+    return _extrapolate(x, xs[:q], ys[:q])
+
+
 def _sweep(m, p, option, times, terminal, cfg, quad):
     """Solve the stop pair at every grid time before expiry, backwards from
     the ``terminal`` pair at the last time: ``(cuts, updates, errors)``.
@@ -320,9 +350,9 @@ def _sweep(m, p, option, times, terminal, cfg, quad):
     side takes back to ``update(y)``. The zero-time node reads the later
     step's pair with the side moved to ``y``, where it weighs exactly 1/2.
     Each solve starts from the polynomial in ``sqrt(T - t)`` through the
-    side's later levels solved here, up to ``_PREDICTOR_POINTS`` of them and
-    never the terminal value, from the later level when none was solved or
-    the guess is not positive, and inherits the side's last secant slope. Its
+    side's later levels solved here (:func:`_root_tau_start`), never the
+    terminal value, from the later level when none was solved or the guess
+    is not positive, and inherits the side's last secant slope. Its
     tolerance is ``inner_tol / |f'|`` at the later level. The three
     ``(2, n+1)`` arrays returned are the raw (unprojected) cuts, the
     ``update`` calls and each solved level's final error estimate in VIX
@@ -364,8 +394,9 @@ def _sweep(m, p, option, times, terminal, cfg, quad):
 
             later = cuts[k, i + 1]
             map_slope = abs(float(f_deriv(m, later, 1)))
-            solved = slice(i + 1, min(i + 1 + _PREDICTOR_POINTS, n_last))
-            y0 = _extrapolate(root_tau[i], root_tau[solved], cuts[k, solved])
+            solved = slice(i + 1, min(i + 2 + _PREDICTOR_POINTS, n_last))
+            y0 = _root_tau_start(root_tau[i], root_tau[solved].tolist(),
+                                 cuts[k, solved].tolist())
             if not y0 > 0.0:
                 y0 = later
             try:

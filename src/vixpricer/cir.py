@@ -530,20 +530,24 @@ def _log_ive(nu, z):
     with np.errstate(invalid="ignore"):  # non-finite z, handled below
         j = (e * _PANELS + s).astype(np.intp)
     j -= (_OCTAVES[0] + 1) * _PANELS
-    c = coefs.take(j, axis=1, mode="clip")
+    row = np.empty_like(x)  # one coefficient of every abscissa's panel
+
+    def coef(k):
+        return coefs[k].take(j, mode="clip", out=row)
+
     x2 = x + x
-    b2 = c[_DEGREE]
+    b2 = coefs[_DEGREE].take(j, mode="clip")
     b1 = x2 * b2
-    b1 += c[_DEGREE - 1]
-    out = c[_DEGREE - 1]  # spent row, reused as the third buffer
+    b1 += coef(_DEGREE - 1)
+    out = np.empty_like(x)
     for k in range(_DEGREE - 2, 0, -1):
         np.multiply(x2, b1, out=out)
         out -= b2
-        out += c[k]
+        out += coef(k)
         b1, b2, out = out, b1, b2
     np.multiply(x, b1, out=out)
     out -= b2
-    out += c[0]
+    out += coef(0)
     if not (z.min(initial=z_min) >= z_min and z.max(initial=0.0) < _Z_MAX):
         large = z >= _Z_HANKEL
         exact = ~((z >= z_min) & (z < _Z_MAX) | large)

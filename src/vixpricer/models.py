@@ -161,19 +161,49 @@ def f_deriv(m: ModelSpec, y, order: int = 1):
     """Derivative of the VIX map, orders 0 through 4."""
     if order not in (0, 1, 2, 3, 4):
         raise ValueError(f"unsupported derivative order {order}")
-    if np.any(np.asarray(y, dtype=float) <= 0.0):
+    if (y <= 0.0 if isinstance(y, float)
+            else np.any(np.asarray(y, dtype=float) <= 0.0)):
         raise ValueError("factor level must be strictly positive")
     return _power_sum(m._power_terms[order], y)
 
 
+# powers that ``ndarray ** e`` takes by an exact ufunc instead of ``np.power``
+# (reciprocal, square root, square), and the trivial 0 and 1, each written
+# here as the same exact operation on a float
+_EXACT_POWERS = {0.0: lambda y: 1.0, 1.0: lambda y: y, -1.0: lambda y: 1.0 / y,
+                 0.5: math.sqrt, 2.0: lambda y: y * y}
+
+
 def _power_sum(pairs, y, const=0.0):
-    """``const + sum c * y**e`` over ``(c, e)`` pairs; zero coefficients drop out."""
+    """``const + sum c * y**e`` over ``(c, e)`` pairs; zero coefficients drop out.
+
+    A positive finite float is summed in plain floats, its other powers from
+    one ``np.power`` call, which rounds them as the array path's does: both
+    paths agree bit for bit.
+    """
+    if isinstance(y, float) and 0.0 < y < math.inf:
+        y = float(y)  # a NumPy scalar's arithmetic is slower
+        kept, powers = _float_plan(pairs)
+        rest = iter(np.power(y, powers).tolist()) if powers.size else None
+        out = const
+        for c, exact in kept:
+            out = out + c * (exact(y) if exact else next(rest))
+        return float(out)
     y_arr = np.asarray(y, dtype=float)
     out = np.full_like(y_arr, const)
     for c, e in pairs:
         if c != 0.0:
             out = out + c * y_arr ** e
     return out if isinstance(y, np.ndarray) else float(out)
+
+
+@lru_cache(maxsize=256)
+def _float_plan(pairs):
+    """A power sum's nonzero terms as ``(c, exact power or None)``, and as
+    an array the powers ``np.power`` evaluates."""
+    kept = [(c, e) for c, e in pairs if c != 0.0]
+    return (tuple((c, _EXACT_POWERS.get(e)) for c, e in kept),
+            np.array([e for _, e in kept if e not in _EXACT_POWERS]))
 
 
 def _derivative(pairs, k):

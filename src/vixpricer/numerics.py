@@ -52,7 +52,7 @@ def bracket_downcrossing(fn, start, grow=2.0, max_steps=None):
     fn(hi)``; ``fn`` runs once per new point.
     """
     x0, f0 = start
-    if not np.isfinite(f0) and not np.isneginf(f0):
+    if not f0 < math.inf:  # NaN or +inf; -inf is a sign
         raise ValueError(f"objective not evaluable at starting point {x0}")
     steps = 0
     if f0 > 0.0:
@@ -98,7 +98,7 @@ def newton_bisect(fn, lo, hi, rel_tol=1e-12, abs_tol=0.0):
         return lo
     if f_hi == 0.0:
         return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if _same_sign(f_lo, f_hi):
         raise ValueError("root is not bracketed")
     w_lo, w_hi = f_lo, f_hi  # the ends' false-position weights
     moved = None  # the end the last step replaced
@@ -108,7 +108,7 @@ def newton_bisect(fn, lo, hi, rel_tol=1e-12, abs_tol=0.0):
         f_x = fn(x)
         if f_x == 0.0:
             return x
-        if np.sign(f_x) == np.sign(f_lo):
+        if _same_sign(f_x, f_lo):
             w_hi *= _kept_weight(f_x, f_lo, moved == "lo")
             lo, f_lo, w_lo, moved = x, f_x, f_x, "lo"
         else:
@@ -127,6 +127,11 @@ def newton_bisect(fn, lo, hi, rel_tol=1e-12, abs_tol=0.0):
         if hi - lo <= rel_tol * abs(x) + abs_tol:
             return lo if abs(f_lo) < abs(f_hi) else hi
     raise ConvergenceError("newton_bisect did not converge")
+
+
+def _same_sign(a, b):
+    """Whether two nonzero values share a sign (never with a NaN)."""
+    return a > 0.0 and b > 0.0 or a < 0.0 and b < 0.0
 
 
 def _kept_weight(f_x, f_replaced, again):

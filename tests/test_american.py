@@ -112,17 +112,17 @@ class TestBoundaryShape:
             solve_boundary(MIX7, P7, PUT, SolverConfig(n_steps=10))
 
     @pytest.mark.parametrize("m,p,option,want", [
-        (M32, P1, CALL, (0.36866109383928347, 0.3320719869429516)),
-        (M32, P1, PUT, (0.10913912181214853, 0.11393404260726897)),
-        (M12, P2, CALL, (0.5665809144729562, 0.49422178893663615)),
-        (MIX7, P7, CALL, (0.27734327200750386, 0.3177123527100375,
-                          3.216331892206299, 2.9612825794747106)),
+        (M32, P1, CALL, (0.3686610939849542, 0.3320719869418082)),
+        (M32, P1, PUT, (0.10913912188325235, 0.11393404258602001)),
+        (M12, P2, CALL, (0.5665809136732544, 0.4942217889457924)),
+        (MIX7, P7, CALL, (0.27734327197884384, 0.31771235270486364,
+                          3.2163318916352006, 2.961282579465914)),
     ])
     def test_pinned_values(self, m, p, option, want):
         # b(0) and b(T/2) at 30 steps (VIX levels of a monotone curve, factor
-        # levels of the pair), each within 8.0e-10 of the solve at
-        # inner_tol=1e-12 (fig2; fig1 1.6e-10, the put 2.5e-11, the pair
-        # 5.8e-10 in factor levels and 3.7e-11 in VIX); guards refactors of
+        # levels of the pair), each within 5.0e-11 of the solve at
+        # inner_tol=1e-12 (the put; fig1 9.1e-12, fig2 2.2e-16, the pair
+        # 7.5e-12 in factor levels and 3.0e-12 in VIX); guards refactors of
         # the sweep against drift far below the discretization error
         b = solve_boundary(m, p, option, SolverConfig(n_steps=30))
         got = [b.values[0], b.values[15]]
@@ -148,6 +148,29 @@ class TestBoundaryShape:
                         got, want = f_eval(m, got), f_eval(m, want)
                     np.testing.assert_allclose(got, want, rtol=0.0,
                                                atol=2 * cfg.inner_tol,
+                                               err_msg=f"{n_steps} steps")
+
+    @pytest.mark.parametrize("name,kind", [
+        ("fig1", "call"), ("fig2", "call"), ("fig1", "put"), ("fig7", "call")])
+    def test_secant_roots_keep_curves_within_a_quarter_inner_tol(self, name, kind):
+        # a step returns the root of its secant model, far nearer the fixed
+        # point than the error estimate that stops it: the benchmark's
+        # curves at 30 and 100 steps stay within inner_tol / 4 VIX of the
+        # inner_tol=1e-13 solve (at most 1.2e-10 at inner_tol 1e-9)
+        cfg = load_config(name)
+        option = dataclasses.replace(cfg.contract, kind=kind)
+        for n_steps in (30, 100):
+            solver = SolverConfig(n_steps=n_steps)
+            b, tight = (solve_boundary(cfg.model, cfg.cir, option, c,
+                                       cfg.quadrature)
+                        for c in (solver, dataclasses.replace(solver,
+                                                              inner_tol=1e-13)))
+            for got, want in ((b.values, tight.values), (b.upper, tight.upper)):
+                if got is not None:
+                    if b.is_pair:
+                        got, want = f_eval(cfg.model, got), f_eval(cfg.model, want)
+                    np.testing.assert_allclose(got, want, rtol=0.0,
+                                               atol=0.25 * solver.inner_tol,
                                                err_msg=f"{n_steps} steps")
 
     @pytest.mark.parametrize("m,p,option", [
@@ -257,7 +280,10 @@ class TestSolveStep:
 
         got, _, error = _solve_step(update, 2.0 - 1e-12, 1e-9, slope=0.95)
         assert len(calls) == 1
-        assert abs(got - 2.0) == pytest.approx(error, rel=1e-3)
+        # the secant's root with the exact slope is the fixed point 2, up to
+        # rounding; the error estimate, update(x)'s distance, bounds it
+        assert abs(got - 2.0) <= 1e-15
+        assert error >= abs(got - 2.0)
 
     def test_no_bracket_is_a_solver_error(self, monkeypatch):
         monkeypatch.setattr(american, "_MAX_INNER_ITERS", 1)
@@ -339,6 +365,25 @@ class TestExtrapolate:
         assert american._extrapolate(0.5, [1.0, 2.0], [2.0, 4.0]) == 1.0
         assert math.isnan(american._extrapolate(0.5, [], []))
 
+    def test_start_takes_the_order_that_predicted_the_last_level(self):
+        xs = [0.1 * k for k in range(1, 8)]
+        quadratic = lambda s: 0.3 - 0.2 * s + 0.5 * s**2
+        quintic = lambda s: quadratic(s) - 3.0 * s**3 + 7.0 * s**4 - 9.0 * s**5
+        # levels on a quadratic but the farthest: the cubic predicts the
+        # nearest level exactly, the orders reading the stray one do not
+        ys = [quadratic(s) for s in xs]
+        ys[-1] += 1e-3
+        start = american._root_tau_start(0.0, xs, ys)
+        assert start == pytest.approx(quadratic(0.0), rel=1e-12)
+        # levels on a quintic: only the order-6 polynomial predicts them
+        ys = [quintic(s) for s in xs]
+        start = american._root_tau_start(0.0, xs, ys)
+        assert start == pytest.approx(quintic(0.0), rel=1e-10)
+        # with three levels or fewer no order can be compared: all are read
+        assert american._root_tau_start(0.0, xs[:3], ys[:3]) == \
+            american._extrapolate(0.0, xs[:3], ys[:3])
+        assert math.isnan(american._root_tau_start(0.0, [], []))
+
 
 class TestDiagnostics:
     def test_monotonicity_clips_report_planted_violations(self, monkeypatch):
@@ -391,15 +436,17 @@ class TestDiagnostics:
         ("fig1", "call"), ("fig2", "call"), ("fig1", "put"), ("fig7", "call")])
     def test_root_tau_start_keeps_fine_steps_cheap(self, name, kind):
         # each step starts from the polynomial in sqrt(T - t) through its
-        # side's later solved levels; at 100 steps that takes at most 2.5
+        # side's later solved levels, secant roots, of the order that best
+        # predicted the last of them; at 100 steps that takes at most 2.0
         # updates per solved side-step (2.82-3.36 from the linear start in
-        # t, 2.08-2.34 from this one)
+        # t, 2.08-2.34 from a cubic through the levels update returned,
+        # 1.40-1.79 from this one)
         cfg = load_config(name)
         option = dataclasses.replace(cfg.contract, kind=kind)
         b = solve_boundary(cfg.model, cfg.cir, option,
                            SolverConfig(n_steps=100), cfg.quadrature)
         updates = np.array(b.diagnostics["inner_updates"])
-        assert updates.sum() / np.count_nonzero(updates) <= 2.5
+        assert updates.sum() / np.count_nonzero(updates) <= 2.0
 
     @pytest.mark.parametrize("name,most", [
         ("fig1", 39), ("fig2", 39), ("fig3", 39), ("fig7", 79)])

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from vixpricer.cir import CirParams
-from vixpricer.european import OptionSpec, eep_kernel
-from vixpricer.models import (AssumptionError, ModelSpec, critical_levels,
-                              f_deriv, f_eval, g_eval,
+from vixpricer.cli import bundled_config_names, load_config
+from vixpricer.european import (OptionSpec, _benefit_integrand,
+                                _payoff_integrand, eep_kernel)
+from vixpricer.models import (AssumptionError, ModelSpec, _power_sum,
+                              critical_levels, f_deriv, f_eval, g_eval,
                               minimum_location, mixture_inverse,
                               model_from_dict, payoff_levels,
                               validate_model_params, waiting_benefit, x_star)
@@ -59,6 +62,27 @@ class TestMapEvaluation:
             fd = (upper - lower) / (2 * h)
             exact = f_deriv(m, ys, order)
             assert np.all(np.abs(fd - exact) <= 1e-6 * (1.0 + np.abs(exact)))
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_float_path_is_the_array_path_bit_for_bit(self, name):
+        # a float level takes plain floats and one np.power call, an array
+        # the ufuncs of ndarray ** e; NumPy's vectorized power and
+        # float.__pow__ differ in the last bit, so both paths must agree
+        # exactly on every bundled term list
+        cfg = load_config(name)
+        m, ys = cfg.model, np.geomspace(1e-8, 1e8, 1601)
+        sums = [(terms, 0.0) for terms in m._power_terms]
+        for kind in ("call", "put"):
+            option = dataclasses.replace(cfg.contract, kind=kind)
+            sums += [_payoff_integrand(m, option),
+                     _benefit_integrand(m, cfg.cir, option)]
+        for terms, const in sums:
+            np.testing.assert_array_equal(
+                [_power_sum(terms, float(y), const) for y in ys],
+                _power_sum(terms, ys, const), err_msg=str(terms))
+        for order in range(5):
+            np.testing.assert_array_equal(
+                [f_deriv(m, float(y), order) for y in ys], f_deriv(m, ys, order))
 
     @pytest.mark.parametrize("m,_p", CATALOG)
     def test_shape_signs(self, m, _p):
