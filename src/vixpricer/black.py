@@ -99,16 +99,32 @@ def skew_curve(m: ModelSpec, p: CirParams, T: float, r: float, state: float,
     :func:`implied_vol` cannot bracket its vol, or where its time value
     ``price - e^{-rT} (F_T - K)^+`` is at most ``config.rel_tol * price``,
     within the quadrature's own error. The futures level and every strike
-    share one law and its box.
+    share one law and its box, and the strikes are priced as one ladder
+    (:func:`~vixpricer.european._european_on`): one adaptive run, whose
+    passes evaluate the density once for all strikes, and one origin moment
+    series, each price bit for bit the one :func:`european_price` gives.
+    Where the ladder fails, the strikes are priced one at a time, so the
+    first failing strike in grid order raises what it raises alone.
     """
     law = transition_law(p, T, factor_state(m, state))
     box = law.mass_bounds(config.tail_mass_cut)
     fut = _futures_on(m, law, config, box)
+    grid = np.asarray(moneyness_grid, dtype=float)
+
+    def ladder(grid):
+        options = [OptionSpec(strike=fut * math.exp(mny), maturity=T, rate=r, kind="call")
+                   for mny in grid]
+        return options, _european_on(m, options, T, law, box, config)
+
+    try:
+        options, prices = ladder(grid)
+    except (ArithmeticError, RuntimeError, ValueError):
+        for mny in grid:  # the first strike that fails alone raises
+            ladder([mny])
+        raise
     points = []
-    for mny in np.asarray(moneyness_grid, dtype=float):
-        strike = fut * math.exp(mny)
-        option = OptionSpec(strike=strike, maturity=T, rate=r, kind="call")
-        price = _european_on(m, option, T, law, box, config)
+    for mny, option, price in zip(grid, options, prices):
+        strike = option.strike
         time_value = price - math.exp(-r * T) * max(fut - strike, 0.0)
         try:
             vol = (implied_vol(price, fut, strike, T, r)

@@ -20,7 +20,12 @@ Two integrators take the same regions and integrands:
   configured tolerance, log-spaced on a region from near 0, on the exact
   quantile box, of which they compute only the edges that can clip a
   region (:func:`_clipping_box`), and check a region from 0 by its exact
-  moment piece below the box (:func:`_check_origin`);
+  moment piece below the box (:func:`_check_origin`). A strike ladder on
+  one law and box (:func:`_european_on`: a skew's strikes, or the one
+  strike of :func:`european_price`) is one adaptive run over every
+  strike's regions, one integrand row per strike, and takes its origin
+  pieces from one moment series per box edge (:func:`_integrate`), each
+  price bit for bit the one its strike gets alone;
 * :func:`kernel_row` and :func:`euro_fast` use a composite Gauss-Legendre
   rule (:func:`_row_values`) on a cheap box with a tail-bound upper edge,
   one row per horizon, panels set by each row's span, and refuse a region
@@ -172,55 +177,85 @@ def _benefit_integrand(m: ModelSpec, p: CirParams, option: OptionSpec):
 # adaptive integration against a transition law
 # ---------------------------------------------------------------------------
 
-def _integrate(law: ChiSquareLaw, box, integrand, regions,
-               config: QuadratureConfig, scale_floor: float = 0.0):
-    """Sum of integrals of ``integrand`` times the density over the regions,
-    within the law's support ``box`` (its ``mass_bounds``), or, where
-    ``box`` is None, within the edges of that box that can clip a live
-    region (:func:`_clipping_box`).
+def _integrate(law: ChiSquareLaw, box, terms, rows, config: QuadratureConfig):
+    """One sum of integrals per row ``(const, regions, scale_floor)``: of the
+    power sum ``const + sum c y^e`` over ``terms`` times the density, over
+    the row's ``(lo, hi)`` regions within the law's support ``box`` (its
+    ``mass_bounds``), or, where ``box`` is None, within the edges of that box
+    that can clip a live region (:func:`_clipping_box`).
 
-    A live region from 0 of an integrand with a negative power has its exact
+    Every row's regions are the intervals of one
+    :func:`~vixpricer.numerics.adaptive_gauss_kronrod` run: each pass
+    evaluates the density, and the power sum of every row, once on the open
+    pieces of all rows, and a row's integrals take its values on its own.
+    A row's live region from 0, where a power is negative, has its exact
     piece on ``[lo / 2, lo]`` below the box edge ``lo`` checked by
-    :func:`_check_origin`, against the larger of the result and ``scale_floor``.
+    :func:`_check_origin` against the larger of the row's result and its
+    ``scale_floor``, from one ``power_moments`` call per distinct edge.
     """
-    terms, const = integrand
-
-    def fn(y):
-        return _power_sum(terms, y, const) * np.exp(law.log_pdf(y))
-
-    regions = [(a, b) for a, b in regions if b > a]
     if box is None:
-        box = _clipping_box(law, regions, config.tail_mass_cut)
-    total = origin = 0.0
-    for a, b in regions:
-        aa, bb = max(a, box[0]), min(b, box[1])
-        if not bb > aa:
+        box = _clipping_box(law, [r for _, regions, _ in rows for r in regions],
+                            config.tail_mass_cut)
+    box_lo, box_hi = box
+    # per row, each live region's start and its ends within the box
+    ends = [[(a, max(a, box_lo), min(b, box_hi)) for a, b in regions if b > a]
+            for _, regions, _ in rows]
+    totals = [0.0] * len(rows)
+    if any(hi > lo for row in ends for _, lo, hi in row):
+        consts = (rows[0][0] if len(rows) == 1  # one row: fn returns y's shape
+                  else np.array([[const] for const, _, _ in rows]))
+
+        def fn(y):
+            return _power_sum(terms, y, consts) * np.exp(law.log_pdf(y))
+
+        if len(ends) == 1 and len(ends[0]) == 1:  # one interval: the scalar call
+            (_, lo, hi), = ends[0]
+            totals = [adaptive_gauss_kronrod(fn, lo, hi, rel_tol=config.rel_tol,
+                                             abs_tol=_ABS_TOL)[0]]
+        else:
+            width = max(map(len, ends))
+            lo, hi = np.array([[(a, b) for _, a, b in row] + [(0.0, 0.0)] * (width - len(row))
+                               for row in ends]).transpose(2, 0, 1)
+            vals, _ = adaptive_gauss_kronrod(fn, lo, hi, rel_tol=config.rel_tol,
+                                             abs_tol=_ABS_TOL)
+            # an empty interval adds 0.0, as no interval does
+            totals = [sum(row) for row in vals.tolist()]
+    pieces = {}  # the moments on [lo / 2, lo] per box edge lo
+    for (const, _, floor), row, total in zip(rows, ends, totals):
+        if not row:
             continue
-        val, _ = adaptive_gauss_kronrod(fn, aa, bb, rel_tol=config.rel_tol,
-                                        abs_tol=_ABS_TOL)
-        total += val
-        if a == 0.0:
-            origin = aa
-    if origin > 0.0 and min(e for _, e in terms) < 0.0:
-        coefs, powers = np.array(terms + ((const, 0.0),)).T
-        piece = float(law.power_moments(powers, (0.5 * origin, origin))[0] @ coefs)
-        _check_origin(piece, total, scale_floor, origin, config)
-    return total
+        start, lo, hi = row[0]  # a region from 0 is the row's first
+        if start == 0.0 and hi > lo > 0.0 and min(e for _, e in terms) < 0.0:
+            coefs, powers = np.array(terms + ((const, 0.0),)).T
+            if lo not in pieces:
+                pieces[lo] = law.power_moments(powers, (0.5 * lo, lo))[0]
+            _check_origin(float(pieces[lo] @ coefs), total, floor, lo, config)
+    return totals
 
 
 def _clipping_box(law: ChiSquareLaw, regions, tail_mass):
     """The edges of ``law.mass_bounds(tail_mass)`` that can clip one of the
-    live ``regions``, with 0 and ``inf`` in place of the others.
+    live ``regions`` (those with ``hi > lo``), with 0 and ``inf`` in place
+    of the others.
 
     The lower edge ``ppf(tail_mass)`` is computed where a region starts at 0
     or where ``cdf`` at its start is below ``tail_mass``, the upper edge
     where a region ends at ``inf`` or where ``sf`` at its end is below
     ``tail_mass``; an edge that is not computed lies outside every region.
-    A monotone quote's one region pays for one tail quantile and one series
-    evaluation at its strike cut, not for both quantiles.
+    A monotone quote's one region pays for one tail quantile and at most one
+    series evaluation at its strike cut, not for both quantiles. None is
+    evaluated at a region's start ``reach`` or more above the mean, or at
+    its end ``reach`` or more below it: by Cantelli's inequality, ``P(Y -
+    mean >= d) <= var / (var + d^2)``, at least ``2 tail_mass`` of the mass
+    lies on the mean's side of such a cut, so its ``cdf`` or ``sf`` is not
+    below ``tail_mass`` and the edge lies outside the region.
     """
-    lower = any(a == 0.0 or law.cdf(a) < tail_mass for a, _ in regions)
-    upper = any(b == math.inf or law.sf(b) < tail_mass for _, b in regions)
+    mean = law.mean()
+    reach = law.std() * math.sqrt(2.0 * tail_mass / (1.0 - 2.0 * tail_mass))
+    lower = any(a == 0.0 or a < mean + reach and law.cdf(a) < tail_mass
+                for a, b in regions if b > a)
+    upper = any(b == math.inf or b > mean - reach and law.sf(b) < tail_mass
+                for a, b in regions if b > a)
     if lower and upper:
         return law.mass_bounds(tail_mass)
     # mass_bounds' upper edge is the upper-tail quantile at tail_mass itself
@@ -247,10 +282,10 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
                    config: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Discounted expected payoff at valuation time ``t`` and given state.
 
-    Only the edges of the law's ``mass_bounds(tail_mass_cut)`` that can
-    clip a payoff region are computed (:func:`_clipping_box`): one for a
-    monotone quote whose strike cut lies inside the box, at the price the
-    whole box gives.
+    It is the ladder of one strike (:func:`_european_on`). Only the edges of
+    the law's ``mass_bounds(tail_mass_cut)`` that can clip a payoff region
+    are computed (:func:`_clipping_box`): one for a monotone quote whose
+    strike cut lies inside the box, at the price the whole box gives.
     """
     tau = option.maturity - t
     if tau < 0.0:
@@ -258,11 +293,12 @@ def european_price(m: ModelSpec, p: CirParams, option: OptionSpec,
     if tau == 0.0:
         return float(option.payoff_vix(vix_level(m, state)))
     law = transition_law(p, tau, factor_state(m, state))
-    return _european_on(m, option, tau, law, None, config)
+    return _european_on(m, [option], tau, law, None, config)[0]
 
 
-def _european_on(m, option, tau, law, box, config) -> float:
-    """:func:`european_price` ``tau`` before maturity, on the law at maturity,
+def _european_on(m, options, tau, law, box, config) -> list:
+    """:func:`european_price` of each option of a strike ladder (options of
+    one kind and rate) ``tau`` before maturity, on the law at maturity,
     within the support ``box``, or, for None, the edges of it that clip a
     payoff region (:func:`_clipping_box`).
 
@@ -270,14 +306,26 @@ def _european_on(m, option, tau, law, box, config) -> float:
     every level (:func:`~vixpricer.models.payoff_levels`): it is worth its
     discounted forward payoff ``e^{-r tau} (F - K)``, from the futures series,
     which takes the whole box only where the level diverges at the origin.
+    Every other strike is a row of one :func:`_integrate` run, each price
+    bit for bit the one it gets alone.
     """
-    disc = math.exp(-option.rate * tau)
-    k_lower, k_upper, _ = payoff_levels(m, option.strike)
-    if option.kind == "call" and k_lower == k_upper:
-        return disc * (_futures_on(m, law, config, box) - option.strike)
-    val = _integrate(law, box, _payoff_integrand(m, option),
-                     _euro_regions(m, option), config, scale_floor=option.strike)
-    return disc * max(val, 0.0)
+    disc = math.exp(-options[0].rate * tau)
+    prices, rows, priced, forward = [], [], [], None
+    for i, option in enumerate(options):
+        k_lower, k_upper, _ = payoff_levels(m, option.strike)
+        if option.kind == "call" and k_lower == k_upper:
+            if forward is None:
+                forward = _futures_on(m, law, config, box)
+            prices.append(disc * (forward - option.strike))
+        else:
+            terms, const = _payoff_integrand(m, option)
+            rows.append((const, _euro_regions(m, option), option.strike))
+            priced.append(i)
+            prices.append(None)
+    if rows:
+        for i, val in zip(priced, _integrate(law, box, terms, rows, config)):
+            prices[i] = disc * max(val, 0.0)
+    return prices
 
 
 def futures_price(m: ModelSpec, p: CirParams, horizon: float, state: float,
@@ -356,12 +404,13 @@ def eep_kernel(m: ModelSpec, p: CirParams, option: OptionSpec, y0: float,
     """
     if u < 0.0:
         raise ValueError("elapsed time must be non-negative")
-    terms, const = benefit = _benefit_integrand(m, p, option)
+    terms, const = _benefit_integrand(m, p, option)
     lower, upper = (float(c) for c in cuts)
     if u == 0.0:
         return _power_sum(terms, y0, const) if y0 <= lower or y0 >= upper else 0.0
     law = transition_law(p, u, y0)
-    val = _integrate(law, None, benefit, _stop_regions((lower, upper)), config)
+    val, = _integrate(law, None, terms, [(const, _stop_regions((lower, upper)), 0.0)],
+                      config)
     return math.exp(-option.rate * u) * val
 
 

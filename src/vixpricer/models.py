@@ -179,7 +179,8 @@ def _power_sum(pairs, y, const=0.0):
 
     A positive finite float is summed in plain floats, its other powers from
     one ``np.power`` call, which rounds them as the array path's does: both
-    paths agree bit for bit.
+    paths agree bit for bit. Against an array ``y``, a column of constants
+    (shape ``(k, 1)``) gives one row per constant, from one ``y**e`` a power.
     """
     if isinstance(y, float) and 0.0 < y < math.inf:
         y = float(y)  # a NumPy scalar's arithmetic is slower
@@ -190,10 +191,12 @@ def _power_sum(pairs, y, const=0.0):
             out = out + c * (exact(y) if exact else next(rest))
         return float(out)
     y_arr = np.asarray(y, dtype=float)
-    out = np.full_like(y_arr, const)
+    out = const
     for c, e in pairs:
         if c != 0.0:
             out = out + c * y_arr ** e
+    if out is const:  # no term: the constant in y's shape
+        out = np.full(np.broadcast(y_arr, const).shape, const)
     return out if isinstance(y, np.ndarray) else float(out)
 
 

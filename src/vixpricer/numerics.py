@@ -10,8 +10,8 @@ quantiles and the boundary solver's stalled fixed-point steps all go through
 them, and none supplies a slope.
 
 All quadrature helpers expect integrands that map a numpy array of abscissae
-to an array of the same shape, so a single call evaluates a whole batch of
-nodes at once.
+to an array of the same shape (or, for several integrands at once, to one
+row per integrand), so a single call evaluates a whole batch of nodes.
 """
 
 from __future__ import annotations
@@ -170,29 +170,47 @@ _G_WEIGHTS = np.zeros_like(_K_WEIGHTS)
 _G_WEIGHTS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _gk_batch(fn, a, b):
-    """Kronrod integral and error estimate for each interval [a_i, b_i]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _K_NODES[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    ik = half * (vals @ _K_WEIGHTS)
-    ig = half * (vals @ _G_WEIGHTS)
+def _gk_batch(fn, a, b, spans, rows):
+    """Kronrod integral and error estimate for each piece [a_i, b_i], from
+    one ``fn`` call on every piece's abscissae.
+
+    The pieces form consecutive blocks, ``spans[k] = (start, stop)``, and
+    block ``k`` integrates row ``rows[k]`` of ``fn``'s output. The rule's
+    sums are formed block by block, on the matrix that block alone would
+    give: a matrix-vector product's rounding can depend on the rows around a
+    row.
+    """
+    width = b - a
+    half = 0.5 * width
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _K_NODES
+    vals = fn(nodes.ravel()).reshape((-1,) + nodes.shape)
+    if len(vals) == 1:
+        vals = vals[0]
+    else:  # each piece's values from its own integrand
+        vals = vals[np.repeat(rows, [stop - start for start, stop in spans]), np.arange(len(a))]
+    ik = half * _by_block(vals, _K_WEIGHTS, spans)
+    ig = half * _by_block(vals, _G_WEIGHTS, spans)
     # QUADPACK-style sharpened error estimate
-    avg = ik / (b - a)
-    resasc = half * (np.abs(vals - avg[:, None]) @ _K_WEIGHTS)
+    avg = ik / width
+    resasc = half * _by_block(np.abs(vals - avg[:, None]), _K_WEIGHTS, spans)
     err = np.abs(ik - ig)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(resasc > 0.0,
-                          resasc * np.minimum(1.0, (200.0 * err / np.maximum(resasc, 1e-300)) ** 1.5),
-                          err)
-    return ik, np.where(err > 0.0, scaled, err)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / np.maximum(resasc, 1e-300)) ** 1.5)
+    return ik, np.where((resasc > 0.0) & (err > 0.0), scaled, err)
 
 
-# the most new intervals one refinement pass may evaluate (15 abscissae
-# each, in one integrand call)
+def _by_block(vals, weights, spans):
+    """``vals @ weights``, one product per ``(start, stop)`` span of rows."""
+    if len(spans) == 1:
+        return vals @ weights
+    out = np.empty(len(vals))
+    for start, stop in spans:
+        out[start:stop] = vals[start:stop] @ weights
+    return out
+
+
+# the most new intervals one refinement pass may evaluate for one integral
+# (15 abscissae each)
 _MAX_PASS_INTERVALS = 4096
 
 # an interval [a, b] with b > _WIDE_RATIO * a > 0 is wide: both quadrature
@@ -203,76 +221,142 @@ _WIDE_RATIO = 20.0
 # the fewest pieces adaptive_gauss_kronrod seeds an interval with, and the
 # widest log-spaced one, half a decade
 _SEED_PIECES = 8
+_EQUAL_STEPS = np.arange(_SEED_PIECES + 1.0)
 _LOG_HALF_DECADE = 0.5 * math.log(10.0)
 
 
 def adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-9, abs_tol=1e-12,
                            max_subdivisions=200):
-    """Adaptive Gauss-Kronrod integration of a vectorized integrand.
+    """Adaptive Gauss-Kronrod integration of a vectorized integrand, over
+    one interval or several at once.
 
-    The interval is seeded with 8 equal pieces or, where it is wide (``b >
+    ``a`` and ``b`` are the ends of one interval, or arrays of ends that
+    broadcast to one shape ``(..., n)``. ``fn`` maps a 1-D array of
+    abscissae ``x`` to an array of shape ``a.shape[:-1] + x.shape``, one row
+    per integrand (``x``'s shape where there is one integrand), and row
+    ``j`` is integrated over the intervals ``[a[j, i], b[j, i]]``; an
+    interval with ``b <= a`` gives 0.
+
+    Each interval is seeded with 8 equal pieces or, where it is wide (``b >
     20 a > 0``, ``_WIDE_RATIO``, the test of :func:`panel_nodes`), with
     log-spaced ones, one per half decade and at least 8. A log-spaced piece
     spans a ratio of at most ``sqrt(10)``, so it converges as fast next to a
     branch point at 0 (a density like ``y^0.36``) as far from it, and no
-    pass bisects towards the branch point. Pieces are bisected where the
-    local Kronrod error estimate is largest until the summed error meets
-    ``max(abs_tol, rel_tol * |I|)``. Callers split the domain at kinks
-    (e.g. payoff kinks) beforehand.
-    ``ConvergenceError`` is raised after ``max_subdivisions`` passes, or
-    when a pass would evaluate more than ``_MAX_PASS_INTERVALS`` new
-    intervals, as the count can double on every pass.
+    pass bisects towards the branch point. Each interval's pieces are
+    bisected where the local Kronrod error estimate is largest until its
+    summed error meets ``max(abs_tol, rel_tol * |I|)``. Callers split the
+    domain at kinks (e.g. payoff kinks) beforehand.
 
-    Returns ``(value, error_estimate)``; ``ValueError`` for an infinite
-    interval.
+    Every pass calls ``fn`` once, on the new pieces of every interval still
+    open, so a batch takes as many calls as its slowest interval takes
+    passes. Each interval keeps its own pieces, split decisions and checks,
+    and its rule sums and total are formed on its own block of pieces, so
+    its result is bit for bit what it gets alone.
+    ``ConvergenceError`` is raised for an interval after ``max_subdivisions``
+    passes, or when a pass would evaluate more than ``_MAX_PASS_INTERVALS``
+    new pieces of it, as the count can double on every pass; in a batch, for
+    the first such interval in C order, once every interval before it has
+    converged, with the message it would raise alone.
+
+    Returns ``(value, error_estimate)``: floats for one interval, arrays of
+    the ends' shape for several. ``ValueError`` for an infinite interval.
     """
-    if not b > a:
-        return 0.0, 0.0
-    if not math.isfinite(b - a):
-        raise ValueError(f"interval [{a}, {b}] is not finite")
-    # seed the interval with several segments so narrow features register in
-    # the error estimate before any refinement decision is taken (the edges
-    # of np.linspace and, on a wide interval, np.geomspace, at a fraction of
-    # their call overhead)
+    if isinstance(a, (float, int)) and isinstance(b, (float, int)):
+        shape, ends = (), [(float(a), float(b))]
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        shape, ends = a.shape, list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    per_row = shape[-1] if shape else 1
+    value, error = [0.0] * len(ends), [0.0] * len(ends)
+    # each open interval in order: (its index, its pieces' ends lo and hi,
+    # the values and errors of all but its last n pieces, n), where the
+    # last n are the pieces the next pass evaluates
+    todo = []
+    for i, (lo, hi) in enumerate(ends):
+        if not hi > lo:
+            continue
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"interval [{lo}, {hi}] is not finite")
+        lo, hi = _seed_pieces(lo, hi)
+        todo.append((i, lo, hi, None, None, len(lo)))
+    failed = {}  # interval -> (reason, its piece errors)
+    for n_pass in range(max_subdivisions + 1):
+        if not todo:
+            break
+        if len(todo) == 1:
+            (i, lo, hi, _, _, n), = todo
+            spans = ((0, n),)
+            new_vals, new_errs = _gk_batch(fn, lo[-n:], hi[-n:], spans, (i // per_row,))
+        else:
+            spans, stop = [], 0
+            for *_, n in todo:
+                spans.append((stop, stop + n))
+                stop += n
+            new_vals, new_errs = _gk_batch(
+                fn, np.concatenate([lo[-n:] for _, lo, _, _, _, n in todo]),
+                np.concatenate([hi[-n:] for _, _, hi, _, _, n in todo]), spans,
+                [i // per_row for i, *_ in todo])
+        still_open = []
+        for (i, lo, hi, vals, errs, _), (start, stop) in zip(todo, spans):
+            if vals is None:
+                vals, errs = new_vals[start:stop], new_errs[start:stop]
+            else:
+                vals = np.concatenate([vals, new_vals[start:stop]])
+                errs = np.concatenate([errs, new_errs[start:stop]])
+            if n_pass == max_subdivisions:
+                failed[i] = (f"quadrature did not converge within {max_subdivisions} "
+                             f"subdivisions", errs)
+                continue
+            total = vals.sum()
+            err_total = errs.sum()
+            tol = max(abs_tol, rel_tol * abs(total))
+            if err_total <= tol:
+                value[i] = float(total)
+                error[i] = float(err_total)
+                continue
+            # split every piece responsible for a meaningful error share
+            cutoff = max(tol / (2.0 * len(errs)), errs.max() * 1e-3)
+            split = errs >= cutoff
+            if not split.any():
+                split[np.argmax(errs)] = True
+            n_new = 2 * int(split.sum())
+            if n_new > _MAX_PASS_INTERVALS:
+                failed[i] = (f"quadrature pass would evaluate {n_new} intervals, more "
+                             f"than {_MAX_PASS_INTERVALS}", errs)
+                continue
+            keep = ~split
+            lo_split, hi_split = lo[split], hi[split]
+            mids = 0.5 * (lo_split + hi_split)
+            still_open.append((i, np.concatenate([lo[keep], lo_split, mids]),
+                               np.concatenate([hi[keep], mids, hi_split]),
+                               vals[keep], errs[keep], n_new))
+        todo = still_open
+        if failed and (not todo or min(failed) < todo[0][0]):
+            first = min(failed)
+            reason, errs = failed[first]
+            lo, hi = ends[first]
+            raise ConvergenceError(f"{reason} (error {errs.sum():.3e} on [{lo:.6g}, {hi:.6g}])")
+    if not shape:
+        return value[0], error[0]
+    return np.array(value).reshape(shape), np.array(error).reshape(shape)
+
+
+def _seed_pieces(a, b):
+    """The first pass's pieces ``(lo, hi)`` of a finite interval ``a < b``,
+    several, so narrow features register in the error estimate before any
+    refinement decision is taken: 8 equal ones, or log-spaced ones on a wide
+    interval, with the edges of np.linspace and np.geomspace at a fraction of
+    their call overhead."""
     if a > 0.0 and b > _WIDE_RATIO * a:  # a log-spaced piece per half decade
         log_a, log_b = math.log(a), math.log(b)
         n = max(_SEED_PIECES, math.ceil((log_b - log_a) / _LOG_HALF_DECADE))
         edges = np.exp(np.arange(n + 1.0) * ((log_b - log_a) / n) + log_a)
     else:
-        edges = np.arange(_SEED_PIECES + 1.0) * ((b - a) / _SEED_PIECES) + a
+        edges = _EQUAL_STEPS * ((b - a) / _SEED_PIECES) + a
     edges[0], edges[-1] = a, b
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk_batch(fn, lo, hi)
-    for _ in range(max_subdivisions):
-        total = vals.sum()
-        err_total = errs.sum()
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err_total <= tol:
-            return float(total), float(err_total)
-        # split every interval responsible for a meaningful error share
-        cutoff = max(tol / (2.0 * len(errs)), errs.max() * 1e-3)
-        split = errs >= cutoff
-        if not split.any():
-            split[np.argmax(errs)] = True
-        n_new = 2 * int(split.sum())
-        if n_new > _MAX_PASS_INTERVALS:
-            raise ConvergenceError(
-                f"quadrature pass would evaluate {n_new} intervals, more than "
-                f"{_MAX_PASS_INTERVALS} (error {errs.sum():.3e} on "
-                f"[{a:.6g}, {b:.6g}])")
-        keep_lo, keep_hi = lo[~split], hi[~split]
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        mids = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([keep_lo, lo[split], mids])
-        new_hi = np.concatenate([keep_hi, mids, hi[split]])
-        new_vals, new_errs = _gk_batch(fn, np.concatenate([lo[split], mids]),
-                                       np.concatenate([mids, hi[split]]))
-        vals = np.concatenate([keep_vals, new_vals])
-        errs = np.concatenate([keep_errs, new_errs])
-        lo, hi = new_lo, new_hi
-    raise ConvergenceError(
-        f"quadrature did not converge within {max_subdivisions} subdivisions "
-        f"(error {errs.sum():.3e} on [{a:.6g}, {b:.6g}])")
+    return edges[:-1], edges[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,107 @@ class TestSkewCurve:
         pts = skew_curve(m, p, 0.5, 0.05, 0.2, grid)
         assert [q.moneyness for q in pts] == list(grid)
         assert isinstance(pts[0], SkewPoint)
+
+
+def _sequential_outcome(m, p, T, r, state, grid, config):
+    """The first error of pricing the forward and then the grid's calls one
+    after another, as ``(type, message)``, or None."""
+    try:
+        fut = futures_price(m, p, T, state, config)
+        for mny in grid:
+            european_price(m, p, OptionSpec(fut * math.exp(mny), T, r), 0.0, state, config)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestSkewLadder:
+    """A skew prices its strikes as one ladder: one adaptive run and one
+    origin moment series, each price bit for bit its own."""
+
+    GRID = np.linspace(-0.3, 0.3, 7)
+
+    @staticmethod
+    def _counted(monkeypatch, owner, name):
+        calls = []
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.append(a) or fn(*a, **k))
+        return calls
+
+    def test_one_origin_series_besides_the_forward(self, monkeypatch):
+        # fig1's map falls like 1/y, so every strike's region from the box's
+        # lower edge has an origin piece; the ladder takes it from one walk
+        cfg = load_config("fig1")
+        moments = self._counted(monkeypatch, ChiSquareLaw, "power_moments")
+        pts = skew_curve(cfg.model, cfg.cir, 0.5, cfg.contract.rate, cfg.initial_state(),
+                         self.GRID, cfg.quadrature)
+        assert all(math.isfinite(pt.implied_vol) for pt in pts)
+        assert len(moments) == 2
+        fut = futures_price(cfg.model, cfg.cir, 0.5, cfg.initial_state(), cfg.quadrature)
+        moments.clear()
+        european_price(cfg.model, cfg.cir, OptionSpec(fut, 0.5, cfg.contract.rate), 0.0,
+                       cfg.initial_state(), cfg.quadrature)
+        assert len(moments) == 1  # the origin piece of one strike alone
+
+    @pytest.mark.parametrize("name, T", [("fig1", 0.5), ("fig2", 0.5), ("fig7", 0.5),
+                                         ("fig1_mix", 1.0)])
+    def test_log_pdf_calls_are_the_slowest_strikes_passes(self, name, T, monkeypatch):
+        cfg = load_config(name)
+        m, p, r, state, quad = (cfg.model, cfg.cir, cfg.contract.rate, cfg.initial_state(),
+                                cfg.quadrature)
+        grid = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3) if name == "fig7" else self.GRID
+        fut = futures_price(m, p, T, state, quad)
+        density = self._counted(monkeypatch, ChiSquareLaw, "log_pdf")
+        alone = []
+        for mny in grid:
+            density.clear()
+            european_price(m, p, OptionSpec(fut * math.exp(mny), T, r), 0.0, state, quad)
+            alone.append(len(density))
+        density.clear()
+        skew_curve(m, p, T, r, state, grid, quad)
+        assert len(density) == max(alone) < sum(alone)
+
+    @pytest.mark.parametrize("fail", [(4,), (2, 4), (4, 2), (1, 3, 5)])
+    def test_errors_keep_their_order(self, fail, monkeypatch):
+        # the first listed strike's integrand is NaN (its quadrature cannot
+        # converge), the others' origin checks raise; the ladder raises what
+        # the first failing strike in grid order raises alone
+        from vixpricer import european
+        cfg = load_config("fig1")
+        m, p, r, state, quad = (cfg.model, cfg.cir, cfg.contract.rate, cfg.initial_state(),
+                                cfg.quadrature)
+        fut = futures_price(m, p, 0.5, state, quad)
+        strikes = [fut * math.exp(mny) for mny in self.GRID]
+        nan_const, raising = -strikes[fail[0]], {strikes[i] for i in fail[1:]}
+        power_sum, check = european._power_sum, european._check_origin
+
+        def nan_row(terms, y, const=0.0):
+            out = power_sum(terms, y, const)
+            return np.where(np.asarray(const) == nan_const, np.nan, out)
+
+        def forced(piece, total, floor, cutoff, config):
+            if floor in raising:
+                raise european.DivergentIntegralError(f"forced at strike {floor!r}")
+            check(piece, total, floor, cutoff, config)
+
+        monkeypatch.setattr(european, "_power_sum", nan_row)
+        monkeypatch.setattr(european, "_check_origin", forced)
+        want = _sequential_outcome(m, p, 0.5, r, state, self.GRID, quad)
+        assert want is not None
+        with pytest.raises(want[0]) as got:
+            skew_curve(m, p, 0.5, r, state, self.GRID, quad)
+        assert (type(got.value), str(got.value)) == want
+
+    def test_fig5_at_045_y_raises_divergent(self):
+        # fig5's forward and calls diverge at the origin from about 0.38 y
+        from vixpricer.european import DivergentIntegralError
+        cfg = load_config("fig5")
+        m, p, r, state, quad = (cfg.model, cfg.cir, cfg.contract.rate, cfg.initial_state(),
+                                cfg.quadrature)
+        grid = [round(-0.3 + 0.05 * i, 10) for i in range(13)]  # the CLI's
+        want = _sequential_outcome(m, p, 0.45, r, state, grid, quad)
+        assert want is not None and want[0] is DivergentIntegralError
+        with pytest.raises(DivergentIntegralError) as got:
+            skew_curve(m, p, 0.45, r, state, grid, quad)
+        assert str(got.value) == want[1]

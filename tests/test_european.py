@@ -359,17 +359,20 @@ class TestOriginCheck:
         (MIX7, P7, 1.2, "call", 2, 1), (MIX7, P7, 1.2, "put", 1, 0)])
     def test_one_quadrature_per_live_region(self, m, p, state, kind, regions, pieces,
                                             monkeypatch):
-        # the origin check is one exact moment piece, not a second quadrature
+        # the origin check is one exact moment piece, not a second quadrature,
+        # and the live regions are the intervals of one adaptive run
         from vixpricer.cir import ChiSquareLaw
         quads, moments = [], []
         for owner, name, calls in ((european, "adaptive_gauss_kronrod", quads),
                                    (ChiSquareLaw, "power_moments", moments)):
             fn = getattr(owner, name)
             monkeypatch.setattr(owner, name,
-                                lambda *a, fn=fn, calls=calls, **k: calls.append(1) or fn(*a, **k))
+                                lambda *a, fn=fn, calls=calls, **k: calls.append(a) or fn(*a, **k))
         option = OptionSpec(0.15, 0.5, 0.05, kind)
         assert european_price(m, p, option, 0.0, state) > 0.0
-        assert (len(quads), len(moments)) == (regions, pieces)
+        assert (len(quads), len(moments)) == (1, pieces)
+        (_, lo, hi), = quads
+        assert np.count_nonzero(np.asarray(hi) > np.asarray(lo)) == regions
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(alpha=st.floats(0.1, 5.0), beta=st.floats(0.01, 20.0),
@@ -433,7 +436,8 @@ class TestClippingBox:
                 for kind in ("call", "put"):
                     option = OptionSpec(strike, T, cfg.contract.rate, kind)
                     got = _outcome(european_price, m, p, option, 0.0, state, quad)
-                    want = _outcome(european._european_on, m, option, T, law, box, quad)
+                    want = _outcome(lambda: european._european_on(m, [option], T, law, box,
+                                                                  quad)[0])
                     assert got == want, (T, strike, kind)
 
     @pytest.mark.parametrize("name", bundled_config_names())
@@ -443,7 +447,7 @@ class TestClippingBox:
         y0 = factor_state(m, cfg.initial_state())
         for kind in ("call", "put"):
             option = OptionSpec(cfg.contract.strike, 1.0, cfg.contract.rate, kind)
-            benefit = european._benefit_integrand(m, p, option)
+            terms, const = european._benefit_integrand(m, p, option)
             for u in self.MATURITIES:
                 law = transition_law(p, u, y0)
                 box = law.mass_bounds(quad.tail_mass_cut)
@@ -452,7 +456,7 @@ class TestClippingBox:
                              (0.0, below)):
                     got = _outcome(eep_kernel, m, p, option, y0, u, cuts, quad)
                     want = _outcome(lambda: math.exp(-option.rate * u) * european._integrate(
-                        law, box, benefit, european._stop_regions(cuts), quad))
+                        law, box, terms, [(const, european._stop_regions(cuts), 0.0)], quad)[0])
                     assert got == want, (kind, u, cuts)
 
     @pytest.mark.parametrize("name", ["fig1", "fig1_nu12", "fig2", "fig3", "fig4"])
@@ -486,6 +490,41 @@ class TestClippingBox:
             quantiles.clear()
             european_price(MIX7, P7, OptionSpec(0.15, 0.5, 0.05, kind), 0.0, 1.2)
             assert len(quantiles) == count, kind
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(df=st.floats(0.3, 60.0), lam=st.one_of(st.just(0.0), st.floats(1e-3, 1e5)),
+           scale=st.floats(1e-3, 10.0), tail=st.floats(1e-16, 0.4),
+           beyond=st.floats(0.0, 3.0))
+    def test_cantelli_cut_is_not_beyond_the_edge(self, df, lam, scale, tail, beyond):
+        # a cut reach or more from the mean, on the bulk's side, has at least
+        # 2 tail of mass on that side, as the series finds
+        law = ChiSquareLaw(df, lam, scale)
+        reach = law.std() * math.sqrt(2.0 * tail / (1.0 - 2.0 * tail))
+        above = law.mean() + reach * (1.0 + beyond)
+        assert law.cdf(above) >= tail
+        below = law.mean() - reach * (1.0 + beyond)
+        if below > 0.0:
+            assert law.sf(below) >= tail
+
+    @pytest.mark.parametrize("kind, series", [("call", "cdf"), ("put", "sf")])
+    def test_no_series_at_a_cut_past_the_mean(self, kind, series, monkeypatch):
+        # fig2's identity map: a call struck a standard deviation above the
+        # mean and a put half of one below it take no series at the cut
+        calls = []
+        fn = getattr(ChiSquareLaw, series)
+        monkeypatch.setattr(ChiSquareLaw, series,
+                            lambda law, y: calls.append(y) or fn(law, y))
+        cfg = load_config("fig2")
+        law = transition_law(cfg.cir, 0.5, factor_state(cfg.model, 0.2))
+        shift = 1.0 if kind == "call" else -0.5
+        strike = float(f_eval(cfg.model, law.mean() + shift * law.std()))
+        option = OptionSpec(strike, 0.5, 0.05, kind)
+        (a, b), = [r for r in european._euro_regions(cfg.model, option) if r[1] > r[0]]
+        got = european_price(cfg.model, cfg.cir, option, 0.0, 0.2, cfg.quadrature)
+        assert (a if kind == "call" else b) not in calls
+        box = law.mass_bounds(cfg.quadrature.tail_mass_cut)
+        assert got == european._european_on(cfg.model, [option], 0.5, law, box,
+                                             cfg.quadrature)[0]
 
 
 class TestZeroHorizonState:

@@ -175,7 +175,8 @@ def _recorded_passes(monkeypatch):
     passes = []
     batch = numerics._gk_batch
     monkeypatch.setattr(numerics, "_gk_batch",
-                        lambda fn, lo, hi: passes.append((lo, hi)) or batch(fn, lo, hi))
+                        lambda fn, lo, hi, *blocks: passes.append((lo, hi))
+                        or batch(fn, lo, hi, *blocks))
     return passes
 
 
@@ -236,3 +237,134 @@ def test_wide_threshold_is_shared_with_the_fixed_rule(monkeypatch, b, wide):
     assert (lo[0], hi[-1]) == (1.0, b)
     nodes, _ = panel_nodes(np.array([1.0]), np.array([b]), 4, 6)
     assert (nodes[0, 5] < 0.9 * np.linspace(1.0, b, 5)[1]) == wide
+
+
+def _rows(x, shifts):
+    """One row per shift: a branch point at 0, a peak at the shift, a wave."""
+    x = np.asarray(x)
+    return np.array([x ** (0.1 * s - 0.6) + np.exp(-0.5 * ((x - s) / 2e-3) ** 2)
+                     + np.sin(3.0 * s * x) for s in shifts])
+
+
+def _random_ends(rng, rows, cols):
+    """Interval ends: wide log-seeded ones from near 0, narrow ones, ones
+    around a row's peak (many passes) and empty ones (b <= a)."""
+    a = np.empty((rows, cols))
+    b = np.empty((rows, cols))
+    for j in range(rows):
+        for i in range(cols):
+            kind = rng.integers(4)
+            if kind == 0:
+                a[j, i] = 10.0 ** rng.uniform(-12, -3)
+                b[j, i] = rng.uniform(0.1, 6.0)
+            elif kind == 1:
+                a[j, i] = rng.uniform(0.1, 3.0)
+                b[j, i] = a[j, i] + rng.uniform(0.01, 2.0)
+            elif kind == 2:
+                a[j, i] = j + 1.0 - rng.uniform(0.01, 1.0)
+                b[j, i] = j + 1.0 + rng.uniform(0.01, 1.0)
+            else:
+                a[j, i] = rng.uniform(0.5, 2.0)
+                b[j, i] = a[j, i] - rng.uniform(0.0, 1.0) * (i % 2)
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_matches_separate_calls_bit_for_bit(seed):
+    # every row's integrand over its intervals in one run: each value and
+    # error estimate is the one the interval gets alone
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    shifts = [float(s) for s in range(1, rows + 1)]
+    a, b = _random_ends(rng, rows, cols)
+    vals, errs = adaptive_gauss_kronrod(lambda x: _rows(x, shifts), a, b, rel_tol=1e-11)
+    assert vals.shape == errs.shape == (rows, cols)
+    for j, s in enumerate(shifts):
+        for i in range(cols):
+            alone = adaptive_gauss_kronrod(lambda x: _rows(x, [s])[0], a[j, i], b[j, i],
+                                           rel_tol=1e-11)
+            assert (vals[j, i], errs[j, i]) == alone, (j, i)
+            if not b[j, i] > a[j, i]:
+                assert alone == (0.0, 0.0)
+
+
+def test_one_dimensional_ends_share_one_integrand():
+    # a 1-D a: fn returns x's shape, and every interval integrates it
+    fn = lambda x: np.exp(-0.1 * x) * np.sin(7.0 * x) / (1.0 + x ** 2)
+    a, b = np.array([0.0, 1e-9, 3.0]), np.array([1.0, 5.0, 2.0])
+    vals, errs = adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-11)
+    for i in range(3):
+        assert (vals[i], errs[i]) == adaptive_gauss_kronrod(fn, a[i], b[i], rel_tol=1e-11)
+
+
+def test_one_integrand_call_per_pass():
+    # the batch calls fn as often as its slowest interval needs passes, not
+    # as often as all of them together
+    def counting(shifts, calls):
+        def fn(x):
+            calls.append(x.size)
+            return _rows(x, shifts)
+        return fn
+
+    shifts = [1.0, 2.0, 3.0]
+    a = np.array([[1e-10, 0.5], [1.9, 4.0], [0.2, 2.0]])
+    b = np.array([[1.0, 0.9], [2.1, 3.0], [0.3, 5.0]])
+    alone = []
+    for j, s in enumerate(shifts):
+        for i in range(2):
+            calls = []
+            adaptive_gauss_kronrod(lambda x: counting([s], calls)(x)[0], a[j, i], b[j, i])
+            alone.append(len(calls))
+    calls = []
+    adaptive_gauss_kronrod(counting(shifts, calls), a, b)
+    assert len(calls) == max(alone) < sum(alone)
+    assert all(size % 15 == 0 for size in calls)
+
+
+def test_a_failing_interval_raises_as_alone():
+    # a fast oscillation at an unreachable tolerance fails on its pass cap;
+    # the batch raises that interval's own error once the intervals before
+    # it have converged, whatever fails after it
+    fn = lambda x: np.array([np.exp(-x), np.sin(1e6 * x), np.sin(2e6 * x)])
+    a, b = np.array([[0.0], [0.25], [0.0]]), np.array([[1.0], [0.75], [1.0]])
+    with pytest.raises(ConvergenceError) as alone:
+        adaptive_gauss_kronrod(lambda x: fn(x)[1], 0.25, 0.75, rel_tol=1e-14, abs_tol=0.0)
+    assert "on [0.25, 0.75])" in str(alone.value)
+    with pytest.raises(ConvergenceError) as batch:
+        adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-14, abs_tol=0.0)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_an_earlier_interval_that_fails_later_raises_first():
+    # a NaN integrand splits one piece a pass and runs out of passes after
+    # the oscillation hits its pass cap: the error is interval 0's, as a
+    # sequential loop over the intervals would raise
+    fn = lambda x: np.array([np.full_like(x, np.nan), np.sin(1e6 * x)])
+    a, b = np.array([[0.0], [0.0]]), np.array([[1.0], [1.0]])
+    with pytest.raises(ConvergenceError, match="within 20 subdivisions") as alone:
+        adaptive_gauss_kronrod(lambda x: fn(x)[0], 0.0, 1.0, rel_tol=1e-14,
+                               abs_tol=0.0, max_subdivisions=20)
+    with pytest.raises(ConvergenceError, match="would evaluate"):
+        adaptive_gauss_kronrod(lambda x: fn(x)[1], 0.0, 1.0, rel_tol=1e-14,
+                               abs_tol=0.0, max_subdivisions=20)
+    with pytest.raises(ConvergenceError) as batch:
+        adaptive_gauss_kronrod(fn, a, b, rel_tol=1e-14, abs_tol=0.0, max_subdivisions=20)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_scalar_call_is_unchanged():
+    # (fn, a, b) with floats: fn sees 1-D abscissae, returns their shape,
+    # and the result is a pair of floats
+    seen = []
+
+    def fn(x):
+        seen.append(x.shape)
+        return np.exp(-x) * np.cos(3.0 * x)
+
+    got = adaptive_gauss_kronrod(fn, 0.0, 2.0, rel_tol=1e-12)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in seen)
+    want = (math.exp(-2.0) * (3.0 * math.sin(6.0) - math.cos(6.0)) + 1.0) / 10.0
+    assert got[0] == pytest.approx(want, rel=1e-12)
+    vals, errs = adaptive_gauss_kronrod(fn, np.array([0.0]), np.array([2.0]), rel_tol=1e-12)
+    assert (vals[0], errs[0]) == got
